@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NetlistError
+from .errors import NetlistError, ValidationError
 from .frac_ops import SampleGrid, Signal
 
 GROUND = "0"
@@ -199,9 +199,18 @@ class Circuit:
 
     @property
     def loss_capacitance(self) -> float:
-        """Common capacitance scale C of the output capacitors."""
-        scales = [e.cap_scale for e in self.elements if e.kind == "OC"]
-        return scales[0] if scales else 1.0
+        """Common capacitance scale C of the output capacitors.
+
+        The nudge weights each output by its own cap, so the loss J that
+        the estimator follows is unweighted only if all caps are equal.
+        """
+        caps = {e.name: e.cap_scale for e in self.elements if e.kind == "OC"}
+        if len(set(caps.values())) > 1:
+            listed = ", ".join(f"{name}={cap:g}" for name, cap in caps.items())
+            raise ValidationError(
+                [Diagnostic("unequal-output-caps", f"output capacitors need one common cap, got {listed}")]
+            )
+        return next(iter(caps.values()), 1.0)
 
     def element(self, name: str) -> Element:
         for e in self.elements:

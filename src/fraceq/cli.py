@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .circuit import parse_netlist, serialize, validate
 from .circuit import _parse_waveform  # shared token grammar for config files
-from .dynamics import DriveSet, SimConfig, simulate, trajectory_loss
+from .dynamics import DriveSet, SimConfig, compile, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimate_gradient, fd_gradient, train
 from .errors import FraceqError, NewtonDivergenceError
 from .frac_ops import (
@@ -103,7 +103,10 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
                 if "=" not in tok:
                     raise ValueError(f"config line {lineno}: malformed example token {tok!r}")
                 name, wf_text = tok.split("=", 1)
-                element = circuit.element(name)
+                try:
+                    element = circuit.element(name)
+                except KeyError:
+                    raise ValueError(f"config line {lineno}: unknown element {name!r}") from None
                 wf = _parse_waveform(wf_text)
                 if element.kind == "OC":
                     targets[name] = wf
@@ -215,14 +218,15 @@ def cmd_gradcheck(args) -> int:
         command="gradcheck",
         netlist_path=args.netlist,
         netlist_sha256=digest,
-        params={"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end, "jobs": args.jobs},
+        params={"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end},
         outputs=[args.out, summary_path],
     )
     manifest.write(stem + ".manifest")
 
-    est = estimate_gradient(circuit, DriveSet(), args.beta, cfg, args.sign, jobs=args.jobs)
-    est_half = estimate_gradient(circuit, DriveSet(), args.beta / 2, cfg, args.sign, jobs=args.jobs)
-    oracle = fd_gradient(circuit, DriveSet(), args.eps, cfg, jobs=args.jobs)
+    system = compile(circuit)
+    est = estimate_gradient(circuit, DriveSet(), args.beta, cfg, args.sign, system)
+    est_half = estimate_gradient(circuit, DriveSet(), args.beta / 2, cfg, args.sign, system)
+    oracle = fd_gradient(circuit, DriveSet(), args.eps, cfg, system)
     metrics = agreement_metrics(est, oracle)
     metrics_half = agreement_metrics(est_half, oracle)
 
@@ -348,17 +352,23 @@ def _run_self_test() -> int:
 
 
 def _read_signal_csv(path: str) -> Signal:
+    """t,value rows; only the first line that is not blank or a comment may be a header."""
     rows = []
+    first = True
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
             try:
+                if len(parts) < 2:
+                    raise ValueError
                 rows.append((float(parts[0]), float(parts[1])))
             except ValueError:
-                continue  # header row
+                if not first:
+                    raise ValueError(f"{path}:{lineno}: expected numeric t,value, got {line!r}") from None
+            first = False
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 numeric t,value rows")
     t = np.array([r[0] for r in rows])
@@ -412,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--t-end", type=float, default=1.0)
     gc.add_argument("--sign", type=int, default=1, choices=(-1, 1))
     gc.add_argument("--out", default="gradcheck.csv")
-    gc.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     gc.set_defaults(func=cmd_gradcheck)
 
     tr = sub.add_parser("train", help="SGD training loop")

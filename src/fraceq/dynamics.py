@@ -5,17 +5,22 @@ laws hold identically through the coordinate map, so each time step solves one
 constitutive balance equation per branch.  Stepping is first-order implicit
 (backward difference) with full-history GL convolutions for the fractional
 memristors; Newton iteration handles nonlinear constitutive laws.
+
+`compile` validates a circuit and builds its topology once; `simulate_batch`
+then steps any number of runs that differ in conductances and beta, such as
+the free and nudged phases or the finite-difference perturbations, in one
+loop.  `simulate` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .circuit import Circuit, Element, Waveform, validate
+from .circuit import KINDS, Circuit, Element, Waveform, validate
 from .errors import MissingOutputError, NewtonDivergenceError, ValidationError
 from .frac_ops import SampleGrid, Signal, caputo_left, gl_weights
 from .topology import CoordinateMap, build_topology
@@ -31,6 +36,8 @@ class SimConfig:
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.newton_max_iters < 1:
+            raise ValueError("newton_max_iters must be at least 1")
         if self.history_window is not None and self.history_window < 10:
             raise ValueError("history window must cover at least 10 samples")
 
@@ -95,15 +102,11 @@ class Trajectory:
 
     @property
     def tree_voltage(self) -> np.ndarray:
-        return np.stack([_backward_diff(row, self.grid.dt) for row in self.tree_flux]) if len(
-            self.tree_flux
-        ) else self.tree_flux
+        return _backward_diff(self.tree_flux, self.grid.dt)
 
     @property
     def loop_current(self) -> np.ndarray:
-        return np.stack([_backward_diff(row, self.grid.dt) for row in self.loop_charge]) if len(
-            self.loop_charge
-        ) else self.loop_charge
+        return _backward_diff(self.loop_charge, self.grid.dt)
 
     @property
     def tree_half_velocity(self) -> np.ndarray:
@@ -141,201 +144,265 @@ class Trajectory:
 
 
 def _backward_diff(x: np.ndarray, dt: float) -> np.ndarray:
+    """Backward difference along the last (time) axis, zero at the first sample."""
     out = np.empty_like(x)
-    out[0] = 0.0
-    out[1:] = np.diff(x) / dt
+    out[..., 0] = 0.0
+    out[..., 1:] = np.diff(x) / dt
     return out
 
 
-def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> Trajectory:
-    """Advance the generalized coordinates over the grid.
+@dataclass(frozen=True, eq=False)
+class StepSystem:
+    """A validated circuit with its topology: everything a run keeps fixed.
 
-    Initial conditions are zero fluxes and charges at t = a, matching the
-    lower terminal of every Caputo operator.  With beta = 0 the output
-    capacitors carry exactly zero current, so targets cannot influence the
-    free phase.
+    P_phi and P_q map the coordinate vector z = [tree fluxes; loop charges]
+    to branch fluxes and charges.  Resistor conductances, beta and drives
+    are data of each run; every other element value comes from `circuit`.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+
+    circuit: Circuit
+    cmap: CoordinateMap
+    P_phi: np.ndarray  # branches x coordinates
+    P_q: np.ndarray  # branches x coordinates
+    rows: dict  # element kind -> branch indices
+    laws: tuple  # ConstitutiveSpec per C/L/M branch, None elsewhere
+    nonlinear: np.ndarray  # C/L/M branches whose law is not linear
+
+    def conductances(self, circuit: Circuit) -> np.ndarray:
+        """Per-branch conductances of `circuit` (0 off the resistors).
+
+        `circuit` must be the compiled circuit up to its conductances.
+        """
+        ref = self.circuit.elements
+        if len(circuit.elements) != len(ref) or any(
+            replace(e, g=r.g) != r for e, r in zip(circuit.elements, ref)
+        ):
+            raise ValueError("circuit differs from the compiled one in more than its conductances")
+        return np.array([e.g if e.kind == "R" else 0.0 for e in circuit.elements])
+
+
+def compile(circuit: Circuit) -> StepSystem:
+    """Validate the circuit and build its topology, once for any number of runs."""
     diags = validate(circuit)
     if diags:
         raise ValidationError(diags)
-    _, part, matrices, cmap = build_topology(circuit)
-
-    grid = cfg.grid
-    dt = grid.dt
-    n = grid.n
-    times = grid.times()
-    elements = circuit.elements
-    nb = len(elements)
-    nt, nl = len(part.tree), len(part.links)
-    nc = nt + nl
-
-    # branch value maps into the full coordinate vector z = [tree_flux; loop_charge]
+    _, part, _, cmap = build_topology(circuit)
+    nb = len(circuit.elements)
+    nt = len(part.tree)
+    nc = nt + len(part.links)
     P_phi = np.zeros((nb, nc))
     P_phi[:, :nt] = cmap.flux_map
     P_q = np.zeros((nb, nc))
     P_q[:, nt:] = cmap.charge_map
+    kinds = np.array([e.kind for e in circuit.elements])
+    laws = tuple(e.constitutive() if e.kind in ("C", "L", "M") else None for e in circuit.elements)
+    nonlinear = [b for b, law in enumerate(laws) if law is not None and law.family != "linear"]
+    return StepSystem(
+        circuit=circuit,
+        cmap=cmap,
+        P_phi=P_phi,
+        P_q=P_q,
+        rows={k: np.flatnonzero(kinds == k) for k in KINDS},
+        laws=laws,
+        nonlinear=np.array(nonlinear, dtype=int),
+    )
 
-    kinds = np.array([e.kind for e in elements])
-    specs = [e.constitutive() if e.kind in ("C", "L", "M") else None for e in elements]
-    g_vec = np.array([e.g if e.kind == "R" else 0.0 for e in elements])
-    oc_idx = [b for b, e in enumerate(elements) if e.kind == "OC"]
-    oc_cap = np.array([elements[b].cap_scale for b in oc_idx])
-    mem_idx = [b for b, e in enumerate(elements) if e.kind == "M"]
+
+class Member(NamedTuple):
+    """One trajectory of a batch."""
+
+    label: Optional[str]  # names the run in a NewtonDivergenceError
+    beta: float
+    g: np.ndarray  # per-branch conductances, as StepSystem.conductances
+
+
+def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members) -> list:
+    """Advance every member over the grid in one step loop; one Trajectory each.
+
+    Members share the topology and the drive and differ in conductances and
+    beta.  Initial conditions are zero fluxes and charges at t = a, matching
+    the lower terminal of every Caputo operator.  With beta = 0 the output
+    capacitors carry exactly zero current, so targets cannot influence the
+    free phase.
+
+    Each step solves the branch residual F = A dz + D z_prev + c_m = 0 for
+    dz = z - z_prev, per member, until the row-scaled residual has
+    max|Fs| <= newton_tol.  Nonlinear C/L/M rows subtract their law, and
+    memristor rows add the GL history sum.  A linear circuit inverts its
+    Jacobian once per member; a nonlinear one runs Newton with a
+    convergence mask per member.
+    """
+    if not members:
+        raise ValueError("a batch needs at least one member")
+    betas = np.array([mb.beta for mb in members], dtype=float)
+    if np.any(betas < 0):
+        raise ValueError("beta must be non-negative")
+    g = np.array([mb.g for mb in members], dtype=float)
+    k = len(members)
+    elements = system.circuit.elements
+    rows = system.rows
+    P_phi, P_q = system.P_phi, system.P_q
+    nb, nc = P_phi.shape
+    nt = len(system.cmap.tree)
+    grid = cfg.grid
+    dt = grid.dt
+    n = grid.n
+    times = grid.times()
+    sqrt_dt = math.sqrt(dt)
+
+    # row scaling to bring every residual to current-like units
+    row_scale = np.ones((nb, 1))
+    row_scale[np.concatenate([rows["C"], rows["V"], rows["I"], rows["OC"]])] = 1.0 / dt
+    row_scale[rows["M"]] = 1.0 / sqrt_dt
+
+    # F = dphi phi + dq q + dphi_prev phi_prev + dq_prev q_prev + c_m
+    dphi, dq, dphi_prev, dq_prev = (np.zeros((k, nb)) for _ in range(4))
+    R = rows["R"]
+    dq[:, R], dq_prev[:, R] = 1.0 / dt, -1.0 / dt  # R: i = g v
+    dphi[:, R], dphi_prev[:, R] = -g[:, R] / dt, g[:, R] / dt
+    dq[:, rows["C"]] = 1.0  # C: q = qhat(v)
+    dq[:, rows["L"]], dq_prev[:, rows["L"]] = 1.0 / dt, -1.0 / dt  # L: i = ihat(phi)
+    dq[:, rows["M"]] = 1.0 / sqrt_dt  # M: D^(1/2) q = rhat(D^(1/2) phi)
+    for b in set(np.concatenate([rows["C"], rows["L"], rows["M"]])) - set(system.nonlinear):
+        slope = system.laws[b].params[0]
+        if elements[b].kind == "C":
+            dphi[:, b], dphi_prev[:, b] = -slope / dt, slope / dt
+        elif elements[b].kind == "L":
+            dphi[:, b] = -slope
+        else:
+            dphi[:, b] = -slope / sqrt_dt
+    dphi[:, rows["V"]] = 1.0  # V: flux pinned to the integrated source voltage
+    dq[:, rows["I"]] = 1.0  # I: charge pinned to the integrated source current
+    OC = rows["OC"]  # OC: q = beta C (v - T)
+    weight = betas[:, None] * np.array([elements[b].cap_scale for b in OC])
+    dq[:, OC] = 1.0
+    dphi[:, OC], dphi_prev[:, OC] = -weight / dt, weight / dt
+
+    A = dphi[:, :, None] * P_phi + dq[:, :, None] * P_q
+    B = dphi_prev[:, :, None] * P_phi + dq_prev[:, :, None] * P_q
+    # with dz = z - z_prev, F = A dz + D z_prev + c_m.  Where a row differences
+    # a branch quantity, D = A + B cancels exactly, so the residual at dz = 0
+    # is computed as the scalar loop did
+    D = A + B
+    J_lin = row_scale * A  # Jacobian of the scaled residual Fs = row_scale F
 
     drives = np.zeros((nb, n))
     for b, e in enumerate(elements):
         if e.kind in ("V", "I", "OC"):
             drives[b] = drive.waveform_for(e)(times)
     # driven source coordinates: backward-rectangle integral of the waveform,
-    # consistent with the backward-difference velocity
-    src_integral = np.zeros((nb, n))
-    for b, e in enumerate(elements):
-        if e.kind in ("V", "I"):
-            src_integral[b, 1:] = dt * np.cumsum(drives[b, 1:])
+    # consistent with the backward-difference velocity.  Members with equal
+    # beta share one copy of the time-major c_m.
+    S = np.concatenate([rows["V"], rows["I"]])
+    shared = bool(np.all(betas == betas[0]))
+    c = np.zeros((1 if shared else k, n, nb, 1))
+    src = dt * np.cumsum(drives[S, 1:], axis=1)
+    c[:, 1:, S, 0] = -src.T
+    c[:, :, OC, 0] = weight[: len(c), None, :] * drives[OC].T
 
-    # GL half-derivative weights for the memristor history convolutions
-    w_half = gl_weights(0.5, n - 1) if mem_idx else None
-    sqrt_dt = math.sqrt(dt)
+    # GL half-derivative history of the memristor branch fluxes and charges
+    M = rows["M"]
+    if len(M):
+        w_rev = gl_weights(0.5, n - 1)[::-1]  # w_rev[n - 1 - j] = w_j
+        P_mem = np.concatenate([P_phi[M], P_q[M]])
+        mem = np.zeros((k, 2 * len(M), n))
+    # nonlinear rows: x = (phi + x_off) / x_div is the law's argument
+    NL = system.nonlinear
+    nl_laws = [system.laws[b] for b in NL]
+    nl_kind = np.array([elements[b].kind for b in NL], dtype=str)
+    nl_C = nl_kind == "C"
+    nl_M = nl_kind == "M"
+    nl_mem = np.searchsorted(M, NL[nl_M])  # their places among the memristors
+    x_div = np.where(nl_C, dt, np.where(nl_M, sqrt_dt, 1.0))
+    P_nl = P_phi[NL]
+    nl_scale = row_scale[NL, 0]
+    y = np.empty((k, len(NL)))
+    dy = np.empty((k, len(NL)))
 
-    # row scaling to bring every residual to current-like units
-    row_scale = np.ones(nb)
-    for b, e in enumerate(elements):
-        if e.kind in ("C", "V", "I", "OC"):
-            row_scale[b] = 1.0 / dt
-        elif e.kind == "M":
-            row_scale[b] = 1.0 / sqrt_dt
-
-    is_R = kinds == "R"
-    is_C = kinds == "C"
-    is_L = kinds == "L"
-    is_M = kinds == "M"
-    is_V = kinds == "V"
-    is_I = kinds == "I"
-    is_OC = kinds == "OC"
-
-    nonlinear = any(
-        specs[b] is not None and specs[b].family != "linear" for b in range(nb) if kinds[b] in ("C", "L", "M")
-    )
-
-    phi_hist = np.zeros((nb, n))  # branch fluxes over time
-    q_hist = np.zeros((nb, n))  # branch charges over time
-    z = np.zeros(nc)
-    Z = np.zeros((nc, n))
-
-    cached_solve = None
-
-    def spec_eval(mask_idx, x):
-        y = np.zeros(len(x))
-        dy = np.zeros(len(x))
-        for pos, b in enumerate(mask_idx):
-            yy, dd = specs[b](x[pos])
-            y[pos], dy[pos] = yy, dd
-        return y, dy
-
-    C_idx = np.flatnonzero(is_C)
-    L_idx = np.flatnonzero(is_L)
-    M_idx = np.flatnonzero(is_M)
-
+    tol = cfg.newton_tol
+    window = cfg.history_window
+    has_mem, has_nl = len(M) > 0, len(NL) > 0
+    z = np.zeros((k, nc, 1))
+    no_change = np.zeros((k, nc, 1))
+    Z = np.zeros((k, nc, n))
+    A_inv = None
     for m in range(1, n):
-        phi_prev = phi_hist[:, m - 1]
-        q_prev = q_hist[:, m - 1]
-        t = times[m]
+        z_prev = z
+        r = D @ z_prev + c[:, m]
+        if has_nl:
+            x_off = (P_nl @ z_prev)[:, :, 0]
+            x_off[:, nl_C] = 0.0
+        if has_mem:
+            lo = 0 if window is None else max(0, m - window)
+            # sum_{j=lo..m-1} w_(m-j) x_j, truncated under windowed history
+            hist = mem[:, :, lo:m] @ w_rev[n - 1 - m + lo : n - 1]
+            h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
+            r[:, M, 0] += dq[:, M] * h_q + dphi[:, M] * h_phi
+            if has_nl:
+                x_off[:, nl_M] += h_phi[:, nl_mem]
 
-        if mem_idx:
-            lo = 0 if cfg.history_window is None else max(0, m - cfg.history_window)
-            # sum_{k=1..m} w_k x_{m-k}, truncated under windowed history
-            ks = np.arange(1, m - lo + 1)
-            wk = w_half[ks]
-            mem_phi_hist = phi_hist[np.ix_(M_idx, m - ks)] @ wk
-            mem_q_hist = q_hist[np.ix_(M_idx, m - ks)] @ wk
-        else:
-            mem_phi_hist = mem_q_hist = None
-
-        converged = False
+        dz = no_change
         for it in range(cfg.newton_max_iters):
-            phi = P_phi @ z
-            q = P_q @ z
-            v = (phi - phi_prev) / dt
-            F = np.zeros(nb)
-            dF_dphi = np.zeros(nb)
-            dF_dq = np.zeros(nb)
-
-            # R: current balance i = g v
-            F[is_R] = (q[is_R] - q_prev[is_R]) / dt - g_vec[is_R] * v[is_R]
-            dF_dq[is_R] = 1.0 / dt
-            dF_dphi[is_R] = -g_vec[is_R] / dt
-            # C: q = qhat(v)
-            if len(C_idx):
-                y, dy = spec_eval(C_idx, v[C_idx])
-                F[C_idx] = q[C_idx] - y
-                dF_dq[C_idx] = 1.0
-                dF_dphi[C_idx] = -dy / dt
-            # L: i = ihat(phi)
-            if len(L_idx):
-                y, dy = spec_eval(L_idx, phi[L_idx])
-                F[L_idx] = (q[L_idx] - q_prev[L_idx]) / dt - y
-                dF_dq[L_idx] = 1.0 / dt
-                dF_dphi[L_idx] = -dy
-            # M: D^(1/2) q = rhat(D^(1/2) phi), GL truncation at this step
-            if len(M_idx):
-                psi = (phi[M_idx] + mem_phi_hist) / sqrt_dt
-                r = (q[M_idx] + mem_q_hist) / sqrt_dt
-                y, dy = spec_eval(M_idx, psi)
-                F[M_idx] = r - y
-                dF_dq[M_idx] = 1.0 / sqrt_dt
-                dF_dphi[M_idx] = -dy / sqrt_dt
-            # V: flux pinned to the integrated source voltage
-            F[is_V] = phi[is_V] - src_integral[is_V, m]
-            dF_dphi[is_V] = 1.0
-            # I: charge pinned to the integrated source current
-            F[is_I] = q[is_I] - src_integral[is_I, m]
-            dF_dq[is_I] = 1.0
-            # OC: q = beta C (v - T)
-            if len(oc_idx):
-                F[oc_idx] = q[oc_idx] - beta * oc_cap * (v[oc_idx] - drives[oc_idx, m])
-                dF_dq[oc_idx] = 1.0
-                dF_dphi[oc_idx] = -beta * oc_cap / dt
-
+            F = A @ dz + r if it else r
+            if has_nl:
+                x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div
+                for j, law in enumerate(nl_laws):
+                    y[:, j], dy[:, j] = law(x[:, j])
+                F = F.copy()
+                F[:, NL, 0] -= y
             Fs = row_scale * F
-            res = np.max(np.abs(Fs))
-            if res <= cfg.newton_tol:
-                converged = True
+            res = np.abs(Fs).max(axis=(1, 2)).tolist()
+            if max(res) <= tol:
                 break
-
-            if nonlinear or cached_solve is None:
-                J = (row_scale * dF_dphi)[:, None] * P_phi + (row_scale * dF_dq)[:, None] * P_q
-                if not nonlinear:
-                    cached_solve = np.linalg.inv(J)
-                    step = cached_solve @ Fs
-                else:
-                    step = np.linalg.solve(J, Fs)
+            active = [v > tol for v in res]  # converged members stay put
+            if has_nl:
+                J = J_lin.copy()
+                J[:, NL] -= (nl_scale * (dy / x_div))[:, :, None] * P_nl
+                step = np.zeros_like(Fs)
+                step[active] = np.linalg.solve(J[active], Fs[active])
             else:
-                step = cached_solve @ Fs
-            z = z - step
+                if A_inv is None:
+                    A_inv = np.linalg.inv(J_lin)
+                step = A_inv @ Fs
+                if not all(active):
+                    step[np.logical_not(active)] = 0.0
+            dz = dz - step
+        else:
+            i = active.index(True)
+            raise NewtonDivergenceError(times[m], res[i], members[i].label)
 
-        if not converged:
-            raise NewtonDivergenceError(t, res)
+        z = z_prev + dz
+        Z[:, :, m] = z[:, :, 0]
+        if has_mem:
+            mem[:, :, m] = (P_mem @ z)[:, :, 0]
 
-        Z[:, m] = z
-        phi_hist[:, m] = P_phi @ z
-        q_hist[:, m] = P_q @ z
+    output_names = tuple(elements[b].name for b in OC)
+    outputs = _backward_diff(P_phi[OC] @ Z, dt)
+    targets = drives[OC]
+    for shared_by_members in (Z, outputs, targets):
+        shared_by_members.flags.writeable = False
+    names = [e.name for e in elements]
+    return [
+        Trajectory(
+            grid=grid,
+            beta=float(mb.beta),
+            cmap=system.cmap,
+            tree_flux=Z[i, :nt],
+            loop_charge=Z[i, nt:],
+            output_names=output_names,
+            outputs=outputs[i],
+            targets=targets,
+            meta={"branch_names": list(names)},
+        )
+        for i, mb in enumerate(members)
+    ]
 
-    output_names = tuple(elements[b].name for b in oc_idx)
-    out_v = np.stack([_backward_diff(phi_hist[b], dt) for b in oc_idx]) if oc_idx else np.zeros((0, n))
-    out_T = drives[oc_idx] if oc_idx else np.zeros((0, n))
-    return Trajectory(
-        grid=grid,
-        beta=float(beta),
-        cmap=cmap,
-        tree_flux=Z[:nt].copy(),
-        loop_charge=Z[nt:].copy(),
-        output_names=output_names,
-        outputs=out_v,
-        targets=out_T,
-        meta={"branch_names": [e.name for e in elements]},
-    )
+
+def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> Trajectory:
+    """One trajectory: a batch of one on a freshly compiled circuit."""
+    system = compile(circuit)
+    (traj,) = simulate_batch(system, drive, cfg, [Member(None, beta, system.conductances(circuit))])
+    return traj
 
 
 def trajectory_loss(traj: Trajectory) -> float:

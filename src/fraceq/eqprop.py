@@ -9,13 +9,13 @@ fixed once by calibration against the finite-difference oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .circuit import Circuit
-from .dynamics import DriveSet, SimConfig, simulate, trajectory_loss
+from .dynamics import DriveSet, Member, SimConfig, StepSystem, compile, simulate_batch, trajectory_loss
 from .errors import FraceqError, StepTooLargeError
 from .frac_ops import half_energy_integral
 
@@ -92,43 +92,33 @@ def _synapses(circuit: Circuit) -> tuple:
     return idx
 
 
-def _run_phase(circuit, drive, beta, cfg, phase):
-    try:
-        return simulate(circuit, drive, beta, cfg)
-    except FraceqError as exc:
-        exc.phase = phase
-        raise
-
-
 def estimate_gradient(
     circuit: Circuit,
     drive: DriveSet,
     beta: float,
     cfg: SimConfig,
     sign_convention: int = 1,
-    jobs: int = 1,
+    system: Optional[StepSystem] = None,
 ) -> GradientEstimate:
     """Two-trajectory gradient estimate for every trainable synapse.
 
-    The free and nudged simulations are independent; jobs > 1 runs them
-    concurrently.  Results are assembled in a fixed order either way.
+    The free and nudged runs step together as one batch of two.  `system`
+    is `circuit` compiled, or compiled from a circuit that differs from it
+    only in conductances; it is compiled here when omitted.
     """
     if beta <= 0:
         raise ValueError("estimator needs beta > 0")
     idx = _synapses(circuit)
-    phases = (("free", 0.0), ("nudged", beta))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = {p: pool.submit(_run_phase, circuit, drive, b, cfg, p) for p, b in phases}
-            trajs = {p: f.result() for p, f in futures.items()}
-    else:
-        trajs = {p: _run_phase(circuit, drive, b, cfg, p) for p, b in phases}
     cap = circuit.loss_capacitance
+    if system is None:
+        system = compile(circuit)
+    g = system.conductances(circuit)
+    free, nudged = simulate_batch(system, drive, cfg, [Member("free", 0.0, g), Member("nudged", beta, g)])
     names, values, raw = [], [], []
     for l in idx:
         name = circuit.elements[l].name
-        e_nudged = half_energy_integral(trajs["nudged"].branch_flux(name))
-        e_free = half_energy_integral(trajs["free"].branch_flux(name))
+        e_nudged = half_energy_integral(nudged.branch_flux(name))
+        e_free = half_energy_integral(free.branch_flux(name))
         names.append(name)
         raw.append((e_nudged, e_free))
         values.append(sign_convention * (e_nudged - e_free) / (2.0 * cap * beta))
@@ -139,19 +129,19 @@ def estimate_gradient(
         sign_convention=int(sign_convention),
         raw_half_energies=tuple(raw),
         metadata={
-            "loss_free": trajectory_loss(trajs["free"]),
-            "loss_nudged": trajectory_loss(trajs["nudged"]),
+            "loss_free": trajectory_loss(free),
+            "loss_nudged": trajectory_loss(nudged),
         },
     )
 
 
 def fd_gradient(
-    circuit: Circuit, drive: DriveSet, eps: float, cfg: SimConfig, jobs: int = 1
+    circuit: Circuit, drive: DriveSet, eps: float, cfg: SimConfig, system: Optional[StepSystem] = None
 ) -> tuple:
     """Central-difference oracle dJ/dg per trainable synapse, at beta = 0.
 
-    The 2 * |synapses| perturbed simulations are independent; jobs > 1 runs
-    them concurrently with results gathered in synapse order.
+    The 2 * |synapses| perturbed runs step together as one batch, in
+    synapse order, + before -.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -159,21 +149,17 @@ def fd_gradient(
     g_floor = min(circuit.elements[l].g for l in idx)
     if eps >= g_floor:
         raise StepTooLargeError(f"eps {eps} would drive conductance {g_floor} non-positive")
-
-    def loss_at(name, gg):
-        traj = simulate(circuit.with_conductances({name: gg}), drive, 0.0, cfg)
-        return trajectory_loss(traj)
-
-    tasks = []
+    if system is None:
+        system = compile(circuit)
+    g = system.conductances(circuit)
+    members = []
     for l in idx:
         name = circuit.elements[l].name
-        g = circuit.elements[l].g
-        tasks += [(name, g + eps), (name, g - eps)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            losses = list(pool.map(lambda t: loss_at(*t), tasks))
-    else:
-        losses = [loss_at(*t) for t in tasks]
+        for sign, tag in ((1, "+"), (-1, "-")):
+            perturbed = g.copy()
+            perturbed[l] += sign * eps
+            members.append(Member(f"fd {name}{tag}", 0.0, perturbed))
+    losses = [trajectory_loss(traj) for traj in simulate_batch(system, drive, cfg, members)]
     return tuple(
         (losses[2 * k] - losses[2 * k + 1]) / (2.0 * eps) for k in range(len(idx))
     )
@@ -191,8 +177,9 @@ def sgd_step(circuit: Circuit, grads: GradientEstimate, eta: float, g_min: float
 def calibrate_sign(circuit: Circuit, drive: DriveSet, beta: float, eps: float, cfg: SimConfig) -> int:
     """One-time sign convention: the sign that aligns the raw estimator
     quotient with the finite-difference oracle (by inner product)."""
-    est = estimate_gradient(circuit, drive, beta, cfg, sign_convention=1)
-    oracle = fd_gradient(circuit, drive, eps, cfg)
+    system = compile(circuit)
+    est = estimate_gradient(circuit, drive, beta, cfg, sign_convention=1, system=system)
+    oracle = fd_gradient(circuit, drive, eps, cfg, system=system)
     dot = float(np.dot(est.values, oracle))
     return 1 if dot >= 0 else -1
 
@@ -215,10 +202,12 @@ def agreement_metrics(estimate: GradientEstimate, oracle: tuple) -> dict:
 def train(circuit: Circuit, config: TrainConfig):
     """SGD over the batch: shuffle per epoch by seed, estimate, update.
 
-    Returns (trained circuit, TrainingLog).  A simulation failure mid-run
+    Returns (trained circuit, TrainingLog).  The circuit is compiled once;
+    updates change only its conductances.  A simulation failure mid-run
     re-raises with epoch/example indices and the partial log attached.
     """
     names = tuple(circuit.elements[l].name for l in _synapses(circuit))
+    system = compile(circuit)
     log = TrainingLog(synapse_names=names)
     rng = np.random.default_rng(config.seed)
     current = circuit
@@ -228,7 +217,7 @@ def train(circuit: Circuit, config: TrainConfig):
             drive = config.batch[example]
             try:
                 grads = estimate_gradient(
-                    current, drive, config.beta, config.sim, config.sign_convention
+                    current, drive, config.beta, config.sim, config.sign_convention, system
                 )
             except FraceqError as exc:
                 exc.epoch = epoch

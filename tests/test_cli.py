@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import os
 
 import numpy as np
 import pytest
 
+from fraceq import cli
 from fraceq.cli import main, parse_train_config
 from fraceq.circuit import parse_netlist
+from fraceq.dynamics import SimConfig
 
 RC_NET = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
 
@@ -104,9 +107,7 @@ class TestSimulate:
 class TestGradcheck:
     def test_reference_network_report(self, linnet_path, tmp_path):
         out = str(tmp_path / "gc.csv")
-        code = main(
-            ["gradcheck", linnet_path, "--dt", "2e-3", "--out", out, "--jobs", "2"]
-        )
+        code = main(["gradcheck", linnet_path, "--dt", "2e-3", "--out", out])
         assert code == 0
         with open(out) as fh:
             header = fh.readline().strip().split(",")
@@ -126,6 +127,21 @@ class TestGradcheck:
     def test_beta_zero_exit_2(self, linnet_path, capsys):
         assert main(["gradcheck", linnet_path, "--beta", "0"]) == 2
         assert "beta" in capsys.readouterr().err
+
+    def test_newton_divergence_exit_3_names_phase(self, tmp_path, capsys, monkeypatch):
+        net = tmp_path / "tanh.net"
+        net.write_text(LINNET.replace("R s3 out 0 g=0.5 trainable", "M s3 out 0 f=tanh(0.5,1.0)"))
+        monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))
+        code = main(["gradcheck", str(net), "--dt", "2e-3", "--out", str(tmp_path / "gc.csv")])
+        assert code == 3
+        assert "Newton iteration diverged at t=0.002 (free phase)" in capsys.readouterr().err
+
+    def test_unequal_output_caps_exit_2(self, tmp_path, capsys):
+        net = tmp_path / "two.net"
+        net.write_text(LINNET + "R s4 out out2 g=0.5 trainable\nOC oc2 out2 0 cap=5.0 w=const(0.2)\n")
+        assert main(["gradcheck", str(net), "--out", str(tmp_path / "gc.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "oc1=1" in err and "oc2=5" in err
 
 
 class TestTrain:
@@ -166,6 +182,21 @@ class TestTrain:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_unknown_example_element_exit_2(self, linnet_path, tmp_path, capsys):
+        cfg_text = TRAIN_CFG.replace("example v1=const(0.8)", "example vx=const(0.8)")
+        code, _ = self._run(linnet_path, tmp_path, cfg_text, "runU")
+        assert code == 2
+        assert "config line 8: unknown element 'vx'" in capsys.readouterr().err
+
+    def test_newton_divergence_exit_3_names_phase_and_example(self, linnet_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))
+        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runN")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failure at epoch 0, example" in err
+        assert "(free phase)" in err
+        assert os.path.exists(os.path.join(out_dir, "train_log.csv"))
+
 
 class TestParseTrainConfig:
     def test_example_lines_partition_inputs_and_targets(self):
@@ -178,6 +209,13 @@ class TestParseTrainConfig:
     def test_missing_required_key(self):
         with pytest.raises(ValueError, match="epochs"):
             parse_train_config("learning_rate=0.1\nbeta=1e-3\n", parse_netlist(LINNET))
+
+    def test_unknown_element_rejected(self):
+        with pytest.raises(ValueError, match="config line 4: unknown element 'nope'"):
+            parse_train_config(
+                "epochs=1\nlearning_rate=0.1\nbeta=1e-3\nexample nope=const(1)\n",
+                parse_netlist(LINNET),
+            )
 
     def test_non_source_example_rejected(self):
         with pytest.raises(ValueError, match="s1"):
@@ -215,6 +253,25 @@ class TestFracBench:
         sig = self._write_signal(tmp_path, [0.0, 0.1, 0.3], [1.0, 2.0, 3.0])
         assert main(["frac-bench", sig]) == 2
         assert "uniform" in capsys.readouterr().err
+
+    def test_dropped_middle_row_exit_2_with_location(self, tmp_path, capsys):
+        # without row 3 the remaining grid 0, 0.2, 0.4 would look uniform
+        p = tmp_path / "sig.csv"
+        p.write_text("t,value\n0.0,1.0\n0.1,oops\n0.2,3.0\n0.3,4.0\n0.4,5.0\n")
+        assert main(["frac-bench", str(p), "--out", str(tmp_path / "res.csv")]) == 2
+        assert f"{p}:3:" in capsys.readouterr().err
+
+    def test_one_column_row_exit_2_with_location(self, tmp_path, capsys):
+        p = tmp_path / "sig.csv"
+        p.write_text("0.0,1.0\n0.1,2.0\n0.2\n0.3,4.0\n")
+        assert main(["frac-bench", str(p), "--out", str(tmp_path / "res.csv")]) == 2
+        assert f"{p}:3:" in capsys.readouterr().err
+
+    def test_second_header_line_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "sig.csv"
+        p.write_text("# signal\nt,value\ntime,v\n0.0,1.0\n0.1,2.0\n")
+        assert main(["frac-bench", str(p), "--out", str(tmp_path / "res.csv")]) == 2
+        assert f"{p}:3:" in capsys.readouterr().err
 
     def test_self_test_passes(self, capsys):
         assert main(["frac-bench", "--self-test"]) == 0

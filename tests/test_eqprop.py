@@ -13,7 +13,7 @@ from fraceq.eqprop import (
     sgd_step,
     train,
 )
-from fraceq.errors import StepTooLargeError
+from fraceq.errors import StepTooLargeError, ValidationError
 from fraceq.frac_ops import SampleGrid
 
 LINNET = """\
@@ -90,6 +90,28 @@ class TestEstimateGradient:
         est = np.array(estimate_gradient(linnet, DriveSet(), 1e-3, sim_cfg()).values)
         ratio = np.pi * est / np.array(oracle)
         assert np.max(np.abs(ratio - 1.0)) < 0.01
+
+
+class TestUnequalOutputCaps:
+    # the nudge weights each output by its own cap, so with unequal caps the
+    # estimator would follow a cap-weighted loss instead of J
+    NET = LINNET + "R s4 out out2 g=0.5 trainable\nOC oc2 out2 0 cap=5.0 w=const(0.2)\n"
+
+    def test_estimator_rejects(self):
+        with pytest.raises(ValidationError, match="oc1=1, oc2=5"):
+            estimate_gradient(parse_netlist(self.NET), DriveSet(), 1e-3, sim_cfg())
+
+    def test_beta_partial_rejects(self):
+        from fraceq.lagrangian import action_beta_partial
+
+        ckt = parse_netlist(self.NET)
+        traj = simulate(ckt, DriveSet(), 1e-3, sim_cfg(t_end=0.1))
+        with pytest.raises(ValidationError, match="unequal-output-caps"):
+            action_beta_partial(ckt, traj)
+
+    def test_equal_caps_accepted(self):
+        ckt = parse_netlist(self.NET.replace("cap=5.0", "cap=1.0"))
+        assert ckt.loss_capacitance == 1.0
 
 
 class TestFdGradient:
