@@ -291,14 +291,13 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         if e.kind in ("V", "I", "OC"):
             drives[b] = drive.waveform_for(e)(times)
     # driven source coordinates: backward-rectangle integral of the waveform,
-    # consistent with the backward-difference velocity.  Members with equal
-    # beta share one copy of the time-major c_m.
+    # consistent with the backward-difference velocity.  This part of c_m is
+    # the same for every member; the output-capacitor part beta C T is added
+    # per step.
     S = np.concatenate([rows["V"], rows["I"]])
-    shared = bool(np.all(betas == betas[0]))
-    c = np.zeros((1 if shared else k, n, nb, 1))
-    src = dt * np.cumsum(drives[S, 1:], axis=1)
-    c[:, 1:, S, 0] = -src.T
-    c[:, :, OC, 0] = weight[: len(c), None, :] * drives[OC].T
+    src = np.zeros((n, nb, 1))
+    src[1:, S, 0] = -(dt * np.cumsum(drives[S, 1:], axis=1)).T
+    oc_target = drives[OC].T
 
     # GL half-derivative history of the memristor branch fluxes and charges
     M = rows["M"]
@@ -328,7 +327,8 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     A_inv = None
     for m in range(1, n):
         z_prev = z
-        r = D @ z_prev + c[:, m]
+        r = D @ z_prev + src[m]
+        r[:, OC, 0] += weight * oc_target[m]
         if has_nl:
             x_off = (P_nl @ z_prev)[:, :, 0]
             x_off[:, nl_C] = 0.0
@@ -351,10 +351,11 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                 F = F.copy()
                 F[:, NL, 0] -= y
             Fs = row_scale * F
-            res = np.abs(Fs).max(axis=(1, 2)).tolist()
-            if max(res) <= tol:
+            res = np.abs(Fs).max(axis=(1, 2))
+            active = ~(res <= tol)  # a NaN residual has not converged
+            if not active.any():
                 break
-            active = [v > tol for v in res]  # converged members stay put
+            # converged members stay put
             if has_nl:
                 J = J_lin.copy()
                 J[:, NL] -= (nl_scale * (dy / x_div))[:, :, None] * P_nl
@@ -364,12 +365,12 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                 if A_inv is None:
                     A_inv = np.linalg.inv(J_lin)
                 step = A_inv @ Fs
-                if not all(active):
-                    step[np.logical_not(active)] = 0.0
+                if not active.all():
+                    step[~active] = 0.0
             dz = dz - step
         else:
-            i = active.index(True)
-            raise NewtonDivergenceError(times[m], res[i], members[i].label)
+            i = int(np.argmax(active))
+            raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
 
         z = z_prev + dz
         Z[:, :, m] = z[:, :, 0]

@@ -254,3 +254,31 @@ def test_single_simulation_has_no_phase():
 def test_newton_max_iters_below_one_rejected(iters):
     with pytest.raises(ValueError, match="newton_max_iters"):
         cfg(newton_max_iters=iters)
+
+
+# --- a NaN residual is a divergence -------------------------------------------
+
+
+@pytest.mark.parametrize("net", [LINNET, TANH_M], ids=["linear", "tanh"])
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_nan_member_diverges_by_name(net, nan_first):
+    circuit = parse_netlist(net)
+    system = compile(circuit)
+    g = system.conductances(circuit)
+    g_nan = g.copy()
+    g_nan[2] = np.nan  # s1
+    batch = [Member("ok", 0.0, g), Member("bad", 0.0, g_nan)]
+    if nan_first:
+        batch.reverse()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NewtonDivergenceError, match=r"\(bad phase\)") as exc:
+            simulate_batch(system, DriveSet(), cfg(t_end=0.1), batch)
+    assert exc.value.phase == "bad"
+    assert np.isnan(exc.value.residual)
+
+
+def test_nan_single_run_diverges():
+    circuit = parse_netlist(RC.replace("g=1", "g=nan"))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NewtonDivergenceError, match="residual=nan"):
+            simulate(circuit, DriveSet(), 0.0, cfg(t_end=0.1))

@@ -77,6 +77,15 @@ class TestSimulate:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_overflowing_law_exit_3(self, tmp_path, capsys):
+        # the cubic capacitor law overflows in the first Newton step
+        p = tmp_path / "poly.net"
+        p.write_text("V vin 1 0 w=step(1e200,0)\nR r1 1 2 g=1\nC c1 2 0 f=poly(0,1,0,1)\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", str(p), "--dt", "1e-2", "--out", str(tmp_path / "traj.csv")])
+        assert code == 3
+        assert "Newton iteration diverged at t=0.01, residual=nan" in capsys.readouterr().err
+
     def test_dump_topology_orthogonal(self, rc_net, tmp_path):
         out = str(tmp_path / "traj.csv")
         code = main(["simulate", rc_net, "--t-end", "0.1", "--out", out, "--dump-topology"])
