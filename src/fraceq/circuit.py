@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,12 +26,6 @@ from .frac_ops import SampleGrid, Signal
 GROUND = "0"
 
 KINDS = ("R", "C", "L", "M", "V", "I", "OC")
-
-
-class ConstitutiveValue(NamedTuple):
-    y: float
-    dy_dx: float
-    extrapolated: bool
 
 
 @dataclass(frozen=True)
@@ -87,16 +81,6 @@ class ConstitutiveSpec:
     def in_range(self, x) -> bool:
         lo, hi = self.x_range
         return bool(np.all((np.asarray(x) >= lo) & (np.asarray(x) <= hi)))
-
-
-def eval_constitutive(spec: ConstitutiveSpec, x: float) -> ConstitutiveValue:
-    """Evaluate value and first derivative at a scalar point.
-
-    The derivative feeds the implicit solver's Newton iteration; the
-    extrapolation flag marks evaluation outside the declared range.
-    """
-    y, dy = spec(x)
-    return ConstitutiveValue(float(y), float(dy), not spec.in_range(x))
 
 
 @dataclass(frozen=True)
@@ -248,6 +232,8 @@ def _parse_call(token: str):
         raise ValueError(f"expected family(args), got {token!r}")
     fam, argtext = token[:-1].split("(", 1)
     args = tuple(float(a) for a in argtext.split(",")) if argtext else ()
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"non-finite argument in {token!r}")
     return fam, args
 
 
@@ -333,6 +319,8 @@ def _take_float(kv, key, lineno, positive=False, name=""):
         x = float(val)
     except ValueError:
         raise _LineError((lineno, col, f"{name}: malformed number {val!r}"))
+    if not math.isfinite(x):
+        raise _LineError((lineno, col, f"{name}: {key} must be finite, got {val}"))
     if positive and x <= 0:
         raise _LineError((lineno, col, f"{name}: {key} must be strictly positive, got {val}"))
     return x
@@ -410,6 +398,8 @@ def serialize(circuit: Circuit) -> str:
         if e.spec is not None:
             params["f"] = _fmt_call(e.spec.family, e.spec.params)
         if e.waveform is not None:
+            if e.waveform.family == "samples":
+                raise ValueError(f"{e.name}: a sampled waveform has no netlist form")
             params["w"] = _fmt_call(e.waveform.family, e.waveform.params)
         toks = [e.kind, e.name, e.n_plus, e.n_minus]
         toks += [f"{k}={params[k]}" for k in sorted(params)]

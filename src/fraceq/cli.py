@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .circuit import parse_netlist, serialize, validate
 from .circuit import _parse_waveform  # shared token grammar for config files
-from .dynamics import DriveSet, SimConfig, compile, simulate
-from .eqprop import TrainConfig, agreement_metrics, estimate_gradient, fd_gradient, train
+from .dynamics import DriveSet, Member, SimConfig, _backward_diff, compile, simulate, simulate_batch
+from .eqprop import TrainConfig, agreement_metrics, estimate_from, fd_gradient, train
 from .errors import FraceqError, NewtonDivergenceError
 from .frac_ops import (
     SampleGrid,
@@ -107,7 +107,11 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
                     element = circuit.element(name)
                 except KeyError:
                     raise ValueError(f"config line {lineno}: unknown element {name!r}") from None
-                wf = _parse_waveform(wf_text)
+                try:
+                    wf = _parse_waveform(wf_text)
+                except ValueError as exc:
+                    col = raw.index(tok) + 1
+                    raise ValueError(f"config line {lineno}, col {col}: {name}: {exc}") from None
                 if element.kind == "OC":
                     targets[name] = wf
                 elif element.kind in ("V", "I"):
@@ -223,9 +227,14 @@ def cmd_gradcheck(args) -> int:
     )
     manifest.write(stem + ".manifest")
 
+    # the estimates at beta and beta/2 share one free run
     system = compile(circuit)
-    est = estimate_gradient(circuit, DriveSet(), args.beta, cfg, args.sign, system)
-    est_half = estimate_gradient(circuit, DriveSet(), args.beta / 2, cfg, args.sign, system)
+    g = system.conductances(circuit)
+    members = [Member("free", 0.0, g), Member("nudged", args.beta, g), Member("nudged beta/2", args.beta / 2, g)]
+    free, nudged, nudged_half = simulate_batch(system, DriveSet(), cfg, members)
+    est = estimate_from(circuit, free, nudged, args.sign)
+    est_half = estimate_from(circuit, free, nudged_half, args.sign)
+    del free, nudged, nudged_half  # release their memory before the oracle's larger batch
     oracle = fd_gradient(circuit, DriveSet(), args.eps, cfg, system)
     metrics = agreement_metrics(est, oracle)
     metrics_half = agreement_metrics(est_half, oracle)
@@ -327,15 +336,8 @@ def _self_test_cases():
         ),
         ("caputo_right 1-t a=0.5", lambda s: caputo_right(s, 0.5), 1 - t, 2 * np.sqrt((1 - t) / np.pi), 2e-2),
         ("rl_integral t a=0.5", lambda s: rl_integral_left(s, 0.5), t, t**1.5 / g15, 1e-12),
-        ("caputo_left sin a=1", lambda s: caputo_left(s, 1.0), np.sin(t), _backward(np.sin(t), 1e-3), 1e-12),
+        ("caputo_left sin a=1", lambda s: caputo_left(s, 1.0), np.sin(t), _backward_diff(np.sin(t), 1e-3), 1e-12),
     ]
-
-
-def _backward(x, dt):
-    out = np.empty_like(x)
-    out[0] = 0.0
-    out[1:] = np.diff(x) / dt
-    return out
 
 
 def _run_self_test() -> int:

@@ -78,6 +78,7 @@ class Trajectory:
     outputs: np.ndarray  # |K| x N output voltages v_k
     targets: np.ndarray  # |K| x N target voltages T_k
     meta: dict = field(default_factory=dict, compare=False)
+    _halves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _signal(self, values) -> Signal:
         return Signal(self.grid, values)
@@ -111,17 +112,21 @@ class Trajectory:
     @property
     def tree_half_velocity(self) -> np.ndarray:
         """Psi per flux coordinate: left Caputo half-derivative of the flux."""
-        return self._half(self.tree_flux)
+        return self._half("psi", self.tree_flux)
 
     @property
     def loop_half_charge_rate(self) -> np.ndarray:
         """r per charge coordinate: left Caputo half-derivative of the charge."""
-        return self._half(self.loop_charge)
+        return self._half("r", self.loop_charge)
 
-    def _half(self, rows) -> np.ndarray:
-        if not len(rows):
-            return rows
-        return np.stack([caputo_left(self._signal(row), 0.5).values for row in rows])
+    def _half(self, key, rows) -> np.ndarray:
+        """Half-derivative rows, computed on the first read and kept (read-only)."""
+        if key not in self._halves:
+            if len(rows):
+                rows = np.stack([caputo_left(self._signal(row), 0.5).values for row in rows])
+                rows.flags.writeable = False
+            self._halves[key] = rows
+        return self._halves[key]
 
     def to_csv(self) -> str:
         """Deterministic trajectory export, one row per grid sample."""

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit
-from .dynamics import DriveSet, Member, SimConfig, StepSystem, compile, simulate_batch, trajectory_loss
+from .dynamics import DriveSet, Member, SimConfig, StepSystem, Trajectory, compile, simulate_batch, trajectory_loss
 from .errors import FraceqError, StepTooLargeError
 from .frac_ops import half_energy_integral
 
@@ -108,12 +108,18 @@ def estimate_gradient(
     """
     if beta <= 0:
         raise ValueError("estimator needs beta > 0")
-    idx = _synapses(circuit)
-    cap = circuit.loss_capacitance
     if system is None:
         system = compile(circuit)
     g = system.conductances(circuit)
     free, nudged = simulate_batch(system, drive, cfg, [Member("free", 0.0, g), Member("nudged", beta, g)])
+    return estimate_from(circuit, free, nudged, sign_convention)
+
+
+def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_convention: int = 1) -> GradientEstimate:
+    """The gradient estimate of a free run (beta = 0) and a nudged run (beta > 0) of `circuit`."""
+    beta = nudged.beta
+    idx = _synapses(circuit)
+    cap = circuit.loss_capacitance
     names, values, raw = [], [], []
     for l in idx:
         name = circuit.elements[l].name

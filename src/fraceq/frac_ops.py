@@ -100,12 +100,17 @@ class FracOrder:
         return math.ceil(self.alpha)
 
 
+def _order(alpha) -> float:
+    """The order as a float, from a number or a FracOrder."""
+    return float(alpha.alpha if isinstance(alpha, FracOrder) else alpha)
+
+
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """GL binomial weights w_0..w_n, w_k = (-1)^k C(alpha, k).
 
     Computed by the stable recurrence w_k = w_{k-1} (k - 1 - alpha) / k.
     """
-    alpha = float(alpha.alpha if isinstance(alpha, FracOrder) else alpha)
+    alpha = _order(alpha)
     if not 0.0 < alpha < 2.0:
         raise InvalidOrderError(f"order must lie in (0, 2), got {alpha}")
     if n < 0:
@@ -125,7 +130,7 @@ def caputo_left(x: Signal, alpha) -> Signal:
     GL convolution of x - x(a); the initial-value subtraction makes the GL
     result coincide with the Caputo derivative for orders below one.
     """
-    alpha = float(alpha.alpha if isinstance(alpha, FracOrder) else alpha)
+    alpha = _order(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
     if x.grid.n < 2:
@@ -144,7 +149,7 @@ def caputo_right(x: Signal, alpha) -> Signal:
 
 def rl_derivative_left(x: Signal, alpha) -> Signal:
     """Left Riemann-Liouville derivative via plain GL (no subtraction)."""
-    alpha = float(alpha.alpha if isinstance(alpha, FracOrder) else alpha)
+    alpha = _order(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
     if x.grid.n < 2:
@@ -172,7 +177,7 @@ def rl_integral_left(x: Signal, alpha: float) -> Signal:
     The weakly singular kernel is integrated exactly against the piecewise
     linear interpolant of x (product trapezoidal rule).
     """
-    alpha = float(alpha.alpha if isinstance(alpha, FracOrder) else alpha)
+    alpha = _order(alpha)
     if alpha <= 0:
         raise InvalidOrderError(f"integral order must be positive, got {alpha}")
     v = x.values

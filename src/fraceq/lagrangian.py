@@ -11,6 +11,7 @@ derivative and therefore never participates in forward simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,24 +25,44 @@ _KIND_PART = {"L": "inductive", "C": "capacitive", "M": "memristive", "R": "syna
               "OC": "output", "V": "source", "I": "source"}
 
 
-@dataclass(frozen=True)
-class CircuitState:
-    """Branch-quantity snapshot at one instant, keyed by element name.
+class BranchQuantities(NamedTuple):
+    """Branch quantities over the grid, one row per element (branches x N).
 
     phi/v are branch fluxes and voltages, q/i branch charges and currents,
-    psi/r their half-order counterparts; targets holds the output-capacitor
-    target voltages.  psi and r are nonlocal in time, so a state is only
-    consistent with the trajectory history it was extracted from.
+    psi the left Caputo half-derivative of the flux; target holds the
+    output-capacitor target voltages and is 0 on every other branch.  psi is
+    nonlocal in time, so a column is only consistent with the trajectory
+    history it was extracted from.
     """
 
-    t: float
-    phi: dict
-    v: dict
-    psi: dict
-    q: dict
-    i: dict
-    r: dict
-    targets: dict
+    phi: np.ndarray
+    v: np.ndarray
+    psi: np.ndarray
+    q: np.ndarray
+    i: np.ndarray
+    target: np.ndarray
+
+    def branch(self, b: int) -> "BranchQuantities":
+        """The quantities of branch b alone, each an N-array."""
+        return BranchQuantities._make(x[b] for x in self)
+
+
+def branch_quantities(circuit: Circuit, traj: Trajectory) -> BranchQuantities:
+    """Map a trajectory's coordinates to branch quantities, once for all samples."""
+    if traj.meta["branch_names"] != [e.name for e in circuit.elements]:
+        raise ValueError("trajectory was produced for a different circuit")
+    flux, charge = traj.cmap.flux_map, traj.cmap.charge_map
+    target = np.zeros((len(circuit.elements), traj.grid.n))
+    for name, row in zip(traj.output_names, traj.targets):
+        target[circuit.index_of(name)] = row
+    return BranchQuantities(
+        phi=flux @ traj.tree_flux,
+        v=flux @ traj.tree_voltage,
+        psi=flux @ traj.tree_half_velocity,
+        q=charge @ traj.loop_charge,
+        i=charge @ traj.loop_current,
+        target=target,
+    )
 
 
 @dataclass(frozen=True)
@@ -54,89 +75,58 @@ class LagrangianValue:
     def total(self) -> complex:
         return complex(sum(self.parts.values()))
 
-    @property
-    def hidden(self) -> complex:
-        """Everything except the synaptic and output coupling terms."""
-        return self.total - self.parts["synaptic"] - self.parts["output"]
 
+def element_term(element: Element, x: BranchQuantities, beta: float = 0.0) -> np.ndarray:
+    """Lagrangian contribution of one element, sample by sample.
 
-def element_term(element: Element, state: CircuitState, beta: float = 0.0) -> complex:
-    """Lagrangian contribution of one element at one state.
-
-    Capacitors contribute co-energy +int q(v')dv' (not its negative): with
-    the inductive term -int i(phi')dphi' this is the sign pair that makes
-    the Euler-Lagrange equation reproduce the current balance.  The output
-    term -beta*C*(v-T)^2 carries no 1/2 so that d(action)/d(beta) equals
-    -C times the trajectory loss exactly.  Voltage sources are driven
+    x holds the element's own branch quantities, as arrays over the samples
+    or as scalars for one sample.  Capacitors contribute co-energy
+    +int q(v')dv' (not its negative): with the inductive term
+    -int i(phi')dphi' this is the sign pair that makes the Euler-Lagrange
+    equation reproduce the current balance.  The output term
+    -beta*C*(v-T)^2 carries no 1/2 so that d(action)/d(beta) equals -C
+    times the trajectory loss exactly.  Voltage sources are driven
     constraints with no energy term; current sources enter as the forcing
     -I(t)*phi that injects their current into the variational balance.
     """
-    name = element.name
+    # squares use float_power, which rounds like the scalar power of the
+    # per-sample evaluation this replaced; x**2 is a multiply and differs
+    # from it in the last bit for about one sample in a thousand
     if element.kind == "L":
-        return complex(-element.constitutive().antiderivative(state.phi[name]))
-    if element.kind == "C":
-        return complex(element.constitutive().antiderivative(state.v[name]))
-    if element.kind == "M":
-        return 1j * float(element.constitutive().antiderivative(state.psi[name]))
-    if element.kind == "R":
-        return 0.5j * element.g * state.psi[name] ** 2
-    if element.kind == "OC":
-        diff = state.v[name] - state.targets.get(name, 0.0)
-        return complex(-beta * element.cap_scale * diff**2)
-    if element.kind == "V":
-        return 0j
-    if element.kind == "I":
-        return complex(-state.i[name] * state.phi[name])
-    raise ValueError(f"unknown element kind {element.kind!r}")
+        term = -element.constitutive().antiderivative(x.phi)
+    elif element.kind == "C":
+        term = element.constitutive().antiderivative(x.v)
+    elif element.kind == "M":
+        term = 1j * element.constitutive().antiderivative(x.psi)
+    elif element.kind == "R":
+        term = 0.5j * element.g * np.float_power(x.psi, 2)
+    elif element.kind == "OC":
+        term = -beta * element.cap_scale * np.float_power(x.v - x.target, 2)
+    elif element.kind == "V":
+        term = np.zeros_like(x.phi)
+    elif element.kind == "I":
+        term = -x.i * x.phi
+    else:
+        raise ValueError(f"unknown element kind {element.kind!r}")
+    return np.asarray(term, dtype=complex)
 
 
-def total_lagrangian(circuit: Circuit, state: CircuitState) -> LagrangianValue:
-    """Sum of element terms, grouped into the parts breakdown.
+def lagrangian_parts(circuit: Circuit, x: BranchQuantities) -> dict:
+    """Sum of element terms per part, in element order, over x's samples.
 
     The nudging strength is read from circuit.beta, so explicit-parameter
     derivatives can be taken by re-evaluating with a modified circuit while
-    the state stays frozen.
+    the branch quantities stay frozen.
     """
-    parts = {k: 0j for k in PART_KEYS}
-    for e in circuit.elements:
-        parts[_KIND_PART[e.kind]] += element_term(e, state, circuit.beta)
-    return LagrangianValue(parts)
-
-
-def trajectory_states(circuit: Circuit, traj: Trajectory) -> list:
-    """Extract the per-sample CircuitState sequence from a trajectory."""
-    names = traj.meta["branch_names"]
-    if names != [e.name for e in circuit.elements]:
-        raise ValueError("trajectory was produced for a different circuit")
-    phi = traj.cmap.flux_map @ traj.tree_flux
-    q = traj.cmap.charge_map @ traj.loop_charge
-    v = traj.cmap.flux_map @ traj.tree_voltage
-    i = traj.cmap.charge_map @ traj.loop_current
-    psi = traj.cmap.flux_map @ traj.tree_half_velocity
-    r = traj.cmap.charge_map @ traj.loop_half_charge_rate
-    times = traj.grid.times()
-    targets = dict(zip(traj.output_names, traj.targets))
-    states = []
-    for m in range(traj.grid.n):
-        states.append(
-            CircuitState(
-                t=float(times[m]),
-                phi=dict(zip(names, phi[:, m])),
-                v=dict(zip(names, v[:, m])),
-                psi=dict(zip(names, psi[:, m])),
-                q=dict(zip(names, q[:, m])),
-                i=dict(zip(names, i[:, m])),
-                r=dict(zip(names, r[:, m])),
-                targets={k: float(row[m]) for k, row in targets.items()},
-            )
-        )
-    return states
+    parts = {k: np.zeros(np.shape(x.phi)[1:], dtype=complex) for k in PART_KEYS}
+    for b, e in enumerate(circuit.elements):
+        parts[_KIND_PART[e.kind]] += element_term(e, x.branch(b), circuit.beta)
+    return parts
 
 
 def lagrangian_series(circuit: Circuit, traj: Trajectory) -> dict:
     """Per-part Lagrangian time series (complex arrays over the grid)."""
-    values = [total_lagrangian(circuit, s) for s in trajectory_states(circuit, traj)]
-    return {k: np.array([v.parts[k] for v in values]) for k in PART_KEYS}
+    return lagrangian_parts(circuit, branch_quantities(circuit, traj))
 
 
 def action_breakdown(circuit: Circuit, traj: Trajectory) -> LagrangianValue:
@@ -195,32 +185,26 @@ def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
     """
     grid = traj.grid
     dt = grid.dt
-    n = grid.n
     elements = circuit.elements
-    nb = len(elements)
     beta = traj.beta
+    x = branch_quantities(circuit, traj)
 
-    phi = traj.cmap.flux_map @ traj.tree_flux
-    q = traj.cmap.charge_map @ traj.loop_charge
-    psi = traj.cmap.flux_map @ traj.tree_half_velocity
-    targets = dict(zip(traj.output_names, traj.targets))
-
-    contrib = np.zeros((nb, n), dtype=complex)
+    contrib = np.zeros((len(elements), grid.n), dtype=complex)
     for b, e in enumerate(elements):
         if e.kind == "L":
-            contrib[b] = -e.constitutive()(phi[b])[0]
+            contrib[b] = -e.constitutive()(x.phi[b])[0]
         elif e.kind == "C":
-            v = _central_diff(phi[b], dt)
+            v = _central_diff(x.phi[b], dt)
             contrib[b] = -_central_diff(e.constitutive()(v)[0], dt)
         elif e.kind == "R":
-            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.g * psi[b]), 0.5).values
+            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.g * x.psi[b]), 0.5).values
         elif e.kind == "M":
-            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.constitutive()(psi[b])[0]), 0.5).values
+            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.constitutive()(x.psi[b])[0]), 0.5).values
         elif e.kind == "OC":
-            v = _central_diff(phi[b], dt)
-            contrib[b] = 2 * beta * e.cap_scale * _central_diff(v - targets[e.name], dt)
+            v = _central_diff(x.phi[b], dt)
+            contrib[b] = 2 * beta * e.cap_scale * _central_diff(v - x.target[b], dt)
         elif e.kind == "I":
-            contrib[b] = -_central_diff(q[b], dt)
+            contrib[b] = -_central_diff(x.q[b], dt)
         # V: driven constraint, no variational contribution
 
     res = traj.cmap.flux_map.T @ contrib

@@ -8,7 +8,6 @@ from fraceq.circuit import (
     ConstitutiveSpec,
     Element,
     Waveform,
-    eval_constitutive,
     parse_netlist,
     serialize,
     validate,
@@ -126,6 +125,15 @@ class TestRoundTrip:
             )
 
 
+    def test_sampled_waveform_not_serializable(self):
+        from fraceq.frac_ops import SampleGrid, Signal
+
+        drive = Waveform.from_samples(Signal(SampleGrid(0.0, 0.5, 3), np.array([0.0, 1.0, 2.0])))
+        ckt = parse_netlist(TWO_ELEMENT)
+        ckt = Circuit(tuple(e if e.name != "vin" else Element("V", "vin", "in", "0", waveform=drive) for e in ckt.elements))
+        with pytest.raises(ValueError, match="vin: a sampled waveform has no netlist form"):
+            serialize(ckt)
+
 class TestValidate:
     def test_valid_network_empty_report(self):
         ckt = parse_netlist(TWO_ELEMENT)
@@ -147,20 +155,22 @@ class TestValidate:
 
 class TestConstitutive:
     def test_linear(self):
-        assert eval_constitutive(ConstitutiveSpec("linear", (2.0,)), 3.0)[:2] == (6.0, 2.0)
+        y, dy = ConstitutiveSpec("linear", (2.0,))(3.0)
+        assert (y, dy) == (6.0, 2.0)
 
     def test_tanh_origin(self):
-        y, dy, flag = eval_constitutive(ConstitutiveSpec("tanh", (1.0, 1.0)), 0.0)
-        assert (y, dy, flag) == (0.0, 1.0, False)
+        spec = ConstitutiveSpec("tanh", (1.0, 1.0))
+        y, dy = spec(0.0)
+        assert (y, dy, spec.in_range(0.0)) == (0.0, 1.0, True)
 
     def test_polynomial(self):
-        y, dy, _ = eval_constitutive(ConstitutiveSpec("poly", (0, 1, 0, 0.1)), 2.0)
+        y, dy = ConstitutiveSpec("poly", (0, 1, 0, 0.1))(2.0)
         assert y == pytest.approx(2.8)
         assert dy == pytest.approx(2.2)
 
     def test_out_of_range_flag(self):
         spec = ConstitutiveSpec("tanh", (1.0, 1.0), x_range=(-1.0, 1.0))
-        assert eval_constitutive(spec, 5.0).extrapolated
+        assert not spec.in_range(5.0)
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -177,7 +187,7 @@ class TestConstitutive:
     def test_derivative_matches_finite_differences(self, spec):
         rng = np.random.default_rng(0)
         for x in rng.uniform(-5, 5, 100):
-            y, dy, _ = eval_constitutive(spec, x)
+            y, dy = spec(x)
             h = 1e-6 * max(1.0, abs(x))
             fd = (spec(x + h)[0] - spec(x - h)[0]) / (2 * h)
             assert dy == pytest.approx(fd, rel=1e-6, abs=1e-9)

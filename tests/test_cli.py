@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fraceq import cli
+from fraceq import cli, eqprop
 from fraceq.cli import main, parse_train_config
 from fraceq.circuit import parse_netlist
 from fraceq.dynamics import SimConfig
@@ -86,6 +86,28 @@ class TestSimulate:
         assert code == 3
         assert "Newton iteration diverged at t=0.01, residual=nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "net, token",
+        [
+            (RC_NET.replace("g=1", "g=nan"), "g=nan"),
+            (RC_NET.replace("g=1", "g=inf"), "g=inf"),
+            (RC_NET.replace("c=1", "c=inf"), "c=inf"),
+            (RC_NET.replace("step(1,0)", "const(nan)"), "w=const(nan)"),
+            (RC_NET.replace("c=1", "f=linear(nan)"), "f=linear(nan)"),
+            (LINNET.replace("cap=1.0", "cap=nan"), "cap=nan"),
+            (LINNET.replace("const(0.4)", "sine(0.4,-inf,0)"), "w=sine(0.4,-inf,0)"),
+        ],
+        ids=["g-nan", "g-inf", "c-inf", "w-nan", "f-nan", "cap-nan", "w-minus-inf"],
+    )
+    def test_non_finite_number_exit_2_with_location(self, tmp_path, capsys, net, token):
+        p = tmp_path / "bad.net"
+        p.write_text(net)
+        assert main(["simulate", str(p), "--out", str(tmp_path / "traj.csv")]) == 2
+        line = next(n for n, text in enumerate(net.splitlines(), start=1) if token in text)
+        col = net.splitlines()[line - 1].index(token) + 1
+        assert f"line {line}, col {col}:" in capsys.readouterr().err
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_dump_topology_orthogonal(self, rc_net, tmp_path):
         out = str(tmp_path / "traj.csv")
         code = main(["simulate", rc_net, "--t-end", "0.1", "--out", out, "--dump-topology"])
@@ -132,6 +154,21 @@ class TestGradcheck:
         assert np.allclose(est, (e_n - e_f) / (2 * cap * beta), rtol=1e-12)
         summary = (tmp_path / "gc_summary.csv").read_text()
         assert "cosine_similarity," in summary
+
+    def test_one_free_run_for_both_estimates(self, linnet_path, tmp_path, monkeypatch):
+        labels = []
+        stepped = cli.simulate_batch
+
+        def recording(system, drive, cfg, members):
+            labels.extend(m.label for m in members)
+            return stepped(system, drive, cfg, members)
+
+        monkeypatch.setattr(cli, "simulate_batch", recording)
+        monkeypatch.setattr(eqprop, "simulate_batch", recording)
+        assert main(["gradcheck", linnet_path, "--dt", "4e-3", "--out", str(tmp_path / "gc.csv")]) == 0
+        synapses = len(parse_netlist(LINNET).trainables)
+        assert labels.count("free") == 1
+        assert len(labels) == 3 + 2 * synapses
 
     def test_beta_zero_exit_2(self, linnet_path, capsys):
         assert main(["gradcheck", linnet_path, "--beta", "0"]) == 2
@@ -196,6 +233,12 @@ class TestTrain:
         code, _ = self._run(linnet_path, tmp_path, cfg_text, "runU")
         assert code == 2
         assert "config line 8: unknown element 'vx'" in capsys.readouterr().err
+
+    def test_non_finite_example_exit_2_with_location(self, linnet_path, tmp_path, capsys):
+        cfg_text = TRAIN_CFG.replace("example v1=const(0.8)", "example v1=const(inf)")
+        code, _ = self._run(linnet_path, tmp_path, cfg_text, "runF")
+        assert code == 2
+        assert "config line 8, col 9: v1: non-finite argument in 'const(inf)'" in capsys.readouterr().err
 
     def test_newton_divergence_exit_3_names_phase_and_example(self, linnet_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))

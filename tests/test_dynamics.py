@@ -188,3 +188,28 @@ class TestDeterminismAndExport:
         assert header[0] == "t"
         assert "out_oc1_v" in header and "out_oc1_T" in header
         assert any(h.startswith("coord_") and h.endswith("_phi") for h in header)
+
+
+class TestHalfRates:
+    def test_computed_once_per_trajectory(self, monkeypatch):
+        from fraceq import dynamics
+        from fraceq.frac_ops import caputo_left
+
+        traj = run(LINNET, beta=1e-3, t_end=0.1)
+        calls = []
+
+        def counting(x, alpha):
+            calls.append(1)
+            return caputo_left(x, alpha)
+
+        monkeypatch.setattr(dynamics, "caputo_left", counting)
+        psi, r = traj.tree_half_velocity, traj.loop_half_charge_rate
+        rows = len(traj.tree_flux) + len(traj.loop_charge)
+        assert len(calls) == rows
+        traj.to_csv()
+        assert traj.tree_half_velocity is psi and traj.loop_half_charge_rate is r
+        assert len(calls) == rows
+        assert not psi.flags.writeable and not r.flags.writeable
+        for values, rate in zip((traj.tree_flux, traj.loop_charge), (psi, r)):
+            expected = [caputo_left(Signal(traj.grid, row), 0.5).values for row in values]
+            assert np.array_equal(rate, expected)

@@ -7,16 +7,16 @@ from fraceq.errors import MissingOutputError
 from fraceq.frac_ops import SampleGrid, Signal, caputo_left, rl_derivative_right
 from fraceq.lagrangian import (
     PART_KEYS,
-    CircuitState,
+    BranchQuantities,
     action,
     action_beta_partial,
     action_breakdown,
     action_g_partial,
+    branch_quantities,
     el_residual,
     element_term,
+    lagrangian_parts,
     lagrangian_series,
-    total_lagrangian,
-    trajectory_states,
 )
 from fraceq.topology import build_topology
 
@@ -32,11 +32,25 @@ OC oc1 out 0 cap=1.0 w=const(0.4)
 LC_NET = "C c1 n1 0 c=1\nL l1 n1 0 l=1\nI isrc 0 n1 w=step(1,0)\n"
 
 
-def zero_state(names, **overrides):
-    base = {k: {n: 0.0 for n in names} for k in ("phi", "v", "psi", "q", "i", "r")}
-    base["targets"] = {}
-    base.update(overrides)
-    return CircuitState(t=0.0, **base)
+def sample(**values):
+    """One branch at one sample: the named quantities, 0 for the rest."""
+    return BranchQuantities(**{k: values.get(k, 0.0) for k in BranchQuantities._fields})
+
+
+def branches(names, **overrides):
+    """All branches at one sample (branches x 1): 0 except the named entries."""
+    rows = {k: np.zeros((len(names), 1)) for k in BranchQuantities._fields}
+    for k, entries in overrides.items():
+        for name, value in entries.items():
+            rows[k][names.index(name), 0] = value
+    return BranchQuantities(**rows)
+
+
+def random_branches(names, rng, n):
+    """n random samples of every branch quantity; a target only on oc1."""
+    draws = {k: rng.normal(size=(len(names), n)) for k in BranchQuantities._fields}
+    draws["target"][[name != "oc1" for name in names]] = 0.0
+    return BranchQuantities(**draws)
 
 
 def run(net, beta=0.0, drive=None, dt=1e-3, t_end=1.0):
@@ -49,42 +63,34 @@ class TestElementTerm:
         # sign pairs with the inductive term so the variational balance
         # reproduces the current law; the value is +C v^2 / 2
         e = Element("C", "c1", "a", "0", c=1.0)
-        s = zero_state(["c1"], v={"c1": 2.0})
-        assert element_term(e, s) == pytest.approx(2.0)
+        assert element_term(e, sample(v=2.0)) == pytest.approx(2.0)
 
     def test_linear_inductor(self):
         e = Element("L", "l1", "a", "0", l=2.0)
-        s = zero_state(["l1"], phi={"l1": 3.0})
-        assert element_term(e, s) == pytest.approx(-(3.0**2) / (2 * 2.0))
+        assert element_term(e, sample(phi=3.0)) == pytest.approx(-(3.0**2) / (2 * 2.0))
 
     def test_linear_synapse(self):
         e = Element("R", "s1", "a", "0", g=0.5, trainable=True)
-        s = zero_state(["s1"], psi={"s1": 2.0})
-        assert element_term(e, s) == pytest.approx(1j)
+        assert element_term(e, sample(psi=2.0)) == pytest.approx(1j)
 
     def test_linear_memristor_matches_synapse(self):
         from fraceq.circuit import ConstitutiveSpec
 
         m = Element("M", "m1", "a", "0", spec=ConstitutiveSpec("linear", (0.5,)))
         r = Element("R", "r1", "a", "0", g=0.5)
-        sm = zero_state(["m1"], psi={"m1": 2.0})
-        sr = zero_state(["r1"], psi={"r1": 2.0})
-        assert element_term(m, sm) == pytest.approx(element_term(r, sr))
+        assert element_term(m, sample(psi=2.0)) == pytest.approx(element_term(r, sample(psi=2.0)))
 
     def test_output_capacitor(self):
         e = Element("OC", "oc1", "a", "0", cap_scale=2.0)
-        s = zero_state(["oc1"], v={"oc1": 1.0}, targets={"oc1": 0.25})
-        assert element_term(e, s, beta=0.5) == pytest.approx(-0.5 * 2.0 * 0.75**2)
+        assert element_term(e, sample(v=1.0, target=0.25), beta=0.5) == pytest.approx(-0.5 * 2.0 * 0.75**2)
 
     def test_current_source_forcing(self):
         e = Element("I", "i1", "a", "0", waveform=Waveform.const(2.0))
-        s = zero_state(["i1"], i={"i1": 2.0}, phi={"i1": 3.0})
-        assert element_term(e, s) == pytest.approx(-6.0)
+        assert element_term(e, sample(i=2.0, phi=3.0)) == pytest.approx(-6.0)
 
     def test_voltage_source_is_constraint(self):
         e = Element("V", "v1", "a", "0", waveform=Waveform.const(1.0))
-        s = zero_state(["v1"], phi={"v1": 5.0}, v={"v1": 1.0})
-        assert element_term(e, s) == 0j
+        assert element_term(e, sample(phi=5.0, v=1.0)) == 0j
 
     @pytest.mark.parametrize(
         "element",
@@ -97,10 +103,10 @@ class TestElementTerm:
         ],
     )
     def test_zero_state_is_zero(self, element):
-        assert element_term(element, zero_state(["x"]), beta=0.3) == 0j
+        assert element_term(element, sample(), beta=0.3) == 0j
 
 
-class TestTotalLagrangian:
+class TestLagrangianParts:
     def test_synapse_plus_free_output(self):
         ckt = Circuit(
             (
@@ -108,34 +114,28 @@ class TestTotalLagrangian:
                 Element("OC", "oc1", "a", "0", cap_scale=1.0, waveform=Waveform.const(0.0)),
             )
         )
-        s = zero_state(["s1", "oc1"], psi={"s1": 2.0, "oc1": 0.0}, v={"s1": 0.0, "oc1": 1.0})
-        val = total_lagrangian(ckt, s)
-        assert val.total == pytest.approx(1j)
+        x = branches(["s1", "oc1"], psi={"s1": 2.0}, v={"oc1": 1.0})
+        total = sum(lagrangian_parts(ckt, x).values())
+        assert total == pytest.approx([1j])
 
     def test_parts_sum_equals_total_on_random_states(self):
         ckt = parse_netlist(LINNET + "L l1 out 0 l=2\nC cx in1 out c=0.5\nM m1 in2 0 f=tanh(1.0,1.0)\n")
         names = [e.name for e in ckt.elements]
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            draws = {k: dict(zip(names, rng.normal(size=len(names)))) for k in ("phi", "v", "psi", "q", "i", "r")}
-            s = CircuitState(t=0.0, targets={"oc1": rng.normal()}, **draws)
-            val = total_lagrangian(ckt.with_beta(0.3), s)
-            assert val.total == pytest.approx(sum(val.parts.values()))
-            assert set(val.parts) == set(PART_KEYS)
+        x = random_branches(names, np.random.default_rng(7), 1000)
+        parts = lagrangian_parts(ckt.with_beta(0.3), x)
+        total = sum(element_term(e, x.branch(b), 0.3) for b, e in enumerate(ckt.elements))
+        assert set(parts) == set(PART_KEYS)
+        assert sum(parts.values()) == pytest.approx(total)
 
     def test_real_imag_split(self):
         # real total from L/C/OC parts, imaginary from memristive/synaptic
         ckt = parse_netlist(LINNET + "L l1 out 0 l=2\nM m1 in2 0 f=tanh(1.0,1.0)\n")
         names = [e.name for e in ckt.elements]
-        rng = np.random.default_rng(3)
-        draws = {k: dict(zip(names, rng.normal(size=len(names)))) for k in ("phi", "v", "psi", "q", "i", "r")}
-        s = CircuitState(t=0.0, targets={"oc1": 0.1}, **draws)
-        val = total_lagrangian(ckt.with_beta(0.2), s)
+        parts = lagrangian_parts(ckt.with_beta(0.2), random_branches(names, np.random.default_rng(3), 1))
         for k in ("inductive", "capacitive", "output", "source"):
-            assert val.parts[k].imag == 0.0
+            assert not np.any(parts[k].imag)
         for k in ("memristive", "synaptic"):
-            assert val.parts[k].real == 0.0
-        assert val.hidden == pytest.approx(val.total - val.parts["synaptic"] - val.parts["output"])
+            assert not np.any(parts[k].real)
 
 
 class TestAction:
@@ -315,19 +315,24 @@ class TestElResidual:
         assert np.max(np.abs(comp[lo:hi] - 2 * t[lo:hi])) < 5e-2
 
 
-class TestTrajectoryStates:
-    def test_state_consistency_with_trajectory(self):
+class TestBranchQuantities:
+    def test_consistency_with_trajectory(self):
         ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=1e-3, t_end=0.1)
-        states = trajectory_states(ckt, traj)
-        assert len(states) == traj.grid.n
-        m = traj.grid.n // 2
-        phi_s1 = traj.branch_flux("s1").values
-        assert states[m].phi["s1"] == pytest.approx(phi_s1[m])
-        assert states[m].targets["oc1"] == pytest.approx(0.4)
+        x = branch_quantities(ckt, traj)
+        assert all(a.shape == (len(ckt.elements), traj.grid.n) for a in x)
+        b = ckt.index_of("s1")
+        assert np.array_equal(x.phi[b], traj.branch_flux("s1").values)
+        # mapping then differencing rounds differently from the reverse order
+        assert np.allclose(x.v[b], traj.branch_voltage("s1").values, rtol=1e-12, atol=1e-12)
+        assert np.allclose(x.i[b], traj.branch_current("s1").values, rtol=1e-12, atol=1e-12)
+        assert np.all(x.target[ckt.index_of("oc1")] == 0.4)
+        assert not np.any(np.delete(x.target, ckt.index_of("oc1"), axis=0))
 
     def test_wrong_circuit_rejected(self):
         traj = run(LINNET, beta=0.0, t_end=0.01)
         other = parse_netlist("R r1 a 0 g=1\n")
         with pytest.raises(ValueError, match="different circuit"):
-            trajectory_states(other, traj)
+            branch_quantities(other, traj)
+        with pytest.raises(ValueError, match="different circuit"):
+            el_residual(other, traj)
