@@ -28,6 +28,28 @@ GROUND = "0"
 KINDS = ("R", "C", "L", "M", "V", "I", "OC")
 
 
+def _linear(x, p):
+    return p[0] * x, np.zeros_like(x) + p[0]
+
+
+def _poly(x, p):
+    P = np.polynomial.polynomial
+    return P.polyval(x, p, tensor=False), P.polyval(x, P.polyder(p), tensor=False)
+
+
+def _tanh(x, p):
+    gain, scale = p
+    t = np.tanh(x / scale)
+    return gain * t, (gain / scale) * (1.0 - t**2)
+
+
+# y, dy/dx = LAW_FAMILIES[family](x, params).  The formulas broadcast: with
+# params of shape (count, k), column j of x is evaluated with the parameters
+# params[:, j], so laws of one family (and, for poly, one coefficient count)
+# are evaluated in one call.
+LAW_FAMILIES = {"linear": _linear, "poly": _poly, "tanh": _tanh}
+
+
 @dataclass(frozen=True)
 class ConstitutiveSpec:
     """Monotone scalar constitutive relation y = f(x) with derivative.
@@ -54,18 +76,7 @@ class ConstitutiveSpec:
 
     def __call__(self, x):
         """Return (y, dy_dx) arrays for scalar or array x."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "linear":
-            (slope,) = self.params
-            return slope * x, np.full_like(x, slope)
-        if self.family == "poly":
-            c = np.asarray(self.params, dtype=float)
-            return np.polynomial.polynomial.polyval(x, c), np.polynomial.polynomial.polyval(
-                x, np.polynomial.polynomial.polyder(c)
-            )
-        gain, scale = self.params
-        t = np.tanh(x / scale)
-        return gain * t, (gain / scale) * (1.0 - t**2)
+        return LAW_FAMILIES[self.family](np.asarray(x, dtype=float), np.asarray(self.params, dtype=float))
 
     def antiderivative(self, x):
         """Exact integral of f from 0 to x (used by Lagrangian terms)."""

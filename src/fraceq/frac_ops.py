@@ -3,7 +3,9 @@
 All operators use the Grunwald-Letnikov (GL) convolution scheme on a uniform
 grid.  Caputo variants subtract the initial value first, which makes GL and
 Caputo coincide for orders below one.  Right-sided operators are evaluated by
-time reversal around the midpoint of the grid.
+time reversal around the midpoint of the grid.  Every convolution sum (the GL
+sums and the product-integration weights of `rl_integral_left`) is evaluated
+by zero-padded FFT, O(N log N) in the number of samples.
 """
 
 from __future__ import annotations
@@ -119,9 +121,24 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((k - 1 - alpha) / k)))
 
 
+def _causal_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y_m = sum_{j<=m} w_(m-j) x_j for m < len(x), by FFT.
+
+    w has at least len(x) entries (the rest is not read).  Zero padding to a
+    power of two at least 2 len(x) - 1 long keeps the circular convolution
+    from wrapping.  Complex input takes the full transform, because rfft
+    rejects it.
+    """
+    n = len(x)
+    size = 1 << (2 * n - 2).bit_length()
+    if np.iscomplexobj(x):
+        return np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(w[:n], size))[:n]
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[:n]
+
+
 def _gl_convolve(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     w = gl_weights(alpha, len(values) - 1)
-    return np.convolve(values, w)[: len(values)] * dt ** (-alpha)
+    return _causal_convolve(values, w) * dt ** (-alpha)
 
 
 def caputo_left(x: Signal, alpha) -> Signal:
@@ -192,7 +209,7 @@ def rl_integral_left(x: Signal, alpha: float) -> Signal:
     c = np.zeros(n)
     c[1:] = (m[1:] - 1) ** p - m[1:] ** p + p * m[1:] ** alpha
     scale = dt**alpha / math.gamma(alpha + 2.0)
-    conv = np.convolve(v, a)[:n]
+    conv = _causal_convolve(v, a)
     # convolution attributes weight a_m to v[0]; the correct weight is c_m
     out = scale * (conv + (c - a) * v[0])
     out[0] = 0.0

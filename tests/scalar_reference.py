@@ -120,9 +120,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
         t = times[m]
 
         if mem_idx:
-            lo = 0 if cfg.history_window is None else max(0, m - cfg.history_window)
-            # sum_{k=1..m} w_k x_{m-k}, truncated under windowed history
-            ks = np.arange(1, m - lo + 1)
+            # sum_{k=1..m} w_k x_{m-k}
+            ks = np.arange(1, m + 1)
             wk = w_half[ks]
             mem_phi_hist = phi_hist[np.ix_(M_idx, m - ks)] @ wk
             mem_q_hist = q_hist[np.ix_(M_idx, m - ks)] @ wk

@@ -104,15 +104,6 @@ def test_converged_member_stays_put():
     assert_close(scalar_reference.simulate(circuit, DriveSet(), 1.0, config), nudged)
 
 
-def test_history_window_matches_reference():
-    circuit = parse_netlist(TANH_M)
-    config = cfg(t_end=0.3, history_window=50)
-    assert_close(
-        scalar_reference.simulate(circuit, DriveSet(), 1e-3, config),
-        simulate(circuit, DriveSet(), 1e-3, config),
-    )
-
-
 # --- Hypothesis-generated circuits -------------------------------------------
 
 _values = st.floats(0.2, 5.0)
@@ -137,8 +128,12 @@ def _waveform(draw):
 
 
 @st.composite
-def random_circuits(draw):
-    """A resistor spanning tree to ground plus random R/C/L/M/V/I/OC branches."""
+def random_circuits(draw, memristors=0):
+    """A resistor spanning tree to ground plus random R/C/L/M/V/I/OC branches.
+
+    With `memristors` > 0, that many more M branches and a sine current
+    source into node n1 are always added, so the memristors carry a signal.
+    """
     n_nodes = draw(st.integers(2, 6))
     nodes = ["0"] + [f"n{i}" for i in range(1, n_nodes)]
     elements = []
@@ -163,14 +158,23 @@ def random_circuits(draw):
             elements.append(Element("OC", name, a, b, cap_scale=1.0, waveform=draw(_waveform())))
         else:
             elements.append(Element(kind, name, a, b, waveform=draw(_waveform())))
+    for j in range(memristors):
+        a, b = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        elements.append(Element("M", f"m{j}", a, b, spec=draw(_law())))
+    if memristors:
+        drive = Waveform.sine(draw(st.floats(0.5, 2.0)), draw(st.floats(0.05, 0.5)))
+        elements.append(Element("I", "drive", "0", "n1", waveform=drive))
     return Circuit(tuple(elements))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(circuit=random_circuits())
 def test_generated_circuits_match_scalar_reference(circuit):
-    # a free and a nudged member per circuit, each against its scalar run
-    config = cfg(dt=1e-2, t_end=0.5)
+    assert_free_nudged_match(circuit, cfg(dt=1e-2, t_end=0.5))
+
+
+def assert_free_nudged_match(circuit, config):
+    """A free and a nudged member as one batch, each against its scalar run."""
     betas = (0.0, 1e-2)
     outcomes = []
     for beta in betas:
@@ -192,6 +196,33 @@ def test_generated_circuits_match_scalar_reference(circuit):
         return
     for ref, traj in zip(outcomes, simulate_batch(system, DriveSet(), config, batch)):
         assert_close(ref, traj)
+
+
+# --- the far part of the memristor history -----------------------------------
+
+# four refreshes of the far part, then 64 steps past the last
+LONG = 4 * dynamics.HISTORY_BLOCK + 64
+
+
+def long_cfg(dt):
+    return SimConfig(SampleGrid(0.0, dt, LONG + 1))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=random_circuits(memristors=1))
+def test_long_memristive_circuits_match_scalar_reference(circuit):
+    assert_free_nudged_match(circuit, long_cfg(dt=1e-2))
+
+
+@pytest.mark.parametrize("net", [TANH_M, LINEAR_M], ids=["tanh", "linear"])
+def test_long_memristive_nets_match_scalar_reference(net):
+    assert_free_nudged_match(parse_netlist(net), long_cfg(dt=1e-3))
+
+
+def test_short_blocks_match_scalar_reference(monkeypatch):
+    # a refresh every 4 steps, with FFT lengths from 16 to 256
+    monkeypatch.setattr(dynamics, "HISTORY_BLOCK", 4)
+    assert_free_nudged_match(parse_netlist(LATE_NONLINEAR), cfg(t_end=0.2))
 
 
 # --- compile once ------------------------------------------------------------

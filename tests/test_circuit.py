@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceq.circuit import (
+    LAW_FAMILIES,
     Circuit,
     ConstitutiveSpec,
     Element,
@@ -191,6 +192,25 @@ class TestConstitutive:
             h = 1e-6 * max(1.0, abs(x))
             fd = (spec(x + h)[0] - spec(x - h)[0]) / (2 * h)
             assert dy == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "laws",
+        [
+            [("linear", (0.7,)), ("linear", (2.0,))],
+            [("tanh", (2.0, 1.5)), ("tanh", (0.5, 1.0)), ("tanh", (1.0, 0.25))],
+            [("poly", (0.0, 1.0, 0.0, 0.5)), ("poly", (0.1, 0.2, 0.0, 0.05))],
+        ],
+    )
+    def test_family_call_matches_each_law_bitwise(self, laws):
+        # one array call for several laws of a family, as the Newton loop
+        # makes it, gives the bits of one call per law
+        specs = [ConstitutiveSpec(family, params) for family, params in laws]
+        x = np.random.default_rng(1).uniform(-4, 4, (5, len(specs)))
+        params = np.array([spec.params for spec in specs]).T
+        y, dy = LAW_FAMILIES[specs[0].family](x, params)
+        for j, spec in enumerate(specs):
+            yj, dyj = spec(x[:, j])
+            assert np.array_equal(y[:, j], yj) and np.array_equal(dy[:, j], dyj)
 
     def test_antiderivative_consistency(self):
         spec = ConstitutiveSpec("tanh", (2.0, 1.5))

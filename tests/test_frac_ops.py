@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraceq import frac_ops
 from fraceq.errors import GridTooSmallError, InvalidOrderError
 from fraceq.frac_ops import (
     FracOrder,
@@ -14,6 +15,7 @@ from fraceq.frac_ops import (
     caputo_right,
     gl_weights,
     half_energy_integral,
+    rl_derivative_left,
     rl_derivative_right,
     rl_integral_left,
 )
@@ -240,3 +242,103 @@ class TestGridAndOrderTypes:
         s = Signal(SampleGrid(0, 1, 3), np.array([0, 1j, 2j]))
         y = caputo_left(s, 0.5)
         assert np.iscomplexobj(y.values)
+
+
+# --- FFT convolution against direct summation --------------------------------
+
+
+def direct_convolve(x, w):
+    """The reference: first len(x) samples of np.convolve, no FFT."""
+    return np.convolve(x, w[: len(x)])[: len(x)]
+
+
+def gl_bound(x, alpha, dt):
+    """1e-12 dt^-alpha max|x| sum|w_j|, x the convolved sequence."""
+    return 1e-12 * dt**-alpha * np.max(np.abs(x)) * np.sum(np.abs(gl_weights(alpha, len(x) - 1)))
+
+
+def integral_bound(x, alpha, dt):
+    """The same bound for rl_integral_left: its prefactor and weights."""
+    n = len(x)
+    m = np.arange(1, n, dtype=float)
+    p = alpha + 1.0
+    a = np.concatenate(([1.0], (m + 1) ** p - 2 * m**p + (m - 1) ** p))
+    scale = dt**alpha / math.gamma(alpha + 2.0)
+    return 1e-12 * scale * np.max(np.abs(x)) * np.sum(np.abs(a))
+
+
+def fft_and_direct(op, *args):
+    fast = op(*args)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(frac_ops, "_causal_convolve", direct_convolve)
+        slow = op(*args)
+    return fast, slow
+
+
+@st.composite
+def fft_cases(draw):
+    """Seeded random signals: noise or random walk, real or complex."""
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(n)
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(n)
+    if draw(st.booleans()):
+        values = np.cumsum(values)
+    values = values * 10.0 ** draw(st.integers(-3, 3))
+    grid = SampleGrid(0.0, draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1])), n)
+    return Signal(grid, values), draw(st.floats(0.0, 1.0, exclude_min=True))
+
+
+def check_against_direct(x, alpha):
+    v, dt = x.values, x.grid.dt
+    for op, convolved in [
+        (caputo_left, v - v[0]),
+        (caputo_right, v - v[-1]),
+        (rl_derivative_left, v),
+        (rl_derivative_right, v),
+    ]:
+        fast, slow = fft_and_direct(op, x, alpha)
+        assert fast.values.dtype == slow.values.dtype, op.__name__
+        if np.any(convolved):
+            assert np.max(np.abs(fast.values - slow.values)) <= gl_bound(convolved, alpha, dt), op.__name__
+        else:
+            assert np.array_equal(fast.values, slow.values), op.__name__
+    fast, slow = fft_and_direct(rl_integral_left, x, alpha)
+    assert fast.values.dtype == slow.values.dtype
+    assert np.max(np.abs(fast.values - slow.values)) <= integral_bound(v, alpha, dt) + 0.0
+    if not np.iscomplexobj(v):
+        # |dE| <= (b - a) (2 max|d| delta + delta^2), delta the bound on d
+        fast, slow = fft_and_direct(half_energy_integral, x)
+        d = caputo_left(x, 0.5).values
+        delta = gl_bound(v - v[0], 0.5, dt) if np.any(v - v[0]) else 0.0
+        assert abs(fast - slow) <= (x.grid.b - x.grid.a) * (2 * np.max(np.abs(d)) * delta + delta**2)
+
+
+class TestFftAgainstDirect:
+    @given(fft_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_generated_signals(self, case):
+        check_against_direct(*case)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 1024, 1025])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_power_of_two_edges(self, n, complex_values, alpha):
+        # lengths at and around the padded FFT size
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_values else 0)
+        check_against_direct(Signal(SampleGrid(0.0, 1e-3, n), values), alpha)
+
+    def test_long_signal(self):
+        # np.convolve is too slow at this length; the reference sums
+        # w_(m-j) (x_j - x_0) directly at a few hundred samples m
+        n, dt = 50_001, 1e-3
+        grid = SampleGrid(0.0, dt, n)
+        x = Signal(grid, np.sin(grid.times()) + 0.1 * np.random.default_rng(5).standard_normal(n))
+        fast = caputo_left(x, 0.5).values
+        convolved = x.values - x.values[0]
+        w = gl_weights(0.5, n - 1)
+        samples = np.unique(np.concatenate([np.arange(0, n, 173), [n - 2, n - 1]]))
+        direct = np.array([np.dot(w[m::-1], convolved[: m + 1]) for m in samples]) * dt**-0.5
+        assert np.max(np.abs(fast[samples] - direct)) <= gl_bound(convolved, 0.5, dt)
