@@ -15,13 +15,13 @@ elements in declaration order, parameters alphabetized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import NetlistError, ValidationError
-from .frac_ops import SampleGrid, Signal
+from .frac_ops import Signal
 
 GROUND = "0"
 
@@ -64,7 +64,7 @@ class ConstitutiveSpec:
     x_range: tuple = (-10.0, 10.0)
 
     def __post_init__(self):
-        if self.family not in ("linear", "poly", "tanh"):
+        if self.family not in LAW_FAMILIES:
             raise ValueError(f"unknown constitutive family {self.family!r}")
         if self.family == "linear" and self.params[0] <= 0:
             raise ValueError("linear constitutive slope must be positive")
@@ -170,14 +170,13 @@ class Element:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Validated element list plus the loss-coupling parameters.
+    """Element list in declaration order; branch b is elements[b].
 
-    ``beta`` scales the output capacitances (beta * C); it lives on the
-    circuit, not the elements, so the free phase is a single-field change.
+    The nudging strength beta is not part of the circuit: it belongs to
+    each run (`Trajectory.beta`, `dynamics.Member.beta`).
     """
 
     elements: tuple
-    beta: float = 0.0
 
     @property
     def nodes(self) -> tuple:
@@ -219,9 +218,6 @@ class Circuit:
                 return i
         raise KeyError(name)
 
-    def with_beta(self, beta: float) -> "Circuit":
-        return replace(self, beta=float(beta))
-
     def with_conductances(self, updates: dict) -> "Circuit":
         """Clone with resistor conductances replaced (name -> g)."""
         new = tuple(
@@ -234,7 +230,6 @@ class Circuit:
 # --- netlist parsing -------------------------------------------------------
 
 _WAVEFORM_ARITY = {"const": 1, "step": 2, "sine": 3}
-_SPEC_FAMILIES = {"linear", "poly", "tanh"}
 
 
 def _parse_call(token: str):
@@ -259,7 +254,7 @@ def _parse_waveform(token: str) -> Waveform:
 
 def _parse_spec(token: str) -> ConstitutiveSpec:
     fam, args = _parse_call(token)
-    if fam not in _SPEC_FAMILIES:
+    if fam not in LAW_FAMILIES:
         raise ValueError(f"unknown constitutive family {fam!r}")
     return ConstitutiveSpec(fam, args)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .circuit import parse_netlist, serialize, validate
 from .circuit import _parse_waveform  # shared token grammar for config files
-from .dynamics import DriveSet, Member, SimConfig, _backward_diff, compile, simulate, simulate_batch
+from .dynamics import DriveSet, Member, SimConfig, _backward_diff, _csv_body, compile, simulate, simulate_batch
 from .eqprop import TrainConfig, agreement_metrics, estimate_from, fd_gradient, train
 from .errors import FraceqError, NewtonDivergenceError
 from .frac_ops import (
@@ -34,7 +34,6 @@ from .frac_ops import (
     rl_integral_left,
 )
 from .lagrangian import action_breakdown, el_residual
-from .topology import build_topology
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -151,21 +150,15 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
 # --- simulate --------------------------------------------------------------
 
 
-def _dump_topology(circuit, stem):
-    _, _, matrices, _ = build_topology(circuit)
-    names = [e.name for e in circuit.elements]
-    paths = []
-    for label, M in (("Q", matrices.Q), ("B", matrices.B)):
-        path = f"{stem}_{label}.csv"
-        lines = [",".join(names)]
+def _dump_topology(topology, stem):
+    for label, M in (("Q", topology.Q), ("B", topology.B)):
+        lines = [",".join(topology.names)]
         lines += [",".join(str(v) for v in row) for row in M]
-        _atomic_write(path, "\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
+        _atomic_write(f"{stem}_{label}.csv", "\n".join(lines) + "\n")
 
 
 def _dump_action(circuit, traj, stem):
-    bd = action_breakdown(circuit.with_beta(traj.beta), traj)
+    bd = action_breakdown(circuit, traj)
     res = el_residual(circuit, traj)
     lines = ["quantity,real,imag"]
     for key in sorted(bd.parts):
@@ -201,7 +194,7 @@ def cmd_simulate(args) -> int:
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(_grid(args)))
     _atomic_write(args.out, traj.to_csv())
     if args.dump_topology:
-        _dump_topology(circuit, stem)
+        _dump_topology(traj.topology, stem)
     if args.dump_action:
         _dump_action(circuit, traj, stem)
     print(f"wrote {args.out} ({traj.grid.n} samples)")
@@ -389,11 +382,7 @@ def cmd_fracbench(args) -> int:
         raise ValueError("frac-bench needs a signal CSV (or --self-test)")
     sig = _read_signal_csv(args.signal)
     result = _OPS[args.op](sig, args.alpha)
-    lines = ["t,value"]
-    t = sig.grid.times()
-    for k in range(sig.grid.n):
-        lines.append("%.17g,%.17g" % (t[k], np.real(result.values[k])))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, "t,value\n" + _csv_body([sig.grid.times(), np.real(result.values)]) + "\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -25,19 +25,19 @@ import numpy as np
 
 from .circuit import KINDS, LAW_FAMILIES, Circuit, Element, Waveform, validate
 from .errors import MissingOutputError, NewtonDivergenceError, ValidationError
-from .frac_ops import SampleGrid, Signal, caputo_left, gl_weights
-from .topology import CoordinateMap, build_topology
+from .frac_ops import SampleGrid, _gl_convolve, gl_weights
+from .topology import Topology, build_topology
+
+# every step of every run ends with its row-scaled residual max|Fs| at or below this
+NEWTON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SimConfig:
     grid: SampleGrid
-    newton_tol: float = 1e-9
     newton_max_iters: int = 50
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be at least 1")
 
@@ -66,40 +66,19 @@ class Trajectory:
     """Simulated coordinate signals plus output/target pairs.
 
     Flux coordinates carry (phi, v, psi); charge coordinates carry (q, i, r).
-    Branch quantities are reconstructed through the coordinate map.
+    Branch quantities are reconstructed through the topology's coordinate
+    maps (`lagrangian.branch_quantities`).
     """
 
     grid: SampleGrid
     beta: float
-    cmap: CoordinateMap
+    topology: Topology
     tree_flux: np.ndarray  # |tree| x N
     loop_charge: np.ndarray  # |links| x N
     output_names: tuple
     outputs: np.ndarray  # |K| x N output voltages v_k
     targets: np.ndarray  # |K| x N target voltages T_k
-    meta: dict = field(default_factory=dict, compare=False)
     _halves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _signal(self, values) -> Signal:
-        return Signal(self.grid, values)
-
-    def branch_flux(self, name: str) -> Signal:
-        row = self.cmap.flux_map[self._branch_index(name)]
-        return self._signal(row @ self.tree_flux)
-
-    def branch_charge(self, name: str) -> Signal:
-        row = self.cmap.charge_map[self._branch_index(name)]
-        return self._signal(row @ self.loop_charge)
-
-    def branch_voltage(self, name: str) -> Signal:
-        return self._signal(_backward_diff(self.branch_flux(name).values, self.grid.dt))
-
-    def branch_current(self, name: str) -> Signal:
-        return self._signal(_backward_diff(self.branch_charge(name).values, self.grid.dt))
-
-    def _branch_index(self, name: str) -> int:
-        names = self.meta["branch_names"]
-        return names.index(name)
 
     @property
     def tree_voltage(self) -> np.ndarray:
@@ -120,10 +99,14 @@ class Trajectory:
         return self._half("r", self.loop_charge)
 
     def _half(self, key, rows) -> np.ndarray:
-        """Half-derivative rows, computed on the first read and kept (read-only)."""
+        """Half-derivative rows, computed on the first read and kept (read-only).
+
+        All rows go through one GL convolution; each row gets the same bits
+        as `caputo_left` of that row alone.
+        """
         if key not in self._halves:
             if len(rows):
-                rows = np.stack([caputo_left(self._signal(row), 0.5).values for row in rows])
+                rows = _gl_convolve(rows - rows[:, :1], self.grid.dt, 0.5)
                 rows.flags.writeable = False
             self._halves[key] = rows
         return self._halves[key]
@@ -138,11 +121,11 @@ class Trajectory:
         """(header name, values) per CSV column, in column order."""
         cols = [("t", self.grid.times())]
         for name, phi, v, psi in zip(
-            self.cmap.flux_coord_names, self.tree_flux, self.tree_voltage, self.tree_half_velocity
+            self.topology.flux_coord_names, self.tree_flux, self.tree_voltage, self.tree_half_velocity
         ):
             cols += [(f"coord_{name}_phi", phi), (f"coord_{name}_v", v), (f"coord_{name}_psi", psi)]
         for name, q, i, r in zip(
-            self.cmap.charge_coord_names, self.loop_charge, self.loop_current, self.loop_half_charge_rate
+            self.topology.charge_coord_names, self.loop_charge, self.loop_current, self.loop_half_charge_rate
         ):
             cols += [(f"coord_{name}_q", q), (f"coord_{name}_i", i), (f"coord_{name}_r", r)]
         for k, name in enumerate(self.output_names):
@@ -179,13 +162,14 @@ def _backward_diff(x: np.ndarray, dt: float) -> np.ndarray:
 class StepSystem:
     """A validated circuit with its topology: everything a run keeps fixed.
 
-    P_phi and P_q map the coordinate vector z = [tree fluxes; loop charges]
-    to branch fluxes and charges.  Resistor conductances, beta and drives
-    are data of each run; every other element value comes from `circuit`.
+    P_phi and P_q are the topology's coordinate maps padded to the whole
+    coordinate vector z = [tree fluxes; loop charges], the layout the step
+    loop works in.  Resistor conductances, beta and drives are data of each
+    run; every other element value comes from `circuit`.
     """
 
     circuit: Circuit
-    cmap: CoordinateMap
+    topology: Topology
     P_phi: np.ndarray  # branches x coordinates
     P_q: np.ndarray  # branches x coordinates
     rows: dict  # element kind -> branch indices
@@ -210,21 +194,21 @@ def compile(circuit: Circuit) -> StepSystem:
     diags = validate(circuit)
     if diags:
         raise ValidationError(diags)
-    _, part, _, cmap = build_topology(circuit)
+    topology = build_topology(circuit)
     nb = len(circuit.elements)
-    nt = len(part.tree)
-    nc = nt + len(part.links)
+    nt = len(topology.tree)
+    nc = nt + len(topology.links)
     P_phi = np.zeros((nb, nc))
-    P_phi[:, :nt] = cmap.flux_map
+    P_phi[:, :nt] = topology.flux_map
     P_q = np.zeros((nb, nc))
-    P_q[:, nt:] = cmap.charge_map
+    P_q[:, nt:] = topology.charge_map
     kinds = np.array([e.kind for e in circuit.elements])
     laws = tuple(e.constitutive() if e.kind in ("C", "L", "M") else None for e in circuit.elements)
     nonlinear = [b for b, law in enumerate(laws) if law is not None and law.family != "linear"]
     nonlinear.sort(key=lambda b: _law_group(laws[b]))
     return StepSystem(
         circuit=circuit,
-        cmap=cmap,
+        topology=topology,
         P_phi=P_phi,
         P_q=P_q,
         rows={k: np.flatnonzero(kinds == k) for k in KINDS},
@@ -280,7 +264,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
 
     Each step solves the branch residual F = A dz + D z_prev + c_m = 0 for
     dz = z - z_prev, per member, until the row-scaled residual has
-    max|Fs| <= newton_tol.  Nonlinear C/L/M rows subtract their law, and
+    max|Fs| <= NEWTON_TOL.  Nonlinear C/L/M rows subtract their law, and
     memristor rows add the GL history sum.  A linear circuit inverts its
     Jacobian once per member; a nonlinear one runs Newton with a
     convergence mask per member.
@@ -296,7 +280,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     rows = system.rows
     P_phi, P_q = system.P_phi, system.P_q
     nb, nc = P_phi.shape
-    nt = len(system.cmap.tree)
+    nt = len(system.topology.tree)
     grid = cfg.grid
     dt = grid.dt
     n = grid.n
@@ -381,7 +365,6 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     dy = np.empty((k, len(NL)))
     J = J_lin.copy()  # only the nonlinear rows change between Newton passes
 
-    tol = cfg.newton_tol
     has_mem, has_nl = len(M) > 0, len(NL) > 0
     z = np.zeros((k, nc, 1))
     no_change = np.zeros((k, nc, 1))
@@ -415,7 +398,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                     y[:, cols], dy[:, cols] = law(x[:, cols], params)
                 Fs[:, NL, 0] = nl_scale * (F[:, NL, 0] - y)
             res = np.abs(Fs).max(axis=(1, 2))
-            active = ~(res <= tol)  # a NaN residual has not converged
+            active = ~(res <= NEWTON_TOL)  # a NaN residual has not converged
             if not active.any():
                 break
             # converged members stay put
@@ -447,18 +430,16 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     targets = drives[OC]
     for shared_by_members in (Z, outputs, targets):
         shared_by_members.flags.writeable = False
-    names = [e.name for e in elements]
     return [
         Trajectory(
             grid=grid,
             beta=float(mb.beta),
-            cmap=system.cmap,
+            topology=system.topology,
             tree_flux=Z[i, :nt],
             loop_charge=Z[i, nt:],
             output_names=output_names,
             outputs=outputs[i],
             targets=targets,
-            meta={"branch_names": list(names)},
         )
         for i, mb in enumerate(members)
     ]

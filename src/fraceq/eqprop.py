@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import Circuit
 from .dynamics import DriveSet, Member, SimConfig, StepSystem, Trajectory, compile, simulate_batch, trajectory_loss
 from .errors import FraceqError, StepTooLargeError
-from .frac_ops import half_energy_integral
+from .lagrangian import half_energies
 
 
 @dataclass(frozen=True)
@@ -116,24 +116,21 @@ def estimate_gradient(
 
 
 def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_convention: int = 1) -> GradientEstimate:
-    """The gradient estimate of a free run (beta = 0) and a nudged run (beta > 0) of `circuit`."""
+    """The gradient estimate of a free run (beta = 0) and a nudged run (beta > 0) of `circuit`.
+
+    The free run's half-rates are kept on it, so estimates that share one
+    free run compute them once.
+    """
     beta = nudged.beta
     idx = _synapses(circuit)
     cap = circuit.loss_capacitance
-    names, values, raw = [], [], []
-    for l in idx:
-        name = circuit.elements[l].name
-        e_nudged = half_energy_integral(nudged.branch_flux(name))
-        e_free = half_energy_integral(free.branch_flux(name))
-        names.append(name)
-        raw.append((e_nudged, e_free))
-        values.append(sign_convention * (e_nudged - e_free) / (2.0 * cap * beta))
+    raw = tuple(zip(half_energies(circuit, nudged, idx).tolist(), half_energies(circuit, free, idx).tolist()))
     return GradientEstimate(
-        synapse_names=tuple(names),
-        values=tuple(values),
+        synapse_names=tuple(circuit.elements[l].name for l in idx),
+        values=tuple(sign_convention * (e_nudged - e_free) / (2.0 * cap * beta) for e_nudged, e_free in raw),
         beta_used=float(beta),
         sign_convention=int(sign_convention),
-        raw_half_energies=tuple(raw),
+        raw_half_energies=raw,
         metadata={
             "loss_free": trajectory_loss(free),
             "loss_nudged": trajectory_loss(nudged),

@@ -20,7 +20,6 @@ from .errors import GridTooSmallError, InvalidOrderError
 __all__ = [
     "SampleGrid",
     "Signal",
-    "FracOrder",
     "gl_weights",
     "caputo_left",
     "caputo_right",
@@ -87,32 +86,11 @@ class Signal:
         return Signal(self.grid, values, dict(meta))
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order alpha in (0, 2) and its integer ceiling."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise InvalidOrderError(f"order must lie in (0, 2), got {self.alpha}")
-
-    @property
-    def ceil_n(self) -> int:
-        return math.ceil(self.alpha)
-
-
-def _order(alpha) -> float:
-    """The order as a float, from a number or a FracOrder."""
-    return float(alpha.alpha if isinstance(alpha, FracOrder) else alpha)
-
-
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """GL binomial weights w_0..w_n, w_k = (-1)^k C(alpha, k).
 
     Computed by the stable recurrence w_k = w_{k-1} (k - 1 - alpha) / k.
     """
-    alpha = _order(alpha)
     if not 0.0 < alpha < 2.0:
         raise InvalidOrderError(f"order must lie in (0, 2), got {alpha}")
     if n < 0:
@@ -122,22 +100,24 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
 
 
 def _causal_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y_m = sum_{j<=m} w_(m-j) x_j for m < len(x), by FFT.
+    """y_m = sum_{j<=m} w_(m-j) x_j for m < n, by FFT along the last axis.
 
-    w has at least len(x) entries (the rest is not read).  Zero padding to a
-    power of two at least 2 len(x) - 1 long keeps the circular convolution
+    n is the length of x's last axis; each row of a 2-D x is convolved on
+    its own.  w has at least n entries (the rest is not read).  Zero padding
+    to a power of two at least 2n - 1 long keeps the circular convolution
     from wrapping.  Complex input takes the full transform, because rfft
     rejects it.
     """
-    n = len(x)
+    n = x.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
     if np.iscomplexobj(x):
-        return np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(w[:n], size))[:n]
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[:n]
+        return np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(w[:n], size))[..., :n]
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[..., :n]
 
 
 def _gl_convolve(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    w = gl_weights(alpha, len(values) - 1)
+    """GL sum of order alpha along the last axis, scaled by dt^-alpha."""
+    w = gl_weights(alpha, values.shape[-1] - 1)
     return _causal_convolve(values, w) * dt ** (-alpha)
 
 
@@ -147,7 +127,6 @@ def caputo_left(x: Signal, alpha) -> Signal:
     GL convolution of x - x(a); the initial-value subtraction makes the GL
     result coincide with the Caputo derivative for orders below one.
     """
-    alpha = _order(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
     if x.grid.n < 2:
@@ -166,7 +145,6 @@ def caputo_right(x: Signal, alpha) -> Signal:
 
 def rl_derivative_left(x: Signal, alpha) -> Signal:
     """Left Riemann-Liouville derivative via plain GL (no subtraction)."""
-    alpha = _order(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
     if x.grid.n < 2:
@@ -194,7 +172,6 @@ def rl_integral_left(x: Signal, alpha: float) -> Signal:
     The weakly singular kernel is integrated exactly against the piecewise
     linear interpolant of x (product trapezoidal rule).
     """
-    alpha = _order(alpha)
     if alpha <= 0:
         raise InvalidOrderError(f"integral order must be positive, got {alpha}")
     v = x.values

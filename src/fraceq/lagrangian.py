@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, Element
 from .dynamics import Trajectory, trajectory_loss
-from .frac_ops import Signal, half_energy_integral, rl_derivative_right
+from .frac_ops import Signal, rl_derivative_right
 
 PART_KEYS = ("inductive", "capacitive", "memristive", "synaptic", "output", "source")
 
@@ -49,9 +49,8 @@ class BranchQuantities(NamedTuple):
 
 def branch_quantities(circuit: Circuit, traj: Trajectory) -> BranchQuantities:
     """Map a trajectory's coordinates to branch quantities, once for all samples."""
-    if traj.meta["branch_names"] != [e.name for e in circuit.elements]:
-        raise ValueError("trajectory was produced for a different circuit")
-    flux, charge = traj.cmap.flux_map, traj.cmap.charge_map
+    _check_circuit(circuit, traj)
+    flux, charge = traj.topology.flux_map, traj.topology.charge_map
     target = np.zeros((len(circuit.elements), traj.grid.n))
     for name, row in zip(traj.output_names, traj.targets):
         target[circuit.index_of(name)] = row
@@ -63,6 +62,23 @@ def branch_quantities(circuit: Circuit, traj: Trajectory) -> BranchQuantities:
         i=charge @ traj.loop_current,
         target=target,
     )
+
+
+def _check_circuit(circuit: Circuit, traj: Trajectory) -> None:
+    if traj.topology.names != tuple(e.name for e in circuit.elements):
+        raise ValueError("trajectory was produced for a different circuit")
+
+
+def half_energies(circuit: Circuit, traj: Trajectory, branches) -> np.ndarray:
+    """Integral of the squared flux half-derivative psi of each listed branch.
+
+    psi comes from the trajectory's tree half-velocities through the flux
+    map, the same psi the synaptic Lagrangian term reads; trapezoidal
+    quadrature over the grid.
+    """
+    _check_circuit(circuit, traj)
+    psi = traj.topology.flux_map[list(branches)] @ traj.tree_half_velocity
+    return np.trapezoid(psi**2, dx=traj.grid.dt, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -111,26 +127,26 @@ def element_term(element: Element, x: BranchQuantities, beta: float = 0.0) -> np
     return np.asarray(term, dtype=complex)
 
 
-def lagrangian_parts(circuit: Circuit, x: BranchQuantities) -> dict:
+def lagrangian_parts(circuit: Circuit, x: BranchQuantities, beta: float) -> dict:
     """Sum of element terms per part, in element order, over x's samples.
 
-    The nudging strength is read from circuit.beta, so explicit-parameter
-    derivatives can be taken by re-evaluating with a modified circuit while
-    the branch quantities stay frozen.
+    beta is the nudging strength of the output term.  Explicit-parameter
+    derivatives are taken by re-evaluating with a modified circuit or beta
+    while the branch quantities stay frozen.
     """
     parts = {k: np.zeros(np.shape(x.phi)[1:], dtype=complex) for k in PART_KEYS}
     for b, e in enumerate(circuit.elements):
-        parts[_KIND_PART[e.kind]] += element_term(e, x.branch(b), circuit.beta)
+        parts[_KIND_PART[e.kind]] += element_term(e, x.branch(b), beta)
     return parts
 
 
 def lagrangian_series(circuit: Circuit, traj: Trajectory) -> dict:
-    """Per-part Lagrangian time series (complex arrays over the grid)."""
-    return lagrangian_parts(circuit, branch_quantities(circuit, traj))
+    """Per-part Lagrangian time series (complex arrays over the grid), at traj.beta."""
+    return lagrangian_parts(circuit, branch_quantities(circuit, traj), traj.beta)
 
 
 def action_breakdown(circuit: Circuit, traj: Trajectory) -> LagrangianValue:
-    """Trapezoidal time integral of each Lagrangian part."""
+    """Trapezoidal time integral of each Lagrangian part, at traj.beta."""
     series = lagrangian_series(circuit, traj)
     dt = traj.grid.dt
     return LagrangianValue({k: complex(np.trapezoid(v, dx=dt)) for k, v in series.items()})
@@ -160,7 +176,7 @@ def action_g_partial(circuit: Circuit, traj: Trajectory, l: int) -> complex:
     element = circuit.elements[l]
     if element.kind != "R" or not element.trainable:
         raise IndexError(f"element {l} ({element.name}) is not a trainable synapse")
-    return 0.5j * half_energy_integral(traj.branch_flux(element.name))
+    return 0.5j * float(half_energies(circuit, traj, [l])[0])
 
 
 def _central_diff(x: np.ndarray, dt: float) -> np.ndarray:
@@ -207,9 +223,10 @@ def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
             contrib[b] = -_central_diff(x.q[b], dt)
         # V: driven constraint, no variational contribution
 
-    res = traj.cmap.flux_map.T @ contrib
+    topology = traj.topology
+    res = topology.flux_map.T @ contrib
     out = {}
-    for c, (branch, name) in enumerate(zip(traj.cmap.tree, traj.cmap.flux_coord_names)):
+    for c, (branch, name) in enumerate(zip(topology.tree, topology.flux_coord_names)):
         if elements[branch].kind == "V":
             continue
         out[name] = Signal(grid, res[c])

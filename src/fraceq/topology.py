@@ -1,4 +1,4 @@
-"""Oriented circuit graph, spanning tree / cotree, and Kirchhoff matrices.
+"""Spanning tree / cotree and the Kirchhoff matrices of a circuit.
 
 Tree-branch fluxes and cotree-link charges are the generalized coordinates.
 Expressing every branch flux through the cut-set matrix Q and every branch
@@ -21,57 +21,35 @@ from .errors import DegenerateTopologyError
 _PRIORITY = {"V": 0, "OC": 1, "C": 1, "R": 2, "M": 3, "L": 4, "I": 5}
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
-    """One branch per element, oriented n_plus -> n_minus."""
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """A circuit's tree/cotree partition and the maps it defines.
 
-    nodes: tuple
-    branch_nodes: tuple  # (n_plus, n_minus) per branch, element order
-    incidence: np.ndarray  # nodes x branches, entries in {-1, 0, +1}
+    Q (rows = tree branches) is the fundamental cut-set matrix and B
+    (rows = links) the fundamental loop matrix; their columns follow element
+    declaration order and Q B^T = 0.  The coordinate maps are
 
+        branch fluxes  = flux_map   @ tree fluxes   (flux_map = Q^T)
+        branch charges = charge_map @ loop charges  (charge_map = B^T)
 
-@dataclass(frozen=True)
-class TreeCotree:
-    tree: tuple  # branch indices forming the spanning tree, sorted
-    links: tuple  # complement, sorted
-
-
-@dataclass(frozen=True)
-class KirchhoffMatrices:
-    """Fundamental cut-set matrix Q (rows = tree branches) and loop matrix B
-    (rows = links); columns follow element declaration order; Q B^T = 0."""
-
-    Q: np.ndarray
-    B: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoordinateMap:
-    """Linear maps from coordinates to branch quantities.
-
-    branch fluxes  = flux_map  @ tree fluxes   (flux_map = Q^T)
-    branch charges = charge_map @ loop charges (charge_map = B^T)
+    Every array is read-only.
     """
 
-    tree: tuple
-    links: tuple
+    names: tuple  # element names, in branch order
+    tree: tuple  # branch indices forming the spanning tree, sorted
+    links: tuple  # the other branches, sorted
+    Q: np.ndarray  # |tree| x branches, integer
+    B: np.ndarray  # |links| x branches, integer
     flux_map: np.ndarray  # branches x |tree|
     charge_map: np.ndarray  # branches x |links|
-    flux_coord_names: tuple
-    charge_coord_names: tuple
 
+    @property
+    def flux_coord_names(self) -> tuple:
+        return tuple(self.names[b] for b in self.tree)
 
-def build_graph(circuit: Circuit) -> OrientedGraph:
-    nodes = circuit.nodes
-    index = {n: i for i, n in enumerate(nodes)}
-    nb = len(circuit.elements)
-    A = np.zeros((len(nodes), nb), dtype=np.int64)
-    pairs = []
-    for b, e in enumerate(circuit.elements):
-        A[index[e.n_plus], b] = 1
-        A[index[e.n_minus], b] = -1
-        pairs.append((e.n_plus, e.n_minus))
-    return OrientedGraph(tuple(nodes), tuple(pairs), A)
+    @property
+    def charge_coord_names(self) -> tuple:
+        return tuple(self.names[b] for b in self.links)
 
 
 class _UnionFind:
@@ -92,50 +70,43 @@ class _UnionFind:
         return True
 
 
-def select_tree(graph: OrientedGraph, circuit: Circuit) -> TreeCotree:
+def _select_tree(circuit: Circuit) -> tuple:
     """Priority spanning tree: V > C/OC > R > M > L > I, declaration order ties.
 
-    Raises DegenerateTopologyError for voltage-source loops (a V forced into
-    the cotree) and current-source cut-sets (an I forced into the tree), and
-    for disconnected graphs.
+    Returns (tree, links), both sorted.  Raises DegenerateTopologyError for
+    voltage-source loops (a V forced into the cotree) and current-source
+    cut-sets (an I forced into the tree), and for disconnected graphs.
     """
-    order = sorted(range(len(circuit.elements)), key=lambda b: (_PRIORITY[circuit.elements[b].kind], b))
-    uf = _UnionFind(graph.nodes)
-    tree = []
-    for b in order:
-        u, v = graph.branch_nodes[b]
-        if uf.union(u, v):
-            tree.append(b)
-    if len(tree) != len(graph.nodes) - 1:
+    elements = circuit.elements
+    order = sorted(range(len(elements)), key=lambda b: (_PRIORITY[elements[b].kind], b))
+    nodes = circuit.nodes
+    uf = _UnionFind(nodes)
+    tree = [b for b in order if uf.union(elements[b].n_plus, elements[b].n_minus)]
+    if len(tree) != len(nodes) - 1:
         raise DegenerateTopologyError("graph is not connected; no spanning tree exists")
     tree_set = set(tree)
     for b in tree:
-        if circuit.elements[b].kind == "I":
-            raise DegenerateTopologyError(
-                f"current source {circuit.elements[b].name} forms a cut-set of current sources"
-            )
-    for b in range(len(circuit.elements)):
-        if b not in tree_set and circuit.elements[b].kind == "V":
-            raise DegenerateTopologyError(
-                f"voltage source {circuit.elements[b].name} closes a loop of voltage sources"
-            )
-    links = [b for b in range(len(circuit.elements)) if b not in tree_set]
-    return TreeCotree(tuple(sorted(tree)), tuple(links))
+        if elements[b].kind == "I":
+            raise DegenerateTopologyError(f"current source {elements[b].name} forms a cut-set of current sources")
+    links = [b for b in range(len(elements)) if b not in tree_set]
+    for b in links:
+        if elements[b].kind == "V":
+            raise DegenerateTopologyError(f"voltage source {elements[b].name} closes a loop of voltage sources")
+    return tuple(sorted(tree)), tuple(links)
 
 
-def kirchhoff_matrices(graph: OrientedGraph, partition: TreeCotree) -> KirchhoffMatrices:
+def _kirchhoff_matrices(circuit: Circuit, tree: tuple, links: tuple) -> tuple:
     """Fundamental loop matrix from tree paths, cut-set matrix from B.
 
     Each link's loop follows the link from n_plus to n_minus and returns
     through the tree; a tree branch traversed along its own orientation gets
     +1 in the loop row.  Q = [I | F] with F = -B_tree^T on tree columns.
     """
-    nb = len(graph.branch_nodes)
-    tree, links = partition.tree, partition.links
+    elements = circuit.elements
     # tree adjacency: node -> list of (branch, neighbor, sign when leaving via n_plus)
-    adj = {n: [] for n in graph.nodes}
+    adj = {n: [] for n in circuit.nodes}
     for b in tree:
-        u, v = graph.branch_nodes[b]
+        u, v = elements[b].n_plus, elements[b].n_minus
         adj[u].append((b, v, +1))
         adj[v].append((b, u, -1))
 
@@ -159,37 +130,26 @@ def kirchhoff_matrices(graph: OrientedGraph, partition: TreeCotree) -> Kirchhoff
             n = p
         return path[::-1]
 
-    B = np.zeros((len(links), nb), dtype=np.int64)
+    B = np.zeros((len(links), len(elements)), dtype=np.int64)
     for r, b in enumerate(links):
-        u, v = graph.branch_nodes[b]
         B[r, b] = 1
-        for tb, s in tree_path(v, u):
+        for tb, s in tree_path(elements[b].n_minus, elements[b].n_plus):
             B[r, tb] = s
-    Q = np.zeros((len(tree), nb), dtype=np.int64)
+    Q = np.zeros((len(tree), len(elements)), dtype=np.int64)
     for r, b in enumerate(tree):
         Q[r, b] = 1
     # F = -B_tree^T on the link columns
     for lr, lb in enumerate(links):
         for tr, tb in enumerate(tree):
             Q[tr, lb] = -B[lr, tb]
-    return KirchhoffMatrices(Q, B)
+    return Q, B
 
 
-def coordinate_map(circuit: Circuit, partition: TreeCotree, matrices: KirchhoffMatrices) -> CoordinateMap:
-    names = [e.name for e in circuit.elements]
-    return CoordinateMap(
-        tree=partition.tree,
-        links=partition.links,
-        flux_map=matrices.Q.T.astype(float),
-        charge_map=matrices.B.T.astype(float),
-        flux_coord_names=tuple(names[b] for b in partition.tree),
-        charge_coord_names=tuple(names[b] for b in partition.links),
-    )
-
-
-def build_topology(circuit: Circuit):
-    """Convenience pipeline: graph, partition, matrices, coordinate map."""
-    graph = build_graph(circuit)
-    partition = select_tree(graph, circuit)
-    matrices = kirchhoff_matrices(graph, partition)
-    return graph, partition, matrices, coordinate_map(circuit, partition, matrices)
+def build_topology(circuit: Circuit) -> Topology:
+    """Select the spanning tree and build Q, B and the coordinate maps."""
+    tree, links = _select_tree(circuit)
+    Q, B = _kirchhoff_matrices(circuit, tree, links)
+    arrays = (Q, B, Q.T.astype(float), B.T.astype(float))
+    for a in arrays:
+        a.flags.writeable = False
+    return Topology(tuple(e.name for e in circuit.elements), tree, links, *arrays)

@@ -87,30 +87,31 @@ def element_term(element: Element, state: CircuitState, beta: float = 0.0) -> co
     raise ValueError(f"unknown element kind {element.kind!r}")
 
 
-def total_lagrangian(circuit: Circuit, state: CircuitState) -> LagrangianValue:
+def total_lagrangian(circuit: Circuit, state: CircuitState, beta: float) -> LagrangianValue:
     """Sum of element terms, grouped into the parts breakdown.
 
-    The nudging strength is read from circuit.beta, so explicit-parameter
-    derivatives can be taken by re-evaluating with a modified circuit while
-    the state stays frozen.
+    beta is the nudging strength, so explicit-parameter derivatives can be
+    taken by re-evaluating with a modified circuit or beta while the state
+    stays frozen.
     """
     parts = {k: 0j for k in PART_KEYS}
     for e in circuit.elements:
-        parts[_KIND_PART[e.kind]] += element_term(e, state, circuit.beta)
+        parts[_KIND_PART[e.kind]] += element_term(e, state, beta)
     return LagrangianValue(parts)
 
 
 def trajectory_states(circuit: Circuit, traj: Trajectory) -> list:
     """Extract the per-sample CircuitState sequence from a trajectory."""
-    names = traj.meta["branch_names"]
+    topology = traj.topology
+    names = list(topology.names)
     if names != [e.name for e in circuit.elements]:
         raise ValueError("trajectory was produced for a different circuit")
-    phi = traj.cmap.flux_map @ traj.tree_flux
-    q = traj.cmap.charge_map @ traj.loop_charge
-    v = traj.cmap.flux_map @ traj.tree_voltage
-    i = traj.cmap.charge_map @ traj.loop_current
-    psi = traj.cmap.flux_map @ traj.tree_half_velocity
-    r = traj.cmap.charge_map @ traj.loop_half_charge_rate
+    phi = topology.flux_map @ traj.tree_flux
+    q = topology.charge_map @ traj.loop_charge
+    v = topology.flux_map @ traj.tree_voltage
+    i = topology.charge_map @ traj.loop_current
+    psi = topology.flux_map @ traj.tree_half_velocity
+    r = topology.charge_map @ traj.loop_half_charge_rate
     times = traj.grid.times()
     targets = dict(zip(traj.output_names, traj.targets))
     states = []
@@ -131,8 +132,8 @@ def trajectory_states(circuit: Circuit, traj: Trajectory) -> list:
 
 
 def lagrangian_series(circuit: Circuit, traj: Trajectory) -> dict:
-    """Per-part Lagrangian time series (complex arrays over the grid)."""
-    values = [total_lagrangian(circuit, s) for s in trajectory_states(circuit, traj)]
+    """Per-part Lagrangian time series (complex arrays over the grid), at traj.beta."""
+    values = [total_lagrangian(circuit, s, traj.beta) for s in trajectory_states(circuit, traj)]
     return {k: np.array([v.parts[k] for v in values]) for k in PART_KEYS}
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from fraceq.circuit import Circuit, validate
-from fraceq.dynamics import DriveSet, SimConfig, Trajectory
+from fraceq.dynamics import NEWTON_TOL, DriveSet, SimConfig, Trajectory
 from fraceq.errors import NewtonDivergenceError, ValidationError
 from fraceq.frac_ops import gl_weights
 from fraceq.topology import build_topology
@@ -36,7 +36,7 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
     diags = validate(circuit)
     if diags:
         raise ValidationError(diags)
-    _, part, matrices, cmap = build_topology(circuit)
+    topology = build_topology(circuit)
 
     grid = cfg.grid
     dt = grid.dt
@@ -44,14 +44,14 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
     times = grid.times()
     elements = circuit.elements
     nb = len(elements)
-    nt, nl = len(part.tree), len(part.links)
+    nt, nl = len(topology.tree), len(topology.links)
     nc = nt + nl
 
     # branch value maps into the full coordinate vector z = [tree_flux; loop_charge]
     P_phi = np.zeros((nb, nc))
-    P_phi[:, :nt] = cmap.flux_map
+    P_phi[:, :nt] = topology.flux_map
     P_q = np.zeros((nb, nc))
-    P_q[:, nt:] = cmap.charge_map
+    P_q[:, nt:] = topology.charge_map
 
     kinds = np.array([e.kind for e in elements])
     specs = [e.constitutive() if e.kind in ("C", "L", "M") else None for e in elements]
@@ -175,7 +175,7 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
 
             Fs = row_scale * F
             res = np.max(np.abs(Fs))
-            if res <= cfg.newton_tol:
+            if res <= NEWTON_TOL:
                 converged = True
                 break
 
@@ -203,11 +203,10 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
     return Trajectory(
         grid=grid,
         beta=float(beta),
-        cmap=cmap,
+        topology=topology,
         tree_flux=Z[:nt].copy(),
         loop_charge=Z[nt:].copy(),
         output_names=output_names,
         outputs=out_v,
         targets=out_T,
-        meta={"branch_names": [e.name for e in elements]},
     )

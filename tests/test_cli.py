@@ -108,6 +108,13 @@ class TestSimulate:
         assert f"line {line}, col {col}:" in capsys.readouterr().err
         assert not (tmp_path / "traj.csv").exists()
 
+    def test_unknown_constitutive_family_exit_2_with_location(self, tmp_path, capsys):
+        p = tmp_path / "bad.net"
+        p.write_text("V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 f=cubic(1,2)\n")
+        assert main(["simulate", str(p), "--out", str(tmp_path / "traj.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "line 3, col 10:" in err and "unknown constitutive family 'cubic'" in err
+
     def test_dump_topology_orthogonal(self, rc_net, tmp_path):
         out = str(tmp_path / "traj.csv")
         code = main(["simulate", rc_net, "--t-end", "0.1", "--out", out, "--dump-topology"])
@@ -324,6 +331,29 @@ class TestFracBench:
         p.write_text("# signal\nt,value\ntime,v\n0.0,1.0\n0.1,2.0\n")
         assert main(["frac-bench", str(p), "--out", str(tmp_path / "res.csv")]) == 2
         assert f"{p}:3:" in capsys.readouterr().err
+
+    @staticmethod
+    def per_sample_text(t, values):
+        # the formatter frac-bench used before: one "%" per sample
+        lines = ["t,value"] + ["%.17g,%.17g" % (t[k], np.real(values[k])) for k in range(len(t))]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("op", ["identity", "caputo-left", "rl-integral"])
+    def test_output_matches_per_sample_formatter(self, tmp_path, monkeypatch, op):
+        t = np.arange(0, 0.0205, 1e-3)
+        v = np.sin(40 * t)
+        v[[3, 7, 11]] = [-0.0, 1e300, -1e300]
+        p = tmp_path / "sig.csv"
+        p.write_text("t,value\n" + "\n".join(f"{a!r},{b!r}" for a, b in zip(t.tolist(), v.tolist())) + "\n")
+        if op == "identity":
+            # the signed zero and the extremes reach the formatter as read
+            monkeypatch.setitem(cli._OPS, "caputo-left", lambda sig, alpha: sig)
+            op = "caputo-left"
+        out = tmp_path / "res.csv"
+        assert main(["frac-bench", str(p), "--op", op, "--out", str(out)]) == 0
+        sig = cli._read_signal_csv(str(p))
+        expected = self.per_sample_text(sig.grid.times(), cli._OPS[op](sig, 0.5).values)
+        assert out.read_text() == expected
 
     def test_self_test_passes(self, capsys):
         assert main(["frac-bench", "--self-test"]) == 0

@@ -5,6 +5,7 @@ from fraceq.circuit import parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, Trajectory, simulate, trajectory_loss
 from fraceq.errors import MissingOutputError, ValidationError
 from fraceq.frac_ops import SampleGrid, Signal
+from fraceq.lagrangian import branch_quantities
 
 RC_NET = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
 LC_NET = "C c1 n1 0 c=1\nL l1 n1 0 l=1\nI isrc 0 n1 w=step(1,0)\n"
@@ -27,11 +28,16 @@ def run(net, beta=0.0, drive=None, **kwargs):
     return simulate(parse_netlist(net), drive or DriveSet(), beta, cfg(**kwargs))
 
 
+def branch_voltage(net, traj, name):
+    ckt = parse_netlist(net)
+    return branch_quantities(ckt, traj).v[ckt.index_of(name)]
+
+
 class TestRcStep:
     def test_matches_analytic_response(self):
         traj = run(RC_NET, t_end=5.0)
         t = traj.grid.times()
-        vc = traj.branch_voltage("c1").values
+        vc = branch_voltage(RC_NET, traj, "c1")
         exact = 1.0 - np.exp(-t)
         assert np.max(np.abs(vc[1:] - exact[1:])) < 5e-3
         i = int(round(1.0 / 1e-3))
@@ -42,7 +48,7 @@ class TestRcStep:
         for dt in (2e-3, 1e-3):
             traj = run(RC_NET, t_end=2.0, dt=dt)
             t = traj.grid.times()
-            vc = traj.branch_voltage("c1").values
+            vc = branch_voltage(RC_NET, traj, "c1")
             errs.append(np.max(np.abs(vc[1:] - (1 - np.exp(-t[1:])))))
         assert errs[0] / errs[1] >= 2.0 * 0.9
 
@@ -50,7 +56,7 @@ class TestRcStep:
 class TestLcOscillator:
     def test_period_within_one_percent(self):
         traj = run(LC_NET, t_end=10.0)
-        v = traj.branch_voltage("c1").values
+        v = branch_voltage(LC_NET, traj, "c1")
         t = traj.grid.times()
         # v(t) = sin t for unit L, C and unit step current drive
         crossings = t[2:][np.diff(np.signbit(v[1:]).astype(int)) != 0]
@@ -59,7 +65,7 @@ class TestLcOscillator:
 
     def test_amplitude_close_to_analytic(self):
         traj = run(LC_NET, t_end=6.0)
-        v = traj.branch_voltage("c1").values
+        v = branch_voltage(LC_NET, traj, "c1")
         t = traj.grid.times()
         assert np.max(np.abs(v - np.sin(t))) < 0.05
 
@@ -141,7 +147,7 @@ class TestEnergySanity:
 
         drive = DriveSet(inputs={"vin": Waveform.from_samples(Signal(grid, vals))})
         traj = simulate(parse_netlist(RC_NET), drive, 0.0, SimConfig(grid))
-        vc = traj.branch_voltage("c1").values
+        vc = branch_voltage(RC_NET, traj, "c1")
         energy = 0.5 * vc**2
         after = energy[int(1.1 / 1e-3) :]
         assert np.all(np.diff(after) <= 1e-12)
@@ -214,23 +220,25 @@ class TestDeterminismAndExport:
 
 class TestHalfRates:
     def test_computed_once_per_trajectory(self, monkeypatch):
+        # one GL convolution per half-rate property covers all of its rows
         from fraceq import dynamics
         from fraceq.frac_ops import caputo_left
 
         traj = run(LINNET, beta=1e-3, t_end=0.1)
         calls = []
+        convolve = dynamics._gl_convolve
 
-        def counting(x, alpha):
-            calls.append(1)
-            return caputo_left(x, alpha)
+        def counting(values, dt, alpha):
+            calls.append(len(values))
+            return convolve(values, dt, alpha)
 
-        monkeypatch.setattr(dynamics, "caputo_left", counting)
+        monkeypatch.setattr(dynamics, "_gl_convolve", counting)
         psi, r = traj.tree_half_velocity, traj.loop_half_charge_rate
         rows = len(traj.tree_flux) + len(traj.loop_charge)
-        assert len(calls) == rows
+        assert calls == [len(traj.tree_flux), len(traj.loop_charge)] and sum(calls) == rows
         traj.to_csv()
         assert traj.tree_half_velocity is psi and traj.loop_half_charge_rate is r
-        assert len(calls) == rows
+        assert sum(calls) == rows and len(calls) == 2
         assert not psi.flags.writeable and not r.flags.writeable
         for values, rate in zip((traj.tree_flux, traj.loop_charge), (psi, r)):
             expected = [caputo_left(Signal(traj.grid, row), 0.5).values for row in values]

@@ -1,20 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from fraceq.circuit import Waveform, parse_netlist
-from fraceq.dynamics import DriveSet, SimConfig, simulate
+from fraceq.circuit import Circuit, Waveform, parse_netlist
+from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
 from fraceq.eqprop import (
     TrainConfig,
     TrainingLog,
     agreement_metrics,
     calibrate_sign,
+    estimate_from,
     estimate_gradient,
     fd_gradient,
     sgd_step,
     train,
 )
-from fraceq.errors import StepTooLargeError, ValidationError
-from fraceq.frac_ops import SampleGrid
+from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, StepTooLargeError, ValidationError
+from fraceq.frac_ops import SampleGrid, Signal, half_energy_integral
+from fraceq.lagrangian import action_g_partial, half_energies
+from test_batch import random_circuits
 
 LINNET = """\
 V v1 in1 0 w=const(1.0)
@@ -90,6 +96,69 @@ class TestEstimateGradient:
         est = np.array(estimate_gradient(linnet, DriveSet(), 1e-3, sim_cfg()).values)
         ratio = np.pi * est / np.array(oracle)
         assert np.max(np.abs(ratio - 1.0)) < 0.01
+
+
+def reference_energies(traj, branches):
+    """half_energy_integral of each branch flux: a half-derivative per branch."""
+    flux = traj.topology.flux_map[list(branches)] @ traj.tree_flux
+    return np.array([half_energy_integral(Signal(traj.grid, row)) for row in flux])
+
+
+def free_and_nudged(circuit, beta, config):
+    system = compile(circuit)
+    g = system.conductances(circuit)
+    return simulate_batch(system, DriveSet(), config, [Member("free", 0.0, g), Member("nudged", beta, g)])
+
+
+class TestEnergiesAgainstBranchReference:
+    """The estimator reads each synapse's half-rate through the flux map
+    from the tree half-velocities; the reference takes the half-derivative
+    of the branch flux itself.  The two round differently, so they agree to
+    1e-10 relative, not bit for bit."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-4])
+    def test_linnet(self, linnet, dt):
+        beta = 1e-3
+        free, nudged = free_and_nudged(linnet, beta, sim_cfg(dt=dt))
+        est = estimate_from(linnet, free, nudged)
+        idx = linnet.trainables
+        e_nudged, e_free = reference_energies(nudged, idx), reference_energies(free, idx)
+        assert np.allclose(est.raw_half_energies, np.stack([e_nudged, e_free], axis=1), rtol=1e-10, atol=0)
+        expected = (e_nudged - e_free) / (2 * linnet.loss_capacitance * beta)
+        assert np.allclose(est.values, expected, rtol=1e-10, atol=0)
+
+    def test_action_g_partial_shares_the_estimator_energies(self, linnet):
+        free, nudged = free_and_nudged(linnet, 1e-3, sim_cfg())
+        est = estimate_from(linnet, free, nudged)
+        for l, (e_nudged, e_free) in zip(linnet.trainables, est.raw_half_energies):
+            assert action_g_partial(linnet, nudged, l) == 0.5j * e_nudged
+            assert action_g_partial(linnet, free, l) == 0.5j * e_free
+
+    @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(circuit=random_circuits())
+    def test_generated_circuits(self, circuit):
+        # every resistor trainable; energies of every branch kind compared
+        circuit = Circuit(tuple(replace(e, trainable=True) if e.kind == "R" else e for e in circuit.elements))
+        beta = 0.3
+        try:
+            free, nudged = free_and_nudged(circuit, beta, sim_cfg(dt=1e-2, t_end=0.5))
+        except (DegenerateTopologyError, NewtonDivergenceError):
+            assume(False)
+        # a branch whose flux cancels to roundoff has an energy of roundoff
+        # squared, so the floor is relative to the run's largest energy
+        branches = range(len(circuit.elements))
+        for traj in (free, nudged):
+            got, ref = half_energies(circuit, traj, branches), reference_energies(traj, branches)
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * ref.max())
+        if not any(e.kind == "OC" for e in circuit.elements):
+            return
+        est = estimate_from(circuit, free, nudged)
+        idx = circuit.trainables
+        e_nudged, e_free = reference_energies(nudged, idx), reference_energies(free, idx)
+        scale = 2 * circuit.loss_capacitance * beta
+        # a difference of two energies: its error is measured on their scale
+        error = np.abs(np.array(est.values) - (e_nudged - e_free) / scale)
+        assert np.all(error <= 1e-10 * np.maximum(e_nudged, e_free) / scale)
 
 
 class TestUnequalOutputCaps:
@@ -209,7 +278,7 @@ class TestTrain:
 
 class TestMixedPartials:
     def _second_partials(self, linnet):
-        from fraceq.lagrangian import action_beta_partial, action_g_partial
+        from fraceq.lagrangian import action_beta_partial
 
         cfg = sim_cfg(dt=2e-3)
         l = linnet.index_of("s1")

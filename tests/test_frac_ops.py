@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fraceq import frac_ops
 from fraceq.errors import GridTooSmallError, InvalidOrderError
 from fraceq.frac_ops import (
-    FracOrder,
     SampleGrid,
     Signal,
     caputo_left,
@@ -227,12 +226,6 @@ class TestGridAndOrderTypes:
         g = SampleGrid(0.0, 0.25, 5)
         assert g.b == 1.0
         assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_frac_order_ceiling(self):
-        assert FracOrder(0.5).ceil_n == 1
-        assert FracOrder(1.5).ceil_n == 2
-        with pytest.raises(InvalidOrderError):
-            FracOrder(2.0)
 
     def test_signal_rejects_nonfinite(self):
         with pytest.raises(ValueError):

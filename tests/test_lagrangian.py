@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fraceq.circuit import Circuit, Element, Waveform, parse_netlist
-from fraceq.dynamics import DriveSet, SimConfig, simulate, trajectory_loss
+from fraceq.dynamics import DriveSet, SimConfig, _backward_diff, simulate, trajectory_loss
 from fraceq.errors import MissingOutputError
 from fraceq.frac_ops import SampleGrid, Signal, caputo_left, rl_derivative_right
 from fraceq.lagrangian import (
@@ -115,14 +117,14 @@ class TestLagrangianParts:
             )
         )
         x = branches(["s1", "oc1"], psi={"s1": 2.0}, v={"oc1": 1.0})
-        total = sum(lagrangian_parts(ckt, x).values())
+        total = sum(lagrangian_parts(ckt, x, 0.0).values())
         assert total == pytest.approx([1j])
 
     def test_parts_sum_equals_total_on_random_states(self):
         ckt = parse_netlist(LINNET + "L l1 out 0 l=2\nC cx in1 out c=0.5\nM m1 in2 0 f=tanh(1.0,1.0)\n")
         names = [e.name for e in ckt.elements]
         x = random_branches(names, np.random.default_rng(7), 1000)
-        parts = lagrangian_parts(ckt.with_beta(0.3), x)
+        parts = lagrangian_parts(ckt, x, 0.3)
         total = sum(element_term(e, x.branch(b), 0.3) for b, e in enumerate(ckt.elements))
         assert set(parts) == set(PART_KEYS)
         assert sum(parts.values()) == pytest.approx(total)
@@ -131,7 +133,7 @@ class TestLagrangianParts:
         # real total from L/C/OC parts, imaginary from memristive/synaptic
         ckt = parse_netlist(LINNET + "L l1 out 0 l=2\nM m1 in2 0 f=tanh(1.0,1.0)\n")
         names = [e.name for e in ckt.elements]
-        parts = lagrangian_parts(ckt.with_beta(0.2), random_branches(names, np.random.default_rng(3), 1))
+        parts = lagrangian_parts(ckt, random_branches(names, np.random.default_rng(3), 1), 0.2)
         for k in ("inductive", "capacitive", "output", "source"):
             assert not np.any(parts[k].imag)
         for k in ("memristive", "synaptic"):
@@ -159,7 +161,7 @@ class TestAction:
     def test_breakdown_parts_integrate_to_total(self):
         ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=1e-3)
-        bd = action_breakdown(ckt.with_beta(1e-3), traj)
+        bd = action_breakdown(ckt, traj)
         assert bd.total == pytest.approx(sum(bd.parts.values()))
 
 
@@ -184,23 +186,29 @@ class TestActionBetaPartial:
         with pytest.raises(MissingOutputError):
             action_beta_partial(parse_netlist(net), run(net))
 
+    def test_output_part_takes_the_trajectory_beta(self):
+        # a parsed circuit carries no beta: the output term is the run's own
+        ckt = parse_netlist(LINNET)
+        nudged = run(LINNET, beta=0.3)
+        output = action_breakdown(ckt, nudged).parts["output"]
+        assert output.imag == 0.0
+        assert output.real == pytest.approx(nudged.beta * action_beta_partial(ckt, nudged), rel=1e-9)
+
 
 def ramp_flux_trajectory(ckt, t_end=1.0, dt=1e-3):
     # hand-built trajectory whose single flux coordinate is phi(t) = t
     grid = SampleGrid.from_span(0.0, t_end, dt)
-    _, part, _, cmap = build_topology(ckt)
     from fraceq.dynamics import Trajectory
 
     return Trajectory(
         grid=grid,
         beta=0.0,
-        cmap=cmap,
+        topology=build_topology(ckt),
         tree_flux=grid.times()[None, :],
         loop_charge=np.zeros((0, grid.n)),
         output_names=(),
         outputs=np.zeros((0, grid.n)),
         targets=np.zeros((0, grid.n)),
-        meta={"branch_names": [e.name for e in ckt.elements]},
     )
 
 
@@ -240,14 +248,14 @@ class TestFrozenTrajectoryPartials:
         beta, eps = 1e-3, 1e-5
         ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=beta)
-        sp = (action(ckt.with_beta(beta + eps), traj) - action(ckt.with_beta(beta - eps), traj)) / (2 * eps)
+        sp = (action(ckt, replace(traj, beta=beta + eps)) - action(ckt, replace(traj, beta=beta - eps))) / (2 * eps)
         ref = action_beta_partial(ckt, traj)
         assert abs(sp.imag) < 1e-12
         assert sp.real == pytest.approx(ref, rel=1e-6)
 
     def test_g_partials(self):
         beta, eps = 1e-3, 1e-5
-        ckt = parse_netlist(LINNET).with_beta(beta)
+        ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=beta)
         for l in ckt.trainables:
             name = ckt.elements[l].name
@@ -290,12 +298,14 @@ class TestElResidual:
 
     def test_lc_residual_is_current_balance(self):
         traj = run(LC_NET, dt=1e-3, t_end=2.0)
-        res = el_residual(parse_netlist(LC_NET), traj)["c1"].values
+        ckt = parse_netlist(LC_NET)
+        res = el_residual(ckt, traj)["c1"].values
         # oracle: minus the nodal current balance with central differences
         t = traj.grid.times()
         dt = traj.grid.dt
-        phi = traj.branch_flux("c1").values
-        q_l = traj.branch_charge("l1").values
+        x = branch_quantities(ckt, traj)
+        phi = x.phi[ckt.index_of("c1")]
+        q_l = x.q[ckt.index_of("l1")]
         v = np.gradient(phi, dt)
         kcl = np.gradient(v, dt) * 1.0 + phi / 1.0 - 1.0
         assert np.max(np.abs(res[2:-2] + kcl[2:-2])) < 1e-6
@@ -322,10 +332,13 @@ class TestBranchQuantities:
         x = branch_quantities(ckt, traj)
         assert all(a.shape == (len(ckt.elements), traj.grid.n) for a in x)
         b = ckt.index_of("s1")
-        assert np.array_equal(x.phi[b], traj.branch_flux("s1").values)
+        topo = traj.topology
+        phi = topo.flux_map[b] @ traj.tree_flux
+        q = topo.charge_map[b] @ traj.loop_charge
+        assert np.array_equal(x.phi[b], phi)
         # mapping then differencing rounds differently from the reverse order
-        assert np.allclose(x.v[b], traj.branch_voltage("s1").values, rtol=1e-12, atol=1e-12)
-        assert np.allclose(x.i[b], traj.branch_current("s1").values, rtol=1e-12, atol=1e-12)
+        assert np.allclose(x.v[b], _backward_diff(phi, traj.grid.dt), rtol=1e-12, atol=1e-12)
+        assert np.allclose(x.i[b], _backward_diff(q, traj.grid.dt), rtol=1e-12, atol=1e-12)
         assert np.all(x.target[ckt.index_of("oc1")] == 0.4)
         assert not np.any(np.delete(x.target, ckt.index_of("oc1"), axis=0))
 

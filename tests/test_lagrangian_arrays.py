@@ -58,7 +58,7 @@ def assert_same_bits(circuit, traj):
 )
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 def test_named_circuits_match_reference(net, dt, t_end, beta):
-    circuit = parse_netlist(net).with_beta(beta)
+    circuit = parse_netlist(net)
     traj = simulate(circuit, DriveSet(), beta, SimConfig(SampleGrid.from_span(0.0, t_end, dt)))
     assert_same_bits(circuit, traj)
 
@@ -72,4 +72,4 @@ def test_generated_circuits_match_reference(circuit):
             traj = simulate(circuit, DriveSet(), beta, config)
         except (DegenerateTopologyError, NewtonDivergenceError):
             assume(False)
-        assert_same_bits(circuit.with_beta(beta), traj)
+        assert_same_bits(circuit, traj)

@@ -5,89 +5,57 @@ from hypothesis import strategies as st
 
 from fraceq.circuit import Circuit, Element, Waveform, parse_netlist
 from fraceq.errors import DegenerateTopologyError
-from fraceq.topology import (
-    build_graph,
-    build_topology,
-    coordinate_map,
-    kirchhoff_matrices,
-    select_tree,
-)
+from fraceq.topology import build_topology
 
 SERIES_RC = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
 
 
-class TestBuildGraph:
-    def test_single_resistor(self):
-        ckt = parse_netlist("R r1 a 0 g=1\n")
-        g = build_graph(ckt)
-        assert g.incidence.shape == (2, 1)
-        assert list(g.incidence[:, 0]) == [1, -1]
-
-    def test_series_rc_loop(self):
-        g = build_graph(parse_netlist(SERIES_RC))
-        assert g.incidence.shape == (3, 3)
-        assert np.all(g.incidence.sum(axis=0) == 0)
-        # each branch column has exactly one +1 and one -1
-        assert np.all((g.incidence == 1).sum(axis=0) == 1)
-        assert np.all((g.incidence == -1).sum(axis=0) == 1)
-
-
 class TestSelectTree:
     def test_series_rc_priority(self):
-        ckt = parse_netlist(SERIES_RC)
-        g = build_graph(ckt)
-        part = select_tree(g, ckt)
+        topo = build_topology(parse_netlist(SERIES_RC))
         # V and C are the tree (priority over R), R is the only link
-        assert part.tree == (0, 2)
-        assert part.links == (1,)
+        assert topo.tree == (0, 2)
+        assert topo.links == (1,)
 
     def test_voltage_source_loop_degenerate(self):
         ckt = parse_netlist("V v1 a 0 w=const(1)\nV v2 a 0 w=const(2)\n")
         with pytest.raises(DegenerateTopologyError, match="loop of voltage sources"):
-            select_tree(build_graph(ckt), ckt)
+            build_topology(ckt)
 
     def test_current_source_cutset_degenerate(self):
         ckt = parse_netlist("I i1 a 0 w=const(1)\n")
         with pytest.raises(DegenerateTopologyError, match="cut-set of current sources"):
-            select_tree(build_graph(ckt), ckt)
+            build_topology(ckt)
 
     def test_single_resistor_tree(self):
-        ckt = parse_netlist("R r1 a 0 g=1\n")
-        part = select_tree(build_graph(ckt), ckt)
-        assert part.tree == (0,)
-        assert part.links == ()
+        topo = build_topology(parse_netlist("R r1 a 0 g=1\n"))
+        assert topo.tree == (0,)
+        assert topo.links == ()
 
     def test_deterministic(self):
         ckt = parse_netlist(SERIES_RC)
-        parts = [select_tree(build_graph(ckt), ckt) for _ in range(3)]
-        assert parts[0] == parts[1] == parts[2]
+        topos = [build_topology(ckt) for _ in range(3)]
+        assert topos[0].tree == topos[1].tree == topos[2].tree
+        assert topos[0].links == topos[1].links == topos[2].links
+        assert all(np.array_equal(topos[0].Q, t.Q) and np.array_equal(topos[0].B, t.B) for t in topos)
 
 
 class TestKirchhoffMatrices:
     def test_series_loop_B_row(self):
-        ckt = parse_netlist(SERIES_RC)
-        g = build_graph(ckt)
-        part = select_tree(g, ckt)
-        m = kirchhoff_matrices(g, part)
-        assert m.B.shape == (1, 3)
-        assert np.all(np.abs(m.B[0]) == 1)  # single loop through all branches
-        assert np.all(m.Q @ m.B.T == 0)
+        topo = build_topology(parse_netlist(SERIES_RC))
+        assert topo.B.shape == (1, 3)
+        assert np.all(np.abs(topo.B[0]) == 1)  # single loop through all branches
+        assert np.all(topo.Q @ topo.B.T == 0)
 
     def test_acyclic_star(self):
-        ckt = parse_netlist("R r1 a m g=1\nR r2 m 0 g=1\n")
-        g = build_graph(ckt)
-        part = select_tree(g, ckt)
-        m = kirchhoff_matrices(g, part)
-        assert m.Q.shape == (2, 2)
-        assert m.B.shape == (0, 2)
+        topo = build_topology(parse_netlist("R r1 a m g=1\nR r2 m 0 g=1\n"))
+        assert topo.Q.shape == (2, 2)
+        assert topo.B.shape == (0, 2)
 
     def test_identity_blocks(self):
-        ckt = parse_netlist(SERIES_RC + "R r2 1 0 g=2\n")
-        g = build_graph(ckt)
-        part = select_tree(g, ckt)
-        m = kirchhoff_matrices(g, part)
-        assert np.array_equal(m.Q[:, list(part.tree)], np.eye(len(part.tree), dtype=int))
-        assert np.array_equal(m.B[:, list(part.links)], np.eye(len(part.links), dtype=int))
+        topo = build_topology(parse_netlist(SERIES_RC + "R r2 1 0 g=2\n"))
+        assert np.array_equal(topo.Q[:, list(topo.tree)], np.eye(len(topo.tree), dtype=int))
+        assert np.array_equal(topo.B[:, list(topo.links)], np.eye(len(topo.links), dtype=int))
 
 
 @st.composite
@@ -114,48 +82,53 @@ class TestStructuralProperties:
     @given(random_connected_circuits())
     @settings(max_examples=100, deadline=None)
     def test_orthogonality_exact(self, ckt):
-        g = build_graph(ckt)
-        part = select_tree(g, ckt)
-        m = kirchhoff_matrices(g, part)
-        prod = m.Q @ m.B.T
+        topo = build_topology(ckt)
+        prod = topo.Q @ topo.B.T
         assert prod.dtype.kind == "i"  # integer arithmetic throughout
         assert np.all(prod == 0)
 
     @given(random_connected_circuits())
     @settings(max_examples=50, deadline=None)
     def test_coordinate_count_and_kvl_kcl_residuals(self, ckt):
-        g, part, m, cmap = build_topology(ckt)
+        topo = build_topology(ckt)
         nb = len(ckt.elements)
-        assert len(part.tree) + len(part.links) == nb
+        assert len(topo.tree) + len(topo.links) == nb
         rng = np.random.default_rng(42)
-        tree_flux = rng.normal(size=len(part.tree))
-        loop_charge = rng.normal(size=len(part.links))
-        branch_flux = cmap.flux_map @ tree_flux
-        branch_charge = cmap.charge_map @ loop_charge
+        tree_flux = rng.normal(size=len(topo.tree))
+        loop_charge = rng.normal(size=len(topo.links))
+        branch_flux = topo.flux_map @ tree_flux
+        branch_charge = topo.charge_map @ loop_charge
         # KVL: loop sums of branch voltages (here fluxes) vanish
-        assert np.allclose(m.B @ branch_flux, 0, atol=1e-12)
+        assert np.allclose(topo.B @ branch_flux, 0, atol=1e-12)
         # KCL: cut-set sums of branch currents (here charges) vanish
-        assert np.allclose(m.Q @ branch_charge, 0, atol=1e-12)
+        assert np.allclose(topo.Q @ branch_charge, 0, atol=1e-12)
 
     @given(random_connected_circuits())
     @settings(max_examples=25, deadline=None)
     def test_injective_coordinate_maps(self, ckt):
-        _, part, _, cmap = build_topology(ckt)
-        if len(part.tree):
-            assert np.linalg.matrix_rank(cmap.flux_map) == len(part.tree)
-        if len(part.links):
-            assert np.linalg.matrix_rank(cmap.charge_map) == len(part.links)
+        topo = build_topology(ckt)
+        if len(topo.tree):
+            assert np.linalg.matrix_rank(topo.flux_map) == len(topo.tree)
+        if len(topo.links):
+            assert np.linalg.matrix_rank(topo.charge_map) == len(topo.links)
 
 
 class TestCoordinateMapExamples:
     def test_series_loop_single_loop_charge(self):
-        ckt = parse_netlist(SERIES_RC)
-        _, part, m, cmap = build_topology(ckt)
-        charges = cmap.charge_map @ np.array([2.5])
+        topo = build_topology(parse_netlist(SERIES_RC))
+        charges = topo.charge_map @ np.array([2.5])
         assert np.all(np.abs(charges) == 2.5)  # every branch carries the loop charge
 
     def test_star_has_no_charge_coords(self):
-        ckt = parse_netlist("R r1 a m g=1\nR r2 m 0 g=1\n")
-        _, part, _, cmap = build_topology(ckt)
-        assert cmap.charge_map.shape == (2, 0)
-        assert cmap.flux_map.shape == (2, 2)
+        topo = build_topology(parse_netlist("R r1 a m g=1\nR r2 m 0 g=1\n"))
+        assert topo.charge_map.shape == (2, 0)
+        assert topo.flux_map.shape == (2, 2)
+
+    def test_names_and_read_only_maps(self):
+        topo = build_topology(parse_netlist(SERIES_RC))
+        assert topo.names == ("vin", "r1", "c1")
+        assert topo.flux_coord_names == ("vin", "c1")
+        assert topo.charge_coord_names == ("r1",)
+        assert np.array_equal(topo.flux_map, topo.Q.T) and np.array_equal(topo.charge_map, topo.B.T)
+        for a in (topo.Q, topo.B, topo.flux_map, topo.charge_map):
+            assert not a.flags.writeable
