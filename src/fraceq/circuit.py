@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import NetlistError, ValidationError
-from .frac_ops import Signal
 
 GROUND = "0"
 
@@ -55,8 +54,8 @@ class ConstitutiveSpec:
     """Monotone scalar constitutive relation y = f(x) with derivative.
 
     Families: linear(slope), poly(c0, c1, ...), tanh(gain, scale).  The
-    operating range is where monotonicity is validated; evaluation outside it
-    flags the result rather than failing.
+    operating range is where monotonicity is validated; evaluation is not
+    limited to it.
     """
 
     family: str
@@ -89,19 +88,13 @@ class ConstitutiveSpec:
         gain, scale = self.params
         return gain * scale * np.log(np.cosh(x / scale))
 
-    def in_range(self, x) -> bool:
-        lo, hi = self.x_range
-        return bool(np.all((np.asarray(x) >= lo) & (np.asarray(x) <= hi)))
-
 
 @dataclass(frozen=True)
 class Waveform:
-    """Time-dependent drive: const(v), step(v, t0), sine(amp, freq, phase),
-    or samples(Signal) for arbitrary tabulated drives."""
+    """Time-dependent drive: const(v), step(v, t0) or sine(amp, freq, phase)."""
 
     family: str
     params: tuple = ()
-    samples: Optional[Signal] = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -113,12 +106,6 @@ class Waveform:
         if self.family == "sine":
             amp, freq, phase = self.params
             return amp * np.sin(2 * math.pi * freq * t + phase)
-        if self.family == "samples":
-            g = self.samples.grid
-            idx = np.rint((t - g.a) / g.dt).astype(int)
-            if np.any(idx < 0) or np.any(idx >= g.n) or not np.allclose(g.a + idx * g.dt, t, atol=1e-9):
-                raise ValueError("sampled waveform is not defined on this grid")
-            return np.real(self.samples.values[idx])
         raise ValueError(f"unknown waveform family {self.family!r}")
 
     @classmethod
@@ -132,10 +119,6 @@ class Waveform:
     @classmethod
     def sine(cls, amp, freq, phase=0.0):
         return cls("sine", (float(amp), float(freq), float(phase)))
-
-    @classmethod
-    def from_samples(cls, signal: Signal):
-        return cls("samples", (), signal)
 
 
 @dataclass(frozen=True)
@@ -404,8 +387,6 @@ def serialize(circuit: Circuit) -> str:
         if e.spec is not None:
             params["f"] = _fmt_call(e.spec.family, e.spec.params)
         if e.waveform is not None:
-            if e.waveform.family == "samples":
-                raise ValueError(f"{e.name}: a sampled waveform has no netlist form")
             params["w"] = _fmt_call(e.waveform.family, e.waveform.params)
         toks = [e.kind, e.name, e.n_plus, e.n_minus]
         toks += [f"{k}={params[k]}" for k in sorted(params)]

@@ -4,6 +4,8 @@ Every run writes a plain-text key=value manifest (atomically, before the
 data files are finalized) recording the command, input hash, and flags, so
 recorded runs can be reproduced byte-for-byte.  Exit codes: 0 success,
 2 input or configuration error, 3 numerical or simulation failure.
+A gradcheck whose estimate misses criterion 8's gate (every sign matching
+and cosine at least GRADCHECK_MIN_COSINE) writes its CSVs and exits 3.
 Diagnostics go to stderr; stdout carries only result summaries.
 """
 
@@ -14,12 +16,11 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .circuit import parse_netlist, serialize, validate
+from .circuit import parse_netlist, serialize
 from .circuit import _parse_waveform  # shared token grammar for config files
 from .dynamics import DriveSet, Member, SimConfig, _backward_diff, _csv_body, compile, simulate, simulate_batch
 from .eqprop import TrainConfig, agreement_metrics, estimate_from, fd_gradient, train
@@ -39,6 +40,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# criterion 8's gate on the estimate-vs-oracle cosine, with every sign matching
+GRADCHECK_MIN_COSINE = 0.9
+
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
@@ -47,40 +51,19 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
-class RunManifest:
+def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
     """Reproducibility record: one key=value per line, atomic write."""
-
-    command: str
-    netlist_path: str
-    netlist_sha256: str
-    params: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-
-    def to_text(self) -> str:
-        lines = [
-            f"command={self.command}",
-            f"version={self.version}",
-            f"netlist={self.netlist_path}",
-            f"netlist_sha256={self.netlist_sha256}",
-        ]
-        lines += [f"{k}={v}" for k, v in sorted(self.params.items())]
-        lines.append("outputs=" + ",".join(self.outputs))
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str) -> None:
-        _atomic_write(path, self.to_text())
+    lines = [f"command={command}", f"version={__version__}", f"netlist={netlist}", f"netlist_sha256={digest}"]
+    lines += [f"{k}={v}" for k, v in sorted(params.items())]
+    lines.append("outputs=" + ",".join(outputs))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _read_netlist(path: str):
+    """The parsed circuit and the SHA-256 of the file; `compile` validates it."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    circuit = parse_netlist(raw.decode("utf-8"))
-    diags = validate(circuit)
-    if diags:
-        raise FraceqError("; ".join(str(d) for d in diags))
-    return circuit, hashlib.sha256(raw).hexdigest()
+    return parse_netlist(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _grid(args) -> SampleGrid:
@@ -183,14 +166,8 @@ def cmd_simulate(args) -> int:
         outputs += [f"{stem}_Q.csv", f"{stem}_B.csv"]
     if args.dump_action:
         outputs += [f"{stem}_action.csv"]
-    manifest = RunManifest(
-        command="simulate",
-        netlist_path=args.netlist,
-        netlist_sha256=digest,
-        params={"beta": args.beta, "dt": args.dt, "t_end": args.t_end},
-        outputs=outputs,
-    )
-    manifest.write(stem + ".manifest")
+    params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
+    _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, outputs)
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(_grid(args)))
     _atomic_write(args.out, traj.to_csv())
     if args.dump_topology:
@@ -211,14 +188,8 @@ def cmd_gradcheck(args) -> int:
     cfg = SimConfig(_grid(args))
     stem = os.path.splitext(args.out)[0]
     summary_path = stem + "_summary.csv"
-    manifest = RunManifest(
-        command="gradcheck",
-        netlist_path=args.netlist,
-        netlist_sha256=digest,
-        params={"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end},
-        outputs=[args.out, summary_path],
-    )
-    manifest.write(stem + ".manifest")
+    params = {"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end}
+    _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
 
     # the estimates at beta and beta/2 share one free run
     system = compile(circuit)
@@ -233,11 +204,14 @@ def cmd_gradcheck(args) -> int:
     metrics_half = agreement_metrics(est_half, oracle)
 
     lines = ["synapse,estimate,oracle,ratio,sign_match,e_nudged,e_free"]
+    mismatched = []
     for name, value, ref, (e_n, e_f) in zip(
         est.synapse_names, est.values, oracle, est.raw_half_energies
     ):
         ratio = value / ref if ref != 0 else math.inf
         match = int(np.sign(value) == np.sign(ref))
+        if not match:
+            mismatched.append(name)
         lines.append(f"{name},%.17g,%.17g,%.17g,{match},%.17g,%.17g" % (value, ref, ratio, e_n, e_f))
     _atomic_write(args.out, "\n".join(lines) + "\n")
 
@@ -256,6 +230,14 @@ def cmd_gradcheck(args) -> int:
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
         % (metrics["cosine_similarity"], metrics["sign_match"], metrics["max_rel_error"])
     )
+    if mismatched or metrics["cosine_similarity"] < GRADCHECK_MIN_COSINE:
+        signs = f", first sign mismatch at {mismatched[0]}" if mismatched else ""
+        print(
+            "gradcheck gate missed: cosine=%.6f (needs >= %g and every sign matching)%s"
+            % (metrics["cosine_similarity"], GRADCHECK_MIN_COSINE, signs),
+            file=sys.stderr,
+        )
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
@@ -269,22 +251,17 @@ def cmd_train(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
     net_path = os.path.join(args.out_dir, "trained.net")
-    manifest = RunManifest(
-        command="train",
-        netlist_path=args.netlist,
-        netlist_sha256=digest,
-        params={
-            "config": args.config,
-            "epochs": config.epochs,
-            "learning_rate": config.learning_rate,
-            "beta": config.beta,
-            "seed": config.seed,
-            "sign_convention": config.sign_convention,
-            "examples": len(config.batch),
-        },
-        outputs=[log_path, net_path],
-    )
-    manifest.write(os.path.join(args.out_dir, "train.manifest"))
+    params = {
+        "config": args.config,
+        "epochs": config.epochs,
+        "learning_rate": config.learning_rate,
+        "beta": config.beta,
+        "seed": config.seed,
+        "sign_convention": config.sign_convention,
+        "examples": len(config.batch),
+    }
+    manifest_path = os.path.join(args.out_dir, "train.manifest")
+    _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
     try:
         final, log = train(circuit, config)
     except FraceqError as exc:

@@ -15,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit
-from .dynamics import DriveSet, Member, SimConfig, StepSystem, Trajectory, compile, simulate_batch, trajectory_loss
+from .dynamics import (
+    DriveSet, Member, SimConfig, StepSystem, Trajectory, _csv_body, compile, simulate_batch, trajectory_loss
+)
 from .errors import FraceqError, StepTooLargeError
 from .lagrangian import half_energies
 
@@ -78,11 +80,12 @@ class TrainingLog:
         return [float(np.mean(out[ep])) for ep in sorted(out)]
 
     def to_csv(self) -> str:
+        """The header, then one row per record (none if the first example failed)."""
         header = "epoch,example,J,grad_norm," + ",".join(f"g_{n}" for n in self.synapse_names)
-        lines = [header]
-        for ep, ex, loss, gn, gs in self.records:
-            lines.append(f"{ep},{ex},%.17g,%.17g," % (loss, gn) + ",".join("%.17g" % g for g in gs))
-        return "\n".join(lines) + "\n"
+        if not self.records:
+            return header + "\n"
+        epochs, examples, losses, norms, gs = zip(*self.records)
+        return header + "\n" + _csv_body([epochs, examples, losses, norms, *zip(*gs)]) + "\n"
 
 
 def _synapses(circuit: Circuit) -> tuple:
@@ -207,7 +210,8 @@ def train(circuit: Circuit, config: TrainConfig):
 
     Returns (trained circuit, TrainingLog).  The circuit is compiled once;
     updates change only its conductances.  A simulation failure mid-run
-    re-raises with epoch/example indices and the partial log attached.
+    re-raises with the epoch and example in its message and as attributes,
+    and the partial log attached.
     """
     names = tuple(circuit.elements[l].name for l in _synapses(circuit))
     system = compile(circuit)
@@ -223,6 +227,7 @@ def train(circuit: Circuit, config: TrainConfig):
                     current, drive, config.beta, config.sim, config.sign_convention, system
                 )
             except FraceqError as exc:
+                exc.args = (f"epoch {epoch}, example {example}: {exc}",)
                 exc.epoch = epoch
                 exc.example = int(example)
                 exc.partial_log = log

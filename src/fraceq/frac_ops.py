@@ -11,7 +11,7 @@ by zero-padded FFT, O(N log N) in the number of samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "rl_derivative_left",
     "rl_derivative_right",
     "rl_integral_left",
-    "half_energy_integral",
 ]
 
 
@@ -66,7 +65,6 @@ class Signal:
 
     grid: SampleGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -78,12 +76,8 @@ class Signal:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_function(cls, grid: SampleGrid, f) -> "Signal":
-        return cls(grid, np.asarray(f(grid.times()), dtype=float))
-
-    def with_values(self, values, **meta) -> "Signal":
-        return Signal(self.grid, values, dict(meta))
+    def with_values(self, values) -> "Signal":
+        return Signal(self.grid, values)
 
 
 def gl_weights(alpha: float, n: int) -> np.ndarray:
@@ -129,8 +123,6 @@ def caputo_left(x: Signal, alpha) -> Signal:
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
-    if x.grid.n < 2:
-        raise GridTooSmallError("caputo_left needs at least 2 samples")
     return x.with_values(_gl_convolve(x.values - x.values[0], x.grid.dt, alpha))
 
 
@@ -147,8 +139,6 @@ def rl_derivative_left(x: Signal, alpha) -> Signal:
     """Left Riemann-Liouville derivative via plain GL (no subtraction)."""
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
-    if x.grid.n < 2:
-        raise GridTooSmallError("rl_derivative_left needs at least 2 samples")
     return x.with_values(_gl_convolve(x.values, x.grid.dt, alpha))
 
 
@@ -157,13 +147,11 @@ def rl_derivative_right(x: Signal, alpha) -> Signal:
 
     Implemented as time reversal -> left RL derivative -> time reversal.  For
     a signal that does not vanish at b the continuous operator diverges there;
-    the final sample is reported as computed from the one-sided stencil and
-    flagged in the result metadata instead of being clamped.
+    the final sample is reported as computed from the one-sided stencil, not
+    clamped.
     """
     rev = x.with_values(x.values[::-1])
-    out = rl_derivative_left(rev, alpha).values[::-1]
-    singular = bool(abs(x.values[-1]) > 0)
-    return x.with_values(out, endpoint_singular=singular)
+    return x.with_values(rl_derivative_left(rev, alpha).values[::-1])
 
 
 def rl_integral_left(x: Signal, alpha: float) -> Signal:
@@ -191,14 +179,3 @@ def rl_integral_left(x: Signal, alpha: float) -> Signal:
     out = scale * (conv + (c - a) * v[0])
     out[0] = 0.0
     return x.with_values(out)
-
-
-def half_energy_integral(phi: Signal) -> float:
-    """Integral of the squared left Caputo half-derivative of a flux signal.
-
-    Trapezoidal quadrature of (D^{1/2} phi)^2 over the grid; non-negative for
-    real inputs.
-    """
-    d = caputo_left(phi, 0.5).values
-    sq = np.real(d) ** 2 if not np.iscomplexobj(d) else d**2
-    return float(np.real(np.trapezoid(sq, dx=phi.grid.dt)))

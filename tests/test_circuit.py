@@ -126,15 +126,6 @@ class TestRoundTrip:
             )
 
 
-    def test_sampled_waveform_not_serializable(self):
-        from fraceq.frac_ops import SampleGrid, Signal
-
-        drive = Waveform.from_samples(Signal(SampleGrid(0.0, 0.5, 3), np.array([0.0, 1.0, 2.0])))
-        ckt = parse_netlist(TWO_ELEMENT)
-        ckt = Circuit(tuple(e if e.name != "vin" else Element("V", "vin", "in", "0", waveform=drive) for e in ckt.elements))
-        with pytest.raises(ValueError, match="vin: a sampled waveform has no netlist form"):
-            serialize(ckt)
-
 class TestValidate:
     def test_valid_network_empty_report(self):
         ckt = parse_netlist(TWO_ELEMENT)
@@ -162,16 +153,12 @@ class TestConstitutive:
     def test_tanh_origin(self):
         spec = ConstitutiveSpec("tanh", (1.0, 1.0))
         y, dy = spec(0.0)
-        assert (y, dy, spec.in_range(0.0)) == (0.0, 1.0, True)
+        assert (y, dy) == (0.0, 1.0)
 
     def test_polynomial(self):
         y, dy = ConstitutiveSpec("poly", (0, 1, 0, 0.1))(2.0)
         assert y == pytest.approx(2.8)
         assert dy == pytest.approx(2.2)
-
-    def test_out_of_range_flag(self):
-        spec = ConstitutiveSpec("tanh", (1.0, 1.0), x_range=(-1.0, 1.0))
-        assert not spec.in_range(5.0)
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -227,12 +214,3 @@ class TestWaveforms:
         assert np.allclose(Waveform.const(2.0)(t), 2.0)
         assert np.allclose(Waveform.step(3.0, 0.5)(t), [0, 3, 3])
         assert np.allclose(Waveform.sine(1.0, 1.0)(t), np.sin(2 * np.pi * t), atol=1e-12)
-
-    def test_samples_requires_grid_compatibility(self):
-        from fraceq.frac_ops import SampleGrid, Signal
-
-        sig = Signal(SampleGrid(0.0, 0.5, 3), np.array([0.0, 1.0, 2.0]))
-        w = Waveform.from_samples(sig)
-        assert np.allclose(w(np.array([0.0, 0.5, 1.0])), [0, 1, 2])
-        with pytest.raises(ValueError):
-            w(np.array([0.25]))

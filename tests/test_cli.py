@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fraceq import cli, eqprop
+from fraceq import circuit, cli, dynamics, eqprop
 from fraceq.cli import main, parse_train_config
 from fraceq.circuit import parse_netlist
 from fraceq.dynamics import SimConfig
@@ -196,6 +196,29 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert "oc1=1" in err and "oc2=5" in err
 
+    @pytest.mark.parametrize(
+        "net, expected",
+        [
+            (
+                LINNET.replace("w=const(1.0)", "w=sine(1,2,0)"),
+                "gradcheck gate missed: cosine=0.736825 (needs >= 0.9 and every sign matching), "
+                "first sign mismatch at s3",
+            ),
+            (
+                LINNET + "C cx out 0 c=1.0\n",
+                "gradcheck gate missed: cosine=0.707431 (needs >= 0.9 and every sign matching)\n",
+            ),
+        ],
+        ids=["sine-drive", "1F-output-cap"],
+    )
+    def test_missed_gate_exit_3_after_writing_outputs(self, tmp_path, capsys, net, expected):
+        path = tmp_path / "tv.net"
+        path.write_text(net)
+        assert main(["gradcheck", str(path), "--out", str(tmp_path / "gc.csv")]) == 3
+        assert expected in capsys.readouterr().err
+        assert len((tmp_path / "gc.csv").read_text().splitlines()) == 4
+        assert "cosine_similarity," in (tmp_path / "gc_summary.csv").read_text()
+
 
 class TestTrain:
     def _run(self, linnet_path, tmp_path, cfg_text, out_name):
@@ -255,6 +278,51 @@ class TestTrain:
         assert "failure at epoch 0, example" in err
         assert "(free phase)" in err
         assert os.path.exists(os.path.join(out_dir, "train_log.csv"))
+
+
+FLOATING_LINNET = LINNET + "R rf a b g=1\n"
+
+
+def count_validations(monkeypatch):
+    """Count circuit.validate calls under every name a fraceq module holds it by."""
+    calls = []
+    original = circuit.validate
+
+    def counting(c):
+        calls.append(1)
+        return original(c)
+
+    for module in (circuit, cli, dynamics, eqprop):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestValidatesOnce:
+    def _argv(self, command, net_path, tmp_path):
+        if command == "simulate":
+            return ["simulate", net_path, "--out", str(tmp_path / "traj.csv")]
+        if command == "gradcheck":
+            return ["gradcheck", net_path, "--dt", "4e-3", "--out", str(tmp_path / "gc.csv")]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN_CFG)
+        return ["train", net_path, str(cfg), "--out-dir", str(tmp_path / "run")]
+
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck", "train"])
+    def test_valid_netlist(self, linnet_path, tmp_path, monkeypatch, command):
+        calls = count_validations(monkeypatch)
+        assert main(self._argv(command, linnet_path, tmp_path)) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck", "train"])
+    def test_floating_node_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        net = tmp_path / "floating.net"
+        net.write_text(FLOATING_LINNET)
+        calls = count_validations(monkeypatch)
+        assert main(self._argv(command, str(net), tmp_path)) == 2
+        assert "error: floating-subcircuit: nodes not connected to ground: a, b" in capsys.readouterr().err
+        assert len(calls) == 1
 
 
 class TestParseTrainConfig:

@@ -141,11 +141,7 @@ class TestEnergySanity:
         # charge the capacitor, then drop the source to zero: the stored
         # energy must decay monotonically (within the discrete tolerance)
         grid = SampleGrid.from_span(0.0, 2.0, 1e-3)
-        t = grid.times()
-        vals = np.where(t < 1.0, 1.0, 0.0)
-        from fraceq.circuit import Waveform
-
-        drive = DriveSet(inputs={"vin": Waveform.from_samples(Signal(grid, vals))})
+        drive = DriveSet(inputs={"vin": lambda t: np.where(t < 1.0, 1.0, 0.0)})
         traj = simulate(parse_netlist(RC_NET), drive, 0.0, SimConfig(grid))
         vc = branch_voltage(RC_NET, traj, "c1")
         energy = 0.5 * vc**2

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +19,10 @@ from fraceq.eqprop import (
     train,
 )
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, StepTooLargeError, ValidationError
-from fraceq.frac_ops import SampleGrid, Signal, half_energy_integral
+from fraceq.frac_ops import SampleGrid, Signal
 from fraceq.lagrangian import action_g_partial, half_energies
 from test_batch import random_circuits
+from test_frac_ops import half_energy_integral
 
 LINNET = """\
 V v1 in1 0 w=const(1.0)
@@ -275,6 +277,26 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             self._config(learning_rate=-0.1)
 
+    def test_failure_names_epoch_and_example(self, linnet):
+        # a linear step needs a second Newton pass to confirm its residual
+        config = self._config(sim=SimConfig(sim_cfg(dt=2e-3).grid, newton_max_iters=1), batch=(DriveSet(),) * 2)
+        first = int(np.random.default_rng(config.seed).permutation(2)[0])
+        message = f"^epoch 0, example {first}: Newton iteration diverged at t=0.002 \\(free phase\\)"
+        with pytest.raises(NewtonDivergenceError, match=message) as info:
+            train(linnet, config)
+        assert (info.value.epoch, info.value.example) == (0, first)
+        assert info.value.partial_log.to_csv() == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3\n"
+
+    def test_csv_matches_per_record_formatter(self):
+        log = TrainingLog(synapse_names=("a", "b"))
+        log.add(0, 3, -0.0, 5e-324, [1e300, 0.1])
+        log.add(12, 0, 1.0 / 3.0, 2.0, [-1e-300, 7.0])
+        # the formatter the log used before: one "%" per field
+        lines = ["epoch,example,J,grad_norm,g_a,g_b"]
+        for ep, ex, loss, gn, gs in log.records:
+            lines.append(f"{ep},{ex},%.17g,%.17g," % (loss, gn) + ",".join("%.17g" % g for g in gs))
+        assert log.to_csv() == "\n".join(lines) + "\n"
+
 
 class TestMixedPartials:
     def _second_partials(self, linnet):
@@ -313,3 +335,43 @@ class TestMixedPartials:
         # -1/pi times d/dg of the output partial
         a, b = self._second_partials(linnet)
         assert b == pytest.approx(-a / np.pi, rel=0.05)
+
+
+SINE_LINNET = LINNET.replace("V v1 in1 0 w=const(1.0)", "V v1 in1 0 w=sine(1,2,0)")
+CAP_1F_LINNET = LINNET + "C cx out 0 c=1.0\n"
+CAP_01F_LINNET = LINNET + "C cx out 0 c=0.1\n"
+
+
+@functools.lru_cache(maxsize=None)
+def agreement_at_defaults(net):
+    """Estimate-vs-oracle metrics at gradcheck's defaults: dt 1e-3, beta 1e-3, eps 1e-4."""
+    circuit = parse_netlist(net)
+    est = estimate_gradient(circuit, DriveSet(), 1e-3, sim_cfg())
+    return agreement_metrics(est, fd_gradient(circuit, DriveSet(), 1e-4, sim_cfg()))
+
+
+class TestTimeVaryingCircuits:
+    """The estimate is the oracle over pi only while branch voltages are
+    quasi-static: at a constant voltage v the half-derivative of the flux is
+    2 v sqrt(t / pi), but a time-varying v is weighted by a nonlocal kernel,
+    and the per-synapse scale then differs from 1/pi."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a sine drive or a 1 F output capacitor makes the branch voltages "
+        "time-varying; the estimate then misses criterion 8's gate",
+    )
+    @pytest.mark.parametrize("net", [SINE_LINNET, CAP_1F_LINNET], ids=["sine-drive", "1F-output-cap"])
+    def test_meets_criterion_8_gate(self, net):
+        m = agreement_at_defaults(net)
+        assert m["sign_match"] and m["cosine_similarity"] >= 0.9
+
+    @pytest.mark.parametrize(
+        "net, cosine, sign_match",
+        [(SINE_LINNET, 0.736825, False), (CAP_1F_LINNET, 0.707431, True), (CAP_01F_LINNET, 0.996416, True)],
+        ids=["sine-drive", "1F-output-cap", "0.1F-output-cap"],
+    )
+    def test_measured_cosine(self, net, cosine, sign_match):
+        m = agreement_at_defaults(net)
+        assert m["cosine_similarity"] == pytest.approx(cosine, abs=1e-6)
+        assert m["sign_match"] == sign_match

@@ -13,7 +13,6 @@ from fraceq.frac_ops import (
     caputo_left,
     caputo_right,
     gl_weights,
-    half_energy_integral,
     rl_derivative_left,
     rl_derivative_right,
     rl_integral_left,
@@ -25,7 +24,8 @@ def unit_grid(dt=1e-3):
 
 
 def sig(f, dt=1e-3):
-    return Signal.from_function(unit_grid(dt), f)
+    grid = unit_grid(dt)
+    return Signal(grid, f(grid.times()))
 
 
 class TestGlWeights:
@@ -141,13 +141,11 @@ class TestRlDerivativeRight:
         interior = slice(0, -50)
         exact = (1.0 - t[interior]) ** -0.5 / math.gamma(0.5)
         assert np.max(np.abs(y.values[interior] - exact)) < 2e-2
-        assert y.meta["endpoint_singular"]
 
     def test_integer_order_with_vanishing_endpoint(self):
         t = unit_grid().times()
         y = rl_derivative_right(sig(lambda t: 1 - t), 1.0)
         assert np.max(np.abs(y.values[:-1] - 1.0)) < 1e-9
-        assert not y.meta["endpoint_singular"]
 
     def test_right_composition_gives_negative_derivative(self):
         # discrete right-RL applied to the discrete right-Caputo half
@@ -164,31 +162,6 @@ class TestRlDerivativeRight:
             errs.append(np.max(np.abs(y.values[1:-1] - (-2 * t[1:-1]))))
         assert errs[1] < 5e-3
         assert errs[0] / errs[1] > 1.8
-
-
-class TestHalfEnergyIntegral:
-    def test_zero_trajectory(self):
-        assert half_energy_integral(sig(lambda t: 0 * t)) == 0.0
-
-    def test_ramp_closed_form(self):
-        # int_0^1 (2 sqrt(t/pi))^2 dt = 2/pi
-        e = half_energy_integral(sig(lambda t: t))
-        assert abs(e - 2 / math.pi) < 5e-3
-
-    @given(st.floats(-10, 10, allow_nan=False))
-    @settings(max_examples=25, deadline=None)
-    def test_quadratic_scaling(self, c):
-        base = sig(lambda t: np.sin(3 * t), 1e-2)
-        scaled = base.with_values(c * base.values)
-        assert half_energy_integral(scaled) == pytest.approx(
-            c**2 * half_energy_integral(base), abs=1e-12
-        )
-
-    def test_nonnegative_and_zero_only_for_constants(self):
-        e = half_energy_integral(sig(lambda t: 1e-3 * np.sin(t), 1e-2))
-        assert e > 1e-12
-        e0 = half_energy_integral(sig(lambda t: 0.5 + 0 * t, 1e-2))
-        assert abs(e0) < 1e-12
 
 
 @st.composite
@@ -238,6 +211,43 @@ class TestGridAndOrderTypes:
 
 
 # --- FFT convolution against direct summation --------------------------------
+
+
+def half_energy_integral(phi):
+    """Trapezoid of the squared left Caputo half-derivative of a flux signal.
+
+    The reference the estimator's energies (`lagrangian.half_energies`) are
+    checked against: one half-derivative per branch flux.  Non-negative for
+    real inputs.
+    """
+    d = caputo_left(phi, 0.5).values
+    sq = np.real(d) ** 2 if not np.iscomplexobj(d) else d**2
+    return float(np.real(np.trapezoid(sq, dx=phi.grid.dt)))
+
+
+class TestHalfEnergyIntegral:
+    def test_zero_trajectory(self):
+        assert half_energy_integral(sig(lambda t: 0 * t)) == 0.0
+
+    def test_ramp_closed_form(self):
+        # int_0^1 (2 sqrt(t/pi))^2 dt = 2/pi
+        e = half_energy_integral(sig(lambda t: t))
+        assert abs(e - 2 / math.pi) < 5e-3
+
+    @given(st.floats(-10, 10, allow_nan=False))
+    @settings(max_examples=25, deadline=None)
+    def test_quadratic_scaling(self, c):
+        base = sig(lambda t: np.sin(3 * t), 1e-2)
+        scaled = base.with_values(c * base.values)
+        assert half_energy_integral(scaled) == pytest.approx(
+            c**2 * half_energy_integral(base), abs=1e-12
+        )
+
+    def test_nonnegative_and_zero_only_for_constants(self):
+        e = half_energy_integral(sig(lambda t: 1e-3 * np.sin(t), 1e-2))
+        assert e > 1e-12
+        e0 = half_energy_integral(sig(lambda t: 0.5 + 0 * t, 1e-2))
+        assert abs(e0) < 1e-12
 
 
 def direct_convolve(x, w):
