@@ -1,8 +1,9 @@
 """Command-line front end: simulate, gradcheck, train, frac-bench.
 
-Every run writes a plain-text key=value manifest (atomically, before the
-data files are finalized) recording the command, input hash, and flags, so
-recorded runs can be reproduced byte-for-byte.  Exit codes: 0 success,
+A run that has written its data files then writes a plain-text key=value
+manifest (atomically) recording the command, input hash, flags and those
+files, so recorded runs can be reproduced byte-for-byte; a run that fails
+before then leaves no manifest.  Exit codes: 0 success,
 2 input or configuration error, 3 numerical or simulation failure.
 A gradcheck whose estimate misses criterion 8's gate (every sign matching
 and cosine at least GRADCHECK_MIN_COSINE) writes its CSVs and exits 3.
@@ -167,13 +168,13 @@ def cmd_simulate(args) -> int:
     if args.dump_action:
         outputs += [f"{stem}_action.csv"]
     params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
-    _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, outputs)
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(_grid(args)))
     _atomic_write(args.out, traj.to_csv())
     if args.dump_topology:
         _dump_topology(traj.topology, stem)
     if args.dump_action:
         _dump_action(circuit, traj, stem)
+    _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, outputs)
     print(f"wrote {args.out} ({traj.grid.n} samples)")
     return EXIT_OK
 
@@ -189,7 +190,6 @@ def cmd_gradcheck(args) -> int:
     stem = os.path.splitext(args.out)[0]
     summary_path = stem + "_summary.csv"
     params = {"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end}
-    _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
 
     # the estimates at beta and beta/2 share one free run
     system = compile(circuit)
@@ -226,6 +226,7 @@ def cmd_gradcheck(args) -> int:
         "dt,%.17g" % args.dt,
     ]
     _atomic_write(summary_path, "\n".join(summary) + "\n")
+    _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
         % (metrics["cosine_similarity"], metrics["sign_match"], metrics["max_rel_error"])
@@ -260,20 +261,18 @@ def cmd_train(args) -> int:
         "sign_convention": config.sign_convention,
         "examples": len(config.batch),
     }
-    manifest_path = os.path.join(args.out_dir, "train.manifest")
-    _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
     try:
         final, log = train(circuit, config)
     except FraceqError as exc:
         if hasattr(exc, "partial_log"):
+            # the exception itself names the epoch and example
             _atomic_write(log_path, exc.partial_log.to_csv())
-            print(
-                f"failure at epoch {exc.epoch}, example {exc.example}; partial log flushed",
-                file=sys.stderr,
-            )
+            print(f"partial log flushed to {log_path}", file=sys.stderr)
         raise
     _atomic_write(log_path, log.to_csv())
     _atomic_write(net_path, serialize(final))
+    manifest_path = os.path.join(args.out_dir, "train.manifest")
+    _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
     losses = log.losses_by_epoch()
     print("epochs=%d loss %.6g -> %.6g" % (config.epochs, losses[0], losses[-1]))
     return EXIT_OK

@@ -6,7 +6,9 @@ constitutive balance equation per branch.  Stepping is first-order implicit
 (backward difference) with full-history GL convolutions for the fractional
 memristors, evaluated exactly in two parts (a far part refreshed by FFT once
 per block of steps and a near part summed per step, after Hairer, Lubich and
-Schlichte 1985); Newton iteration handles nonlinear constitutive laws.
+Schlichte 1985).  A circuit whose every law is linear steps as one affine
+recurrence, checked a block of steps at a time; Newton iteration runs only
+for nonlinear constitutive laws.
 
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
@@ -35,6 +37,8 @@ NEWTON_TOL = 1e-9
 @dataclass(frozen=True)
 class SimConfig:
     grid: SampleGrid
+    # Newton passes per step on a circuit with a nonlinear law; a linear
+    # circuit solves each step in one affine update and ignores it
     newton_max_iters: int = 50
 
     def __post_init__(self):
@@ -263,11 +267,19 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     free phase.
 
     Each step solves the branch residual F = A dz + D z_prev + c_m = 0 for
-    dz = z - z_prev, per member, until the row-scaled residual has
-    max|Fs| <= NEWTON_TOL.  Nonlinear C/L/M rows subtract their law, and
-    memristor rows add the GL history sum.  A linear circuit inverts its
-    Jacobian once per member; a nonlinear one runs Newton with a
-    convergence mask per member.
+    dz = z - z_prev, per member, to a row-scaled residual max|Fs| <=
+    NEWTON_TOL.  Nonlinear C/L/M rows subtract their law, and memristor rows
+    add the GL history sum to c_m.
+
+    On a circuit whose laws are all linear, Newton does not run: each step
+    is the affine recurrence z_m = T z_(m-1) + u_m with T = I - K D and
+    u_m = -K c_m, K = J^-1 s built once per member (J the Jacobian of Fs, s
+    the row scaling).  The c_m of a block of HISTORY_BLOCK steps are built
+    together, and after the block one array pass checks every step of every
+    member.  A circuit with a nonlinear law runs Newton with a convergence
+    mask per member; newton_max_iters bounds its passes.  Either way a
+    failed step raises NewtonDivergenceError at the earliest failing time,
+    naming the first failing member there.
     """
     if not members:
         raise ValueError("a batch needs at least one member")
@@ -330,100 +342,111 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     # driven source coordinates: backward-rectangle integral of the waveform,
     # consistent with the backward-difference velocity.  This part of c_m is
     # the same for every member; the output-capacitor part beta C T is added
-    # per step.
+    # per member and the memristor history per step.
     S = np.concatenate([rows["V"], rows["I"]])
-    src = np.zeros((n, nb, 1))
-    src[1:, S, 0] = -(dt * np.cumsum(drives[S, 1:], axis=1)).T
-    oc_target = drives[OC].T
+    src = np.zeros((nb, n))
+    src[S, 1:] = -dt * np.cumsum(drives[S, 1:], axis=1)
 
     # GL half-derivative history of the memristor branch fluxes and charges
     M = rows["M"]
-    if len(M):
+    has_mem = len(M) > 0
+    if has_mem:
         w_rev = gl_weights(0.5, n - 1)[::-1]  # w_rev[n - 1 - j] = w_j
         P_mem = np.concatenate([P_phi[M], P_q[M]])
         mem = np.zeros((k, 2 * len(M), n))
-        far = np.zeros((k, 2 * len(M), HISTORY_BLOCK))
         kernels = {}  # FFT length -> spectrum of w_0..w_(length-1)
-        m0 = 0
-    # nonlinear rows: x = (phi + x_off) / x_div is the law's argument
     NL = system.nonlinear
-    nl_kind = np.array([elements[b].kind for b in NL], dtype=str)
-    nl_C = nl_kind == "C"
-    nl_M = nl_kind == "M"
-    nl_mem = np.searchsorted(M, NL[nl_M])  # their places among the memristors
-    x_div = np.where(nl_C, dt, np.where(nl_M, sqrt_dt, 1.0))
-    P_nl = P_phi[NL]
-    nl_scale = row_scale[NL, 0]
-    # one law call per group and Newton pass (compile sorted NL by group)
-    nl_groups = []
-    start = 0
-    for (family, _), group in itertools.groupby(NL, lambda b: _law_group(system.laws[b])):
-        params = np.array([system.laws[b].params for b in group], dtype=float).T
-        nl_groups.append((slice(start, start + params.shape[1]), LAW_FAMILIES[family], params))
-        start += params.shape[1]
-    y = np.empty((k, len(NL)))
-    dy = np.empty((k, len(NL)))
-    J = J_lin.copy()  # only the nonlinear rows change between Newton passes
+    linear = not len(NL)
+    if linear:
+        # z_m = z_(m-1) - K (D z_(m-1) + c_m), one exact Newton pass.  Summing
+        # D z_(m-1) + c_m first keeps the cancellation of the integrated
+        # source terms exact; forming T z and K c apart loses it (linnet's
+        # outputs drifted by 1.7e-12 relative over 10^4 steps)
+        K = np.linalg.inv(J_lin) * row_scale[:, 0]
+    else:
+        # nonlinear rows: x = (phi + x_off) / x_div is the law's argument
+        nl_kind = np.array([elements[b].kind for b in NL], dtype=str)
+        nl_C = nl_kind == "C"
+        nl_M = nl_kind == "M"
+        nl_mem = np.searchsorted(M, NL[nl_M])  # their places among the memristors
+        x_div = np.where(nl_C, dt, np.where(nl_M, sqrt_dt, 1.0))
+        P_nl = P_phi[NL]
+        nl_scale = row_scale[NL, 0]
+        # one law call per group and Newton pass (compile sorted NL by group)
+        nl_groups = []
+        start = 0
+        for (family, _), group in itertools.groupby(NL, lambda b: _law_group(system.laws[b])):
+            params = np.array([system.laws[b].params for b in group], dtype=float).T
+            nl_groups.append((slice(start, start + params.shape[1]), LAW_FAMILIES[family], params))
+            start += params.shape[1]
+        y = np.empty((k, len(NL)))
+        dy = np.empty((k, len(NL)))
+        J = J_lin.copy()  # only the nonlinear rows change between Newton passes
+        no_change = np.zeros((k, nc, 1))
 
-    has_mem, has_nl = len(M) > 0, len(NL) > 0
     z = np.zeros((k, nc, 1))
-    no_change = np.zeros((k, nc, 1))
     Z = np.zeros((k, nc, n))
-    A_inv = None
-    for m in range(1, n):
-        z_prev = z
-        r = D @ z_prev + src[m]
-        r[:, OC, 0] += weight * oc_target[m]
-        if has_nl:
-            x_off = (P_nl @ z_prev)[:, :, 0]
-            x_off[:, nl_C] = 0.0
+    block = HISTORY_BLOCK
+    for m0 in range(0, n, block):
+        lo, hi = max(m0, 1), min(m0 + block, n)
+        # c_m of each step in [lo, hi); memristor rows get their history per step
+        c = np.repeat(src[None, :, lo:hi], k, axis=0)
+        c[:, OC] += weight[:, :, None] * drives[OC, lo:hi]
         if has_mem:
             # sum_{j<m} w_(m-j) x_j = far part (j < m0) + near part (m0 <= j < m)
-            if m % HISTORY_BLOCK == 0:
-                m0 = m
-                far = _far_history(mem[:, :, :m0], HISTORY_BLOCK, kernels)
-            hist = far[:, :, m - m0] + mem[:, :, m0:m] @ w_rev[n - 1 - m + m0 : n - 1]
-            h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
-            r[:, M, 0] += dq[:, M] * h_q + dphi[:, M] * h_phi
-            if has_nl:
-                x_off[:, nl_M] += h_phi[:, nl_mem]
-
-        dz = no_change
-        for it in range(cfg.newton_max_iters):
-            F = A @ dz + r if it else r
-            Fs = row_scale * F
-            if has_nl:
-                x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div
-                for cols, law, params in nl_groups:
-                    y[:, cols], dy[:, cols] = law(x[:, cols], params)
-                Fs[:, NL, 0] = nl_scale * (F[:, NL, 0] - y)
-            res = np.abs(Fs).max(axis=(1, 2))
-            active = ~(res <= NEWTON_TOL)  # a NaN residual has not converged
-            if not active.any():
-                break
-            # converged members stay put
-            if has_nl:
-                J[:, NL] = J_lin[:, NL] - (nl_scale * (dy / x_div))[:, :, None] * P_nl
-                if active.all():
-                    step = np.linalg.solve(J, Fs)
-                else:
-                    step = np.zeros_like(Fs)
-                    step[active] = np.linalg.solve(J[active], Fs[active])
+            far = _far_history(mem[:, :, :m0], block, kernels) if m0 else np.zeros((k, 2 * len(M), block))
+        c_step = np.moveaxis(c, 2, 0)[..., None]  # c_step[m - lo] is c_m, a view of c
+        for m in range(lo, hi):
+            j = m - lo
+            if has_mem:
+                hist = far[:, :, m - m0] + mem[:, :, m0:m] @ w_rev[n - 1 - m + m0 : n - 1]
+                h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
+                c[:, M, j] = dq[:, M] * h_q + dphi[:, M] * h_phi
+            if linear:
+                z = z - K @ (D @ z + c_step[j])
             else:
-                if A_inv is None:
-                    A_inv = np.linalg.inv(J_lin)
-                step = A_inv @ Fs
-                if not active.all():
-                    step[~active] = 0.0
-            dz = dz - step
-        else:
-            i = int(np.argmax(active))
-            raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
-
-        z = z_prev + dz
-        Z[:, :, m] = z[:, :, 0]
-        if has_mem:
-            mem[:, :, m] = (P_mem @ z)[:, :, 0]
+                z_prev = z
+                r = D @ z_prev + c_step[j]
+                x_off = (P_nl @ z_prev)[:, :, 0]
+                x_off[:, nl_C] = 0.0
+                if has_mem:
+                    x_off[:, nl_M] += h_phi[:, nl_mem]
+                dz = no_change
+                for it in range(cfg.newton_max_iters):
+                    F = A @ dz + r if it else r
+                    Fs = row_scale * F
+                    x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div
+                    for cols, law, params in nl_groups:
+                        y[:, cols], dy[:, cols] = law(x[:, cols], params)
+                    Fs[:, NL, 0] = nl_scale * (F[:, NL, 0] - y)
+                    res = np.abs(Fs).max(axis=(1, 2))
+                    active = ~(res <= NEWTON_TOL)  # a NaN residual has not converged
+                    if not active.any():
+                        break
+                    # converged members stay put
+                    J[:, NL] = J_lin[:, NL] - (nl_scale * (dy / x_div))[:, :, None] * P_nl
+                    if active.all():
+                        step = np.linalg.solve(J, Fs)
+                    else:
+                        step = np.zeros_like(Fs)
+                        step[active] = np.linalg.solve(J[active], Fs[active])
+                    dz = dz - step
+                else:
+                    i = int(np.argmax(active))
+                    raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
+                z = z_prev + dz
+            Z[:, :, m] = z[:, :, 0]
+            if has_mem:
+                mem[:, :, m] = (P_mem @ z)[:, :, 0]
+        if linear:
+            # the residual of every step of every member in the block
+            Zb = Z[:, :, lo - 1 : hi]
+            res = np.abs(row_scale * (A @ np.diff(Zb) + D @ Zb[:, :, :-1] + c)).max(axis=1)
+            failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
+            if failed.any():
+                j = int(np.argmax(failed.any(axis=0)))
+                i = int(np.argmax(failed[:, j]))
+                raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label)
 
     output_names = tuple(elements[b].name for b in OC)
     outputs = _backward_diff(P_phi[OC] @ Z, dt)

@@ -1,8 +1,9 @@
 """Batched stepping against the frozen scalar step loop, and compile-once.
 
 `scalar_reference.simulate` is the one-trajectory Newton loop the package
-used before the batched kernel.  Every comparison requires agreement to
-1e-12 relative to the largest value of each compared array.
+used before the batched kernel; `linear_reference.simulate` solves each step
+of a linear circuit exactly, with one dense solve.  Every comparison requires
+agreement to 1e-12 relative to the largest value of each compared array.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import linear_reference
 import scalar_reference
 from fraceq import dynamics
 from fraceq.circuit import Circuit, ConstitutiveSpec, Element, Waveform, parse_netlist
@@ -67,13 +69,31 @@ def test_batch_of_one_matches_scalar_reference(net, t_end, beta):
     )
 
 
-def test_linear_circuit_bits_unchanged():
-    # on linear circuits without memristors the batched kernel performs the
-    # reference's arithmetic, so the trajectories are bit-identical
+def test_linear_circuit_matches_scalar_reference_at_fine_dt():
+    # the affine recurrence rounds differently from the reference's Newton
+    # loop, so its drift over 10^4 steps must stay within RTOL
     circuit = parse_netlist(LINNET)
-    ref = scalar_reference.simulate(circuit, DriveSet(), 1e-3, cfg(dt=1e-4))
-    got = simulate(circuit, DriveSet(), 1e-3, cfg(dt=1e-4))
-    assert ref.to_csv() == got.to_csv()
+    assert_close(
+        scalar_reference.simulate(circuit, DriveSet(), 1e-3, cfg(dt=1e-4)),
+        simulate(circuit, DriveSet(), 1e-3, cfg(dt=1e-4)),
+    )
+
+
+@pytest.mark.parametrize("net, t_end", [(LINNET, 1.0), (RC, 2.0), (LC, 2.0), (LINEAR_M, 1.0)])
+def test_exact_linear_reference_matches_scalar_reference(net, t_end):
+    circuit = parse_netlist(net)
+    assert_close(
+        scalar_reference.simulate(circuit, DriveSet(), 1e-3, cfg(t_end=t_end)),
+        linear_reference.simulate(circuit, DriveSet(), 1e-3, cfg(t_end=t_end)),
+    )
+
+
+def test_linear_circuit_ignores_newton_max_iters():
+    circuit = parse_netlist(LINEAR_M)
+    one = simulate(circuit, DriveSet(), 1e-3, cfg(newton_max_iters=1))
+    default = simulate(circuit, DriveSet(), 1e-3, cfg())
+    for field in ("tree_flux", "loop_charge", "outputs"):
+        assert np.array_equal(getattr(one, field), getattr(default, field)), field
 
 
 @pytest.mark.parametrize("net", [LINNET, LINEAR_M, LATE_NONLINEAR])
@@ -91,9 +111,9 @@ def test_batch_of_k_matches_k_batches_of_one(net):
 
 def test_converged_member_stays_put():
     # the free member's residual stays below the tolerance at every step, so
-    # it never moves, while the nudged member is pulled by its target
+    # Newton never moves it, while the nudged member is pulled by its target
     circuit = parse_netlist(
-        "V vin in 0 w=const(1e-12)\nR r1 in out g=1\nR r2 out 0 g=1\nOC oc1 out 0 cap=1 w=const(1.0)\n"
+        "V vin in 0 w=const(1e-12)\nR r1 in out g=1\nM m2 out 0 f=tanh(1,1)\nOC oc1 out 0 cap=1 w=const(1.0)\n"
     )
     system = compile(circuit)
     g = system.conductances(circuit)
@@ -167,19 +187,31 @@ def random_circuits(draw, memristors=0):
     return Circuit(tuple(elements))
 
 
+def reference_for(circuit):
+    """The exact reference for a linear circuit, the scalar loop otherwise.
+
+    On a linear circuit the scalar loop accepts dz = 0 while the residual is
+    below the tolerance, so a drive smaller than that (say 1e-132) leaves it
+    at exactly 0, where the batched kernel returns the exact response.
+    """
+    laws = [e.constitutive() for e in circuit.elements if e.kind in ("C", "L", "M")]
+    linear = all(law.family == "linear" for law in laws)
+    return linear_reference.simulate if linear else scalar_reference.simulate
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(circuit=random_circuits())
 def test_generated_circuits_match_scalar_reference(circuit):
-    assert_free_nudged_match(circuit, cfg(dt=1e-2, t_end=0.5))
+    assert_free_nudged_match(circuit, cfg(dt=1e-2, t_end=0.5), reference_for(circuit))
 
 
-def assert_free_nudged_match(circuit, config):
-    """A free and a nudged member as one batch, each against its scalar run."""
+def assert_free_nudged_match(circuit, config, reference=scalar_reference.simulate):
+    """A free and a nudged member as one batch, each against its reference run."""
     betas = (0.0, 1e-2)
     outcomes = []
     for beta in betas:
         try:
-            outcomes.append(scalar_reference.simulate(circuit, DriveSet(), beta, config))
+            outcomes.append(reference(circuit, DriveSet(), beta, config))
         except DegenerateTopologyError:
             assume(False)
         except NewtonDivergenceError as exc:
@@ -211,7 +243,7 @@ def long_cfg(dt):
 @settings(max_examples=10, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(circuit=random_circuits(memristors=1))
 def test_long_memristive_circuits_match_scalar_reference(circuit):
-    assert_free_nudged_match(circuit, long_cfg(dt=1e-2))
+    assert_free_nudged_match(circuit, long_cfg(dt=1e-2), reference_for(circuit))
 
 
 @pytest.mark.parametrize("net", [TANH_M, LINEAR_M], ids=["tanh", "linear"])
@@ -306,6 +338,21 @@ def test_nan_member_diverges_by_name(net, nan_first):
             simulate_batch(system, DriveSet(), cfg(t_end=0.1), batch)
     assert exc.value.phase == "bad"
     assert np.isnan(exc.value.residual)
+
+
+@pytest.mark.parametrize("net", [LINNET, LINEAR_M], ids=["linear", "linear-M"])
+@pytest.mark.parametrize("element", ["v1", "oc1"])
+def test_infinite_drive_diverges_where_it_turns_infinite(net, element):
+    # at dt = 1e-4, t = 0.25 is step 2500, in the fifth block of steps
+    circuit = parse_netlist(net)
+    system = compile(circuit)
+    g = system.conductances(circuit)
+    step = Waveform.step(np.inf, 0.25)
+    drive = DriveSet(targets={element: step}) if element == "oc1" else DriveSet(inputs={element: step})
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NewtonDivergenceError, match=r"at t=0\.25 \(free phase\)") as exc:
+            simulate_batch(system, drive, cfg(dt=1e-4), [Member("free", 0.0, g), Member("nudged", 1e-3, g)])
+    assert exc.value.t == 0.25 and exc.value.phase == "free"
 
 
 def test_nan_single_run_diverges():

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ R s2 in2 out g=0.25 trainable
 R s3 out 0 g=0.5 trainable
 OC oc1 out 0 cap=1.0 w=const(0.4)
 """
+TANH_M = LINNET.replace("R s3 out 0 g=0.5 trainable", "M s3 out 0 f=tanh(0.5,1.0)")
 
 TRAIN_CFG = """\
 epochs=3
@@ -85,6 +87,7 @@ class TestSimulate:
             code = main(["simulate", str(p), "--dt", "1e-2", "--out", str(tmp_path / "traj.csv")])
         assert code == 3
         assert "Newton iteration diverged at t=0.01, residual=nan" in capsys.readouterr().err
+        assert not (tmp_path / "traj.manifest").exists()
 
     @pytest.mark.parametrize(
         "net, token",
@@ -183,11 +186,12 @@ class TestGradcheck:
 
     def test_newton_divergence_exit_3_names_phase(self, tmp_path, capsys, monkeypatch):
         net = tmp_path / "tanh.net"
-        net.write_text(LINNET.replace("R s3 out 0 g=0.5 trainable", "M s3 out 0 f=tanh(0.5,1.0)"))
+        net.write_text(TANH_M)
         monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))
         code = main(["gradcheck", str(net), "--dt", "2e-3", "--out", str(tmp_path / "gc.csv")])
         assert code == 3
         assert "Newton iteration diverged at t=0.002 (free phase)" in capsys.readouterr().err
+        assert not (tmp_path / "gc.manifest").exists()
 
     def test_unequal_output_caps_exit_2(self, tmp_path, capsys):
         net = tmp_path / "two.net"
@@ -218,6 +222,7 @@ class TestGradcheck:
         assert expected in capsys.readouterr().err
         assert len((tmp_path / "gc.csv").read_text().splitlines()) == 4
         assert "cosine_similarity," in (tmp_path / "gc_summary.csv").read_text()
+        assert "outputs=" in (tmp_path / "gc.manifest").read_text()
 
 
 class TestTrain:
@@ -270,14 +275,21 @@ class TestTrain:
         assert code == 2
         assert "config line 8, col 9: v1: non-finite argument in 'const(inf)'" in capsys.readouterr().err
 
-    def test_newton_divergence_exit_3_names_phase_and_example(self, linnet_path, tmp_path, capsys, monkeypatch):
+    def test_newton_divergence_exit_3_names_phase_and_example(self, tmp_path, capsys, monkeypatch):
+        # a linear circuit ignores newton_max_iters; one pass cannot solve a tanh law
+        net = tmp_path / "tanh.net"
+        net.write_text(TANH_M)
         monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))
-        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runN")
+        code, out_dir = self._run(str(net), tmp_path, TRAIN_CFG, "runN")
         assert code == 3
         err = capsys.readouterr().err
-        assert "failure at epoch 0, example" in err
+        assert "failure: epoch 0, example" in err
         assert "(free phase)" in err
         assert os.path.exists(os.path.join(out_dir, "train_log.csv"))
+        # stderr names the epoch and the example once each, and where the log went
+        assert len(re.findall(r"epoch \d", err)) == 1 and len(re.findall(r"example \d", err)) == 1
+        assert f"partial log flushed to {os.path.join(out_dir, 'train_log.csv')}" in err
+        assert not os.path.exists(os.path.join(out_dir, "train.manifest"))
 
 
 FLOATING_LINNET = LINNET + "R rf a b g=1\n"
@@ -323,6 +335,7 @@ class TestValidatesOnce:
         assert main(self._argv(command, str(net), tmp_path)) == 2
         assert "error: floating-subcircuit: nodes not connected to ground: a, b" in capsys.readouterr().err
         assert len(calls) == 1
+        assert not list(tmp_path.rglob("*.manifest"))
 
 
 class TestParseTrainConfig:

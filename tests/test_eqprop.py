@@ -277,13 +277,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             self._config(learning_rate=-0.1)
 
-    def test_failure_names_epoch_and_example(self, linnet):
-        # a linear step needs a second Newton pass to confirm its residual
+    def test_failure_names_epoch_and_example(self):
+        # one Newton pass cannot solve a step of a tanh law
+        tanh_m = parse_netlist(LINNET + "M m1 out 0 f=tanh(0.5,1.0)\n")
         config = self._config(sim=SimConfig(sim_cfg(dt=2e-3).grid, newton_max_iters=1), batch=(DriveSet(),) * 2)
         first = int(np.random.default_rng(config.seed).permutation(2)[0])
         message = f"^epoch 0, example {first}: Newton iteration diverged at t=0.002 \\(free phase\\)"
         with pytest.raises(NewtonDivergenceError, match=message) as info:
-            train(linnet, config)
+            train(tanh_m, config)
         assert (info.value.epoch, info.value.example) == (0, first)
         assert info.value.partial_log.to_csv() == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3\n"
 
