@@ -1,9 +1,15 @@
 """Command-line front end: simulate, gradcheck, train, frac-bench.
 
-A run that has written its data files then writes a plain-text key=value
-manifest (atomically) recording the command, input hash, flags and those
-files, so recorded runs can be reproduced byte-for-byte; a run that fails
-before then leaves no manifest.  Exit codes: 0 success,
+Every file a command writes goes through one writer, `_atomic_write`: it
+streams the file's text to `<path>.tmp` a chunk at a time (a trajectory or
+training-log CSV in chunks of `dynamics.CSV_CHUNK_ROWS` rows), so no run
+holds the whole text of an output, and renames it to `<path>` once all of
+it is written.  If producing the text fails, the tmp file is removed and
+`<path>` keeps what it had.  A run that has written its data files then
+writes a plain-text key=value manifest the same way, recording the command,
+input hash, flags and those files, so recorded runs can be reproduced
+byte-for-byte; a run that fails before then leaves no manifest.  Exit
+codes: 0 success,
 2 input or configuration error, 3 numerical or simulation failure.
 A gradcheck whose estimate misses criterion 8's gate (every sign matching
 and cosine at least GRADCHECK_MIN_COSINE) writes its CSVs and exits 3.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -45,11 +52,27 @@ EXIT_NUMERIC = 3
 GRADCHECK_MIN_COSINE = 0.9
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of strings to path.tmp one at a time, then rename it to path.
+
+    Only the chunk being written is held.  If the iterable raises, path.tmp
+    is removed, path keeps what it had (or stays absent), and the error
+    propagates.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _lines(lines):
+    """Each line with its newline, for _atomic_write."""
+    return (line + "\n" for line in lines)
 
 
 def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
@@ -57,7 +80,7 @@ def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
     lines = [f"command={command}", f"version={__version__}", f"netlist={netlist}", f"netlist_sha256={digest}"]
     lines += [f"{k}={v}" for k, v in sorted(params.items())]
     lines.append("outputs=" + ",".join(outputs))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _lines(lines))
 
 
 def _read_netlist(path: str):
@@ -138,7 +161,7 @@ def _dump_topology(topology, stem):
     for label, M in (("Q", topology.Q), ("B", topology.B)):
         lines = [",".join(topology.names)]
         lines += [",".join(str(v) for v in row) for row in M]
-        _atomic_write(f"{stem}_{label}.csv", "\n".join(lines) + "\n")
+        _atomic_write(f"{stem}_{label}.csv", _lines(lines))
 
 
 def _dump_action(circuit, traj, stem):
@@ -155,7 +178,7 @@ def _dump_action(circuit, traj, stem):
         norm = float(np.max(np.abs(interior))) if len(interior) else 0.0
         lines.append(f"el_residual_max_{name},%.17g,0" % norm)
     path = f"{stem}_action.csv"
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _lines(lines))
     return [path]
 
 
@@ -169,7 +192,7 @@ def cmd_simulate(args) -> int:
         outputs += [f"{stem}_action.csv"]
     params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(_grid(args)))
-    _atomic_write(args.out, traj.to_csv())
+    _atomic_write(args.out, traj.csv_chunks())
     if args.dump_topology:
         _dump_topology(traj.topology, stem)
     if args.dump_action:
@@ -213,7 +236,7 @@ def cmd_gradcheck(args) -> int:
         if not match:
             mismatched.append(name)
         lines.append(f"{name},%.17g,%.17g,%.17g,{match},%.17g,%.17g" % (value, ref, ratio, e_n, e_f))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, _lines(lines))
 
     summary = [
         "metric,value",
@@ -225,7 +248,7 @@ def cmd_gradcheck(args) -> int:
         "beta,%.17g" % args.beta,
         "dt,%.17g" % args.dt,
     ]
-    _atomic_write(summary_path, "\n".join(summary) + "\n")
+    _atomic_write(summary_path, _lines(summary))
     _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
@@ -266,11 +289,11 @@ def cmd_train(args) -> int:
     except FraceqError as exc:
         if hasattr(exc, "partial_log"):
             # the exception itself names the epoch and example
-            _atomic_write(log_path, exc.partial_log.to_csv())
+            _atomic_write(log_path, exc.partial_log.csv_chunks())
             print(f"partial log flushed to {log_path}", file=sys.stderr)
         raise
-    _atomic_write(log_path, log.to_csv())
-    _atomic_write(net_path, serialize(final))
+    _atomic_write(log_path, log.csv_chunks())
+    _atomic_write(net_path, [serialize(final)])
     manifest_path = os.path.join(args.out_dir, "train.manifest")
     _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
     losses = log.losses_by_epoch()
@@ -358,7 +381,7 @@ def cmd_fracbench(args) -> int:
         raise ValueError("frac-bench needs a signal CSV (or --self-test)")
     sig = _read_signal_csv(args.signal)
     result = _OPS[args.op](sig, args.alpha)
-    _atomic_write(args.out, "t,value\n" + _csv_body([sig.grid.times(), np.real(result.values)]) + "\n")
+    _atomic_write(args.out, itertools.chain(["t,value\n"], _csv_body([sig.grid.times(), np.real(result.values)])))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -117,9 +117,13 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Deterministic trajectory export, one row per grid sample."""
+        return "".join(self.csv_chunks())
+
+    def csv_chunks(self):
+        """The text of `to_csv`: the header line, then chunks of rows."""
         cols = self._csv_columns()
-        header = ",".join(name for name, _ in cols)
-        return header + "\n" + _csv_body([values for _, values in cols]) + "\n"
+        yield ",".join(name for name, _ in cols) + "\n"
+        yield from _csv_body([values for _, values in cols])
 
     def _csv_columns(self) -> list:
         """(header name, values) per CSV column, in column order."""
@@ -140,18 +144,16 @@ class Trajectory:
 CSV_CHUNK_ROWS = 2048
 
 
-def _csv_body(columns) -> str:
-    """Rows of "%.17g" cells, one % operation per row.
+def _csv_body(columns):
+    """Rows of "%.17g" cells, each ending in a newline, CSV_CHUNK_ROWS rows per string.
 
-    The table goes to Python floats a chunk of rows at a time, which keeps
-    the float objects of the whole table from being alive at once.
+    Each chunk stacks only its own slice of the columns and goes to Python
+    floats alone, so neither the whole table nor its text exists at once.
     """
-    table = np.stack(columns, axis=1)
-    fmt = ",".join(["%.17g"] * len(columns))
-    return "\n".join(
-        "\n".join([fmt % tuple(row) for row in table[lo : lo + CSV_CHUNK_ROWS].tolist()])
-        for lo in range(0, len(table), CSV_CHUNK_ROWS)
-    )
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        table = np.stack([col[lo : lo + CSV_CHUNK_ROWS] for col in columns], axis=1)
+        yield "".join([fmt % tuple(row) for row in table.tolist()])
 
 
 def _backward_diff(x: np.ndarray, dt: float) -> np.ndarray:
@@ -277,9 +279,10 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     the row scaling).  The c_m of a block of HISTORY_BLOCK steps are built
     together, and after the block one array pass checks every step of every
     member.  A circuit with a nonlinear law runs Newton with a convergence
-    mask per member; newton_max_iters bounds its passes.  Either way a
-    failed step raises NewtonDivergenceError at the earliest failing time,
-    naming the first failing member there.
+    mask per member; newton_max_iters bounds its passes, and a singular
+    Jacobian fails the step.  Either way a failed step raises
+    NewtonDivergenceError at the earliest failing time, naming the first
+    failing member there.
     """
     if not members:
         raise ValueError("a batch needs at least one member")
@@ -425,11 +428,17 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                         break
                     # converged members stay put
                     J[:, NL] = J_lin[:, NL] - (nl_scale * (dy / x_div))[:, :, None] * P_nl
-                    if active.all():
-                        step = np.linalg.solve(J, Fs)
-                    else:
-                        step = np.zeros_like(Fs)
-                        step[active] = np.linalg.solve(J[active], Fs[active])
+                    try:
+                        if active.all():
+                            step = np.linalg.solve(J, Fs)
+                        else:
+                            step = np.zeros_like(Fs)
+                            step[active] = np.linalg.solve(J[active], Fs[active])
+                    except np.linalg.LinAlgError as exc:
+                        # a singular Jacobian ends Newton as divergence does,
+                        # naming the first active member whose Jacobian it is
+                        i = next(i for i in np.flatnonzero(active) if _singular(J[i]))
+                        raise NewtonDivergenceError(times[m], float(res[i]), members[i].label) from exc
                     dz = dz - step
                 else:
                     i = int(np.argmax(active))
@@ -466,6 +475,15 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         )
         for i, mb in enumerate(members)
     ]
+
+
+def _singular(J: np.ndarray) -> bool:
+    """Whether np.linalg.solve rejects J as singular."""
+    try:
+        np.linalg.solve(J, np.zeros(len(J)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> Trajectory:

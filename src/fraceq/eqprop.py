@@ -81,11 +81,14 @@ class TrainingLog:
 
     def to_csv(self) -> str:
         """The header, then one row per record (none if the first example failed)."""
-        header = "epoch,example,J,grad_norm," + ",".join(f"g_{n}" for n in self.synapse_names)
-        if not self.records:
-            return header + "\n"
-        epochs, examples, losses, norms, gs = zip(*self.records)
-        return header + "\n" + _csv_body([epochs, examples, losses, norms, *zip(*gs)]) + "\n"
+        return "".join(self.csv_chunks())
+
+    def csv_chunks(self):
+        """The text of `to_csv`: the header line, then chunks of rows."""
+        yield "epoch,example,J,grad_norm," + ",".join(f"g_{n}" for n in self.synapse_names) + "\n"
+        if self.records:
+            epochs, examples, losses, norms, gs = zip(*self.records)
+            yield from _csv_body([epochs, examples, losses, norms, *zip(*gs)])
 
 
 def _synapses(circuit: Circuit) -> tuple:

@@ -199,31 +199,37 @@ def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
     Coordinates on driven voltage-source branches are constrained, not
     variational, and are omitted.
     """
+    _check_circuit(circuit, traj)
     grid = traj.grid
     dt = grid.dt
     elements = circuit.elements
     beta = traj.beta
-    x = branch_quantities(circuit, traj)
+    topology = traj.topology
+    # the branch quantities this residual reads, mapped as branch_quantities
+    # maps them; it never reads v or i, so those are not built
+    phi = topology.flux_map @ traj.tree_flux
+    psi = topology.flux_map @ traj.tree_half_velocity
+    q = topology.charge_map @ traj.loop_charge
+    targets = dict(zip(traj.output_names, traj.targets))
 
     contrib = np.zeros((len(elements), grid.n), dtype=complex)
     for b, e in enumerate(elements):
         if e.kind == "L":
-            contrib[b] = -e.constitutive()(x.phi[b])[0]
+            contrib[b] = -e.constitutive()(phi[b])[0]
         elif e.kind == "C":
-            v = _central_diff(x.phi[b], dt)
+            v = _central_diff(phi[b], dt)
             contrib[b] = -_central_diff(e.constitutive()(v)[0], dt)
         elif e.kind == "R":
-            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.g * x.psi[b]), 0.5).values
+            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.g * psi[b]), 0.5).values
         elif e.kind == "M":
-            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.constitutive()(x.psi[b])[0]), 0.5).values
+            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.constitutive()(psi[b])[0]), 0.5).values
         elif e.kind == "OC":
-            v = _central_diff(x.phi[b], dt)
-            contrib[b] = 2 * beta * e.cap_scale * _central_diff(v - x.target[b], dt)
+            v = _central_diff(phi[b], dt)
+            contrib[b] = 2 * beta * e.cap_scale * _central_diff(v - targets[e.name], dt)
         elif e.kind == "I":
-            contrib[b] = -_central_diff(x.q[b], dt)
+            contrib[b] = -_central_diff(q[b], dt)
         # V: driven constraint, no variational contribution
 
-    topology = traj.topology
     res = topology.flux_map.T @ contrib
     out = {}
     for c, (branch, name) in enumerate(zip(topology.tree, topology.flux_coord_names)):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csv_compare import assert_same_csv
 from fraceq.circuit import Circuit, Element, parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, simulate, trajectory_loss
 from fraceq.eqprop import (
@@ -218,5 +219,7 @@ def test_criterion_10_determinism(report):
     ckt = parse_netlist(LINNET)
     cfg_text = (NETLISTS / "train.cfg").read_text().replace("epochs=50", "epochs=3")
     logs = [train(ckt, parse_train_config(cfg_text, ckt))[1].to_csv() for _ in range(2)]
-    ok = trajs[0] == trajs[1] and logs[0] == logs[1]
-    report(10, ok, "trajectory and training CSVs byte-identical across reruns", 120.0)
+    # each fails naming the first line that differs
+    assert_same_csv(trajs[0], trajs[1])
+    assert_same_csv(logs[0], logs[1])
+    report(10, True, "trajectory and training CSVs byte-identical across reruns", 120.0)

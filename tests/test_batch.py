@@ -306,6 +306,20 @@ def test_divergence_names_the_member():
     assert exc.value.phase == "fd s1+"
 
 
+def test_singular_jacobian_names_its_member():
+    # the cubic law's zero slope at the origin leaves the free member's
+    # Jacobian singular once the step turns on; the nudged member's output
+    # capacitor keeps its Jacobian regular
+    net = "I i1 0 n1 w=step(1,0.5)\nM m1 n1 0 f=poly(0,0,0,1)\nOC oc1 n1 0 cap=1.0 w=const(0.1)\n"
+    system = compile(parse_netlist(net))
+    g = system.conductances(system.circuit)
+    members = [Member("nudged", 1.0, g), Member("free", 0.0, g)]
+    with pytest.raises(NewtonDivergenceError, match=r"at t=0\.5 \(free phase\)") as exc:
+        simulate_batch(system, DriveSet(), cfg(), members)
+    assert exc.value.phase == "free"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_single_simulation_has_no_phase():
     with pytest.raises(NewtonDivergenceError) as exc:
         simulate(parse_netlist(TANH_M), DriveSet(), 0.0, cfg(newton_max_iters=1))

@@ -23,6 +23,11 @@ OC oc1 out 0 cap=1.0 w=const(0.4)
 """
 TANH_M = LINNET.replace("R s3 out 0 g=0.5 trainable", "M s3 out 0 f=tanh(0.5,1.0)")
 
+# a cubic memristor law has zero slope at the origin, and at beta = 0 the
+# output capacitor adds none: once the current step turns on at t = 0.5, the
+# Newton step's Jacobian is singular
+SINGULAR = "I i1 0 n1 w=step(1,0.5)\nM m1 n1 0 f=poly(0,0,0,1)\nOC oc1 n1 0 cap=1.0 w=const(0.1)\n"
+
 TRAIN_CFG = """\
 epochs=3
 learning_rate=0.05
@@ -88,6 +93,27 @@ class TestSimulate:
         assert code == 3
         assert "Newton iteration diverged at t=0.01, residual=nan" in capsys.readouterr().err
         assert not (tmp_path / "traj.manifest").exists()
+
+    def test_singular_jacobian_exit_3_with_time(self, tmp_path, capsys):
+        p = tmp_path / "singular.net"
+        p.write_text(SINGULAR)
+        code = main(["simulate", str(p), "--out", str(tmp_path / "traj.csv")])
+        assert code == 3
+        assert "Newton iteration diverged at t=0.5," in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["singular.net"]
+
+    def test_failed_csv_write_leaves_no_output(self, rc_net, tmp_path, capsys, monkeypatch):
+        # the disk fills after the first chunk of rows
+        def first_chunk_then_full(columns):
+            yield next(csv_body(columns))
+            raise OSError(28, "No space left on device")
+
+        csv_body = dynamics._csv_body
+        monkeypatch.setattr(dynamics, "_csv_body", first_chunk_then_full)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", rc_net, "--dt", "1e-3", "--t-end", "5", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["rc.net"]
 
     @pytest.mark.parametrize(
         "net, token",
@@ -290,6 +316,33 @@ class TestTrain:
         assert len(re.findall(r"epoch \d", err)) == 1 and len(re.findall(r"example \d", err)) == 1
         assert f"partial log flushed to {os.path.join(out_dir, 'train_log.csv')}" in err
         assert not os.path.exists(os.path.join(out_dir, "train.manifest"))
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def failing_chunks():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise RuntimeError("formatter failed")
+
+    def test_chunks_written_in_order(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli._atomic_write(str(path), iter(["a,b\n", "1,2\n", "3,4\n"]))
+        assert path.read_text() == "a,b\n1,2\n3,4\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+    def test_failure_leaves_neither_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli._atomic_write(str(tmp_path / "out.csv"), self.failing_chunks())
+        assert os.listdir(tmp_path) == []
+
+    def test_failure_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli._atomic_write(str(path), self.failing_chunks())
+        assert path.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
 
 FLOATING_LINNET = LINNET + "R rf a b g=1\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csv_compare import assert_same_csv
 from fraceq.circuit import parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, Trajectory, simulate, trajectory_loss
 from fraceq.errors import MissingOutputError, ValidationError
@@ -182,7 +183,7 @@ class TestDeterminismAndExport:
     def test_identical_runs_bit_identical(self):
         a = run(LINNET, beta=1e-3)
         b = run(LINNET, beta=1e-3)
-        assert a.to_csv() == b.to_csv()
+        assert_same_csv(a.to_csv(), b.to_csv())
 
     def test_csv_header_layout(self):
         traj = run(LINNET, beta=0.0, t_end=0.01)
@@ -194,7 +195,7 @@ class TestDeterminismAndExport:
     @staticmethod
     def per_cell_body(columns):
         # the formatter to_csv used before: one "%.17g" per cell
-        return "\n".join(",".join("%.17g" % col[row] for col in columns) for row in range(len(columns[0])))
+        return "".join(",".join("%.17g" % col[row] for col in columns) + "\n" for row in range(len(columns[0])))
 
     def test_body_matches_per_cell_formatter(self):
         from fraceq import dynamics
@@ -205,13 +206,17 @@ class TestDeterminismAndExport:
             columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(4)]
             columns.append(np.resize(special, rows))
             columns.append(np.resize(special[::-1], rows))
-            assert dynamics._csv_body(columns) == self.per_cell_body(columns)
+            chunks = list(dynamics._csv_body(columns))
+            assert "".join(chunks) == self.per_cell_body(columns)
+            # every chunk but the last holds CSV_CHUNK_ROWS rows
+            sizes = [chunk.count("\n") for chunk in chunks]
+            assert sizes[:-1] == [dynamics.CSV_CHUNK_ROWS] * (len(sizes) - 1) and 0 < sizes[-1] <= dynamics.CSV_CHUNK_ROWS
 
     def test_csv_matches_per_cell_formatter(self):
         traj = run(LINNET, beta=1e-3, t_end=5.0)
         cols = traj._csv_columns()
-        expected = ",".join(name for name, _ in cols) + "\n" + self.per_cell_body([v for _, v in cols]) + "\n"
-        assert traj.to_csv() == expected
+        expected = ",".join(name for name, _ in cols) + "\n" + self.per_cell_body([v for _, v in cols])
+        assert_same_csv(traj.to_csv(), expected)
 
 
 class TestHalfRates:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+from csv_compare import assert_same_csv
 from fraceq.circuit import Circuit, Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
 from fraceq.eqprop import (
@@ -265,7 +266,7 @@ class TestTrain:
     def test_seed_determinism(self, linnet):
         a = train(linnet, self._config())[1].to_csv()
         b = train(linnet, self._config())[1].to_csv()
-        assert a == b
+        assert_same_csv(a, b)
 
     def test_log_shape_and_csv(self, linnet):
         final, log = train(linnet, self._config(epochs=2))
@@ -296,7 +297,7 @@ class TestTrain:
         lines = ["epoch,example,J,grad_norm,g_a,g_b"]
         for ep, ex, loss, gn, gs in log.records:
             lines.append(f"{ep},{ex},%.17g,%.17g," % (loss, gn) + ",".join("%.17g" % g for g in gs))
-        assert log.to_csv() == "\n".join(lines) + "\n"
+        assert_same_csv(log.to_csv(), "\n".join(lines) + "\n")
 
 
 class TestMixedPartials:
