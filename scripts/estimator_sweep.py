@@ -17,7 +17,7 @@ import numpy as np
 
 from fraceq.circuit import parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig
-from fraceq.eqprop import agreement_metrics, estimate_gradient, fd_gradient
+from fraceq.eqprop import agreement_metrics, estimates_and_oracle
 from fraceq.frac_ops import SampleGrid
 
 BETAS = (1e-2, 1e-3, 1e-4)
@@ -35,11 +35,13 @@ def main():
     drive = DriveSet()
 
     print("beta,dt,cosine,mean_scale_ratio,estimates")
+    nudges = [("nudged beta=%g" % beta, beta) for beta in BETAS]
     for dt in DTS:
+        # one batch per dt: the free run, a nudged run per beta, the oracle's runs
         cfg = SimConfig(SampleGrid.from_span(0.0, args.t_end, dt))
-        oracle = np.array(fd_gradient(circuit, drive, args.eps, cfg))
-        for beta in BETAS:
-            est = estimate_gradient(circuit, drive, beta, cfg)
+        estimates, oracle = estimates_and_oracle(circuit, drive, nudges, args.eps, cfg)
+        oracle = np.array(oracle)
+        for beta, est in zip(BETAS, estimates):
             m = agreement_metrics(est, tuple(oracle))
             scale = float(np.mean(np.array(est.values) / oracle))
             values = ";".join("%.6g" % v for v in est.values)

@@ -47,15 +47,17 @@ def _tanh(x, p):
 # params[:, j], so laws of one family (and, for poly, one coefficient count)
 # are evaluated in one call.
 LAW_FAMILIES = {"linear": _linear, "poly": _poly, "tanh": _tanh}
+# (parameter count, whether more are allowed) per family
+_LAW_ARITY = {"linear": (1, False), "poly": (1, True), "tanh": (2, False)}
 
 
 @dataclass(frozen=True)
 class ConstitutiveSpec:
     """Monotone scalar constitutive relation y = f(x) with derivative.
 
-    Families: linear(slope), poly(c0, c1, ...), tanh(gain, scale).  The
-    operating range is where monotonicity is validated; evaluation is not
-    limited to it.
+    Families: linear(slope), poly(c0, c1, ...), tanh(gain, scale); any
+    other parameter count is rejected.  The operating range is where
+    monotonicity is validated; evaluation is not limited to it.
     """
 
     family: str
@@ -65,6 +67,10 @@ class ConstitutiveSpec:
     def __post_init__(self):
         if self.family not in LAW_FAMILIES:
             raise ValueError(f"unknown constitutive family {self.family!r}")
+        count, at_least = _LAW_ARITY[self.family]
+        if len(self.params) < count or (not at_least and len(self.params) > count):
+            want = f"at least {count}" if at_least else f"{count}"
+            raise ValueError(f"law {self.family} takes {want} args, got {len(self.params)}")
         if self.family == "linear" and self.params[0] <= 0:
             raise ValueError("linear constitutive slope must be positive")
         if self.family == "tanh" and (self.params[0] <= 0 or self.params[1] <= 0):

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .circuit import parse_netlist, serialize
 from .circuit import _parse_waveform  # shared token grammar for config files
-from .dynamics import DriveSet, Member, SimConfig, _backward_diff, _csv_body, compile, simulate, simulate_batch
-from .eqprop import TrainConfig, agreement_metrics, estimate_from, fd_gradient, train
+from .dynamics import DriveSet, SimConfig, _backward_diff, _csv_body, simulate
+from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
 from .errors import FraceqError, NewtonDivergenceError
 from .frac_ops import (
     SampleGrid,
@@ -214,15 +214,9 @@ def cmd_gradcheck(args) -> int:
     summary_path = stem + "_summary.csv"
     params = {"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end}
 
-    # the estimates at beta and beta/2 share one free run
-    system = compile(circuit)
-    g = system.conductances(circuit)
-    members = [Member("free", 0.0, g), Member("nudged", args.beta, g), Member("nudged beta/2", args.beta / 2, g)]
-    free, nudged, nudged_half = simulate_batch(system, DriveSet(), cfg, members)
-    est = estimate_from(circuit, free, nudged, args.sign)
-    est_half = estimate_from(circuit, free, nudged_half, args.sign)
-    del free, nudged, nudged_half  # release their memory before the oracle's larger batch
-    oracle = fd_gradient(circuit, DriveSet(), args.eps, cfg, system)
+    # the estimates at beta and beta/2 share one free run and the oracle's batch
+    nudges = [("nudged", args.beta), ("nudged beta/2", args.beta / 2)]
+    (est, est_half), oracle = estimates_and_oracle(circuit, DriveSet(), nudges, args.eps, cfg, args.sign)
     metrics = agreement_metrics(est, oracle)
     metrics_half = agreement_metrics(est_half, oracle)
 

@@ -5,6 +5,10 @@ The estimator contrasts a free trajectory (beta = 0) with a nudged one
 half-derivative flux energy.  The estimator is real-valued: the imaginary
 unit of the synaptic action term is absorbed into a global sign convention
 fixed once by calibration against the finite-difference oracle.
+
+The oracle is a central difference of the loss in each synapse conductance,
+at beta = 0.  Where an estimate is checked against the oracle, the free,
+nudged and perturbed runs step as one batch (`estimates_and_oracle`).
 """
 
 from __future__ import annotations
@@ -144,13 +148,12 @@ def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_c
     )
 
 
-def fd_gradient(
-    circuit: Circuit, drive: DriveSet, eps: float, cfg: SimConfig, system: Optional[StepSystem] = None
-) -> tuple:
-    """Central-difference oracle dJ/dg per trainable synapse, at beta = 0.
+def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
+    """The oracle's runs at beta = 0: per trainable synapse, in synapse
+    order, its conductance in `g` moved by +eps, then by -eps.
 
-    The 2 * |synapses| perturbed runs step together as one batch, in
-    synapse order, + before -.
+    eps is checked against the conductances here, so a bad eps fails
+    before any run is stepped.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -158,9 +161,6 @@ def fd_gradient(
     g_floor = min(circuit.elements[l].g for l in idx)
     if eps >= g_floor:
         raise StepTooLargeError(f"eps {eps} would drive conductance {g_floor} non-positive")
-    if system is None:
-        system = compile(circuit)
-    g = system.conductances(circuit)
     members = []
     for l in idx:
         name = circuit.elements[l].name
@@ -168,10 +168,49 @@ def fd_gradient(
             perturbed = g.copy()
             perturbed[l] += sign * eps
             members.append(Member(f"fd {name}{tag}", 0.0, perturbed))
-    losses = [trajectory_loss(traj) for traj in simulate_batch(system, drive, cfg, members)]
-    return tuple(
-        (losses[2 * k] - losses[2 * k + 1]) / (2.0 * eps) for k in range(len(idx))
-    )
+    return members
+
+
+def fd_differences(trajectories, eps: float) -> tuple:
+    """Central differences dJ/dg of the trajectories of `fd_members`, in their order."""
+    losses = [trajectory_loss(traj) for traj in trajectories]
+    return tuple((losses[k] - losses[k + 1]) / (2.0 * eps) for k in range(0, len(losses), 2))
+
+
+def fd_gradient(
+    circuit: Circuit, drive: DriveSet, eps: float, cfg: SimConfig, system: Optional[StepSystem] = None
+) -> tuple:
+    """Central-difference oracle dJ/dg per trainable synapse, at beta = 0.
+
+    The 2 * |synapses| runs of `fd_members` step together as one batch, and
+    `fd_differences` turns them into the oracle.
+    """
+    if system is None:
+        system = compile(circuit)
+    members = fd_members(circuit, eps, system.conductances(circuit))
+    return fd_differences(simulate_batch(system, drive, cfg, members), eps)
+
+
+def estimates_and_oracle(
+    circuit: Circuit, drive: DriveSet, nudges, eps: float, cfg: SimConfig, sign_convention: int = 1
+) -> tuple:
+    """(one GradientEstimate per nudge, the FD oracle), from one batch.
+
+    `nudges` holds (label, beta) pairs.  The batch is the free run, one
+    nudged run per pair, then the runs of `fd_members`; every beta and eps
+    is checked before it steps.  Each estimate contrasts its nudged run with
+    the one free run, and both are bitwise what `estimate_gradient` and
+    `fd_gradient` return.
+    """
+    if any(beta <= 0 for _, beta in nudges):
+        raise ValueError("estimator needs beta > 0")
+    system = compile(circuit)
+    g = system.conductances(circuit)
+    oracle_members = fd_members(circuit, eps, g)
+    members = [Member("free", 0.0, g)] + [Member(label, beta, g) for label, beta in nudges] + oracle_members
+    free, *runs = simulate_batch(system, drive, cfg, members)
+    estimates = [estimate_from(circuit, free, nudged, sign_convention) for nudged in runs[: len(nudges)]]
+    return estimates, fd_differences(runs[len(nudges) :], eps)
 
 
 def sgd_step(circuit: Circuit, grads: GradientEstimate, eta: float, g_min: float) -> Circuit:
@@ -185,10 +224,10 @@ def sgd_step(circuit: Circuit, grads: GradientEstimate, eta: float, g_min: float
 
 def calibrate_sign(circuit: Circuit, drive: DriveSet, beta: float, eps: float, cfg: SimConfig) -> int:
     """One-time sign convention: the sign that aligns the raw estimator
-    quotient with the finite-difference oracle (by inner product)."""
-    system = compile(circuit)
-    est = estimate_gradient(circuit, drive, beta, cfg, sign_convention=1, system=system)
-    oracle = fd_gradient(circuit, drive, eps, cfg, system=system)
+    quotient with the finite-difference oracle (by inner product).
+
+    The free, nudged and oracle runs step as one batch."""
+    (est,), oracle = estimates_and_oracle(circuit, drive, [("nudged", beta)], eps, cfg)
     dot = float(np.dot(est.values, oracle))
     return 1 if dot >= 0 else -1
 

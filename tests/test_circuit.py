@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceq.circuit import (
+    KINDS,
     LAW_FAMILIES,
     Circuit,
     ConstitutiveSpec,
@@ -13,7 +14,7 @@ from fraceq.circuit import (
     serialize,
     validate,
 )
-from fraceq.errors import NetlistError
+from fraceq.errors import FraceqError, NetlistError
 
 TWO_ELEMENT = "R s1 in h1 g=0.5 trainable\nV vin in 0 w=step(1,0)\nR leak h1 0 g=1.0\n"
 
@@ -71,6 +72,22 @@ class TestParse:
         with pytest.raises(NetlistError, match="trainable"):
             parse_netlist("C c1 a 0 c=1 trainable\n")
 
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ("tanh(1)", "law tanh takes 2 args, got 1"),
+            ("tanh()", "law tanh takes 2 args, got 0"),
+            ("tanh(1,2,3)", "law tanh takes 2 args, got 3"),
+            ("poly()", "law poly takes at least 1 args, got 0"),
+            ("linear()", "law linear takes 1 args, got 0"),
+            ("linear(1,2)", "law linear takes 1 args, got 2"),
+        ],
+    )
+    def test_law_parameter_count_reports_column(self, law, message):
+        with pytest.raises(NetlistError) as info:
+            parse_netlist(f"V v1 n1 0 w=const(1)\nC c1 n1 0 f={law}\n")
+        assert info.value.errors == [(2, 11, f"c1: {message}")]
+
 
 @st.composite
 def circuits(draw):
@@ -104,6 +121,42 @@ def _random_element(draw, name, np_, nm):
     if kind == "V":
         return Element("V", name, np_, nm, waveform=Waveform.sine(draw(pos), draw(pos), 0.0))
     return Element("OC", name, np_, nm, cap_scale=draw(pos), waveform=Waveform.const(draw(pos)))
+
+
+# tokens for random netlist lines: every kind, names and nodes, parameters
+# with good and bad values, laws and waveforms with wrong arities and empty
+# or unbalanced parentheses, an overflowing number, NUL and non-ASCII text
+_TOKENS = (
+    list(KINDS)
+    + ["X", "r1", "c1", "m1", "0", "n1", "n2", "trainable", "#", "="]
+    + ["g=1", "g=0", "g=-1", "g=1e400", "g=nan", "g=", "c=1", "c=1e-300", "l=2", "cap=1", "cap=x", "k=1"]
+    + ["f=linear(1)", "f=linear()", "f=linear(1,2)", "f=tanh(1,1)", "f=tanh(1)", "f=tanh()"]
+    + ["f=tanh(1,2,3)", "f=poly()", "f=poly(0,1)", "f=poly(0,-1)", "f=cubic(1)", "f=tanh(1,", "f=tanh)(", "f=()"]
+    + ["w=const(1)", "w=const()", "w=const((1)", "w=step(1,0)", "w=sine(1,2,0)", "w=sine(1,2", "w=saw(1)"]
+    + ["w=const(1e400)", "w=step(,)", "\x00", "g=\x00", "\u00b5F", "f=tanh(1,\u00b5)", "\u2028", "\u00e9=1"]
+)
+
+
+@st.composite
+def token_netlists(draw):
+    token = st.sampled_from(_TOKENS)
+    # free token soup, and element-shaped lines whose parameters are random tokens
+    soup = st.lists(token, max_size=8)
+    element = st.tuples(st.sampled_from(KINDS), token, token, token, st.lists(token, max_size=4))
+    shaped = element.map(lambda e: [*e[:4], *e[4]])
+    line = st.one_of(soup, shaped).map(" ".join)
+    return "\n".join(draw(st.lists(line, max_size=6)))
+
+
+class TestParseFuzz:
+    @given(token_netlists())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_random_token_lines_raise_only_package_errors(self, text):
+        # a bad netlist is a located error (exit 2 at the CLI), never a traceback
+        try:
+            validate(parse_netlist(text))
+        except FraceqError:
+            pass
 
 
 class TestRoundTrip:

@@ -192,19 +192,30 @@ class TestGradcheck:
         assert "cosine_similarity," in summary
 
     def test_one_free_run_for_both_estimates(self, linnet_path, tmp_path, monkeypatch):
-        labels = []
-        stepped = cli.simulate_batch
+        batches = []
+        stepped = eqprop.simulate_batch
 
         def recording(system, drive, cfg, members):
-            labels.extend(m.label for m in members)
+            batches.append([m.label for m in members])
             return stepped(system, drive, cfg, members)
 
-        monkeypatch.setattr(cli, "simulate_batch", recording)
         monkeypatch.setattr(eqprop, "simulate_batch", recording)
         assert main(["gradcheck", linnet_path, "--dt", "4e-3", "--out", str(tmp_path / "gc.csv")]) == 0
-        synapses = len(parse_netlist(LINNET).trainables)
-        assert labels.count("free") == 1
-        assert len(labels) == 3 + 2 * synapses
+        # the estimates and the oracle step as one batch, in this order
+        fd = [f"fd {s}{sign}" for s in ("s1", "s2", "s3") for sign in "+-"]
+        assert batches == [["free", "nudged", "nudged beta/2", *fd]]
+
+    @pytest.mark.parametrize(
+        "eps, message", [("0", "error: eps must be positive"), ("0.5", "error: eps 0.5 would drive conductance 0.25")]
+    )
+    def test_bad_eps_exit_2_before_any_run(self, linnet_path, tmp_path, capsys, monkeypatch, eps, message):
+        def stepping(*args):
+            raise AssertionError("a run was stepped")
+
+        monkeypatch.setattr(eqprop, "simulate_batch", stepping)
+        assert main(["gradcheck", linnet_path, "--eps", eps, "--out", str(tmp_path / "gc.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gc.csv").exists()
 
     def test_beta_zero_exit_2(self, linnet_path, capsys):
         assert main(["gradcheck", linnet_path, "--beta", "0"]) == 2

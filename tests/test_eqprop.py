@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from csv_compare import assert_same_csv
+from fraceq import eqprop
 from fraceq.circuit import Circuit, Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
 from fraceq.eqprop import (
@@ -15,6 +16,7 @@ from fraceq.eqprop import (
     calibrate_sign,
     estimate_from,
     estimate_gradient,
+    estimates_and_oracle,
     fd_gradient,
     sgd_step,
     train,
@@ -33,6 +35,9 @@ R s2 in2 out g=0.25 trainable
 R s3 out 0 g=0.5 trainable
 OC oc1 out 0 cap=1.0 w=const(0.4)
 """
+
+# netlists/tanhnet.net: s2 as a tanh memristor, so every run steps through Newton
+TANHNET = LINNET.replace("R s2 in2 out g=0.25 trainable", "M s2 in2 out f=tanh(0.25,1.0)")
 
 # free-phase output of the divider: (g1 V1 + g2 V2) / (g1 + g2 + g3)
 V_FREE = (1.0 * 1.0 + 0.25 * 0.5) / (1.0 + 0.25 + 0.5)
@@ -234,9 +239,49 @@ class TestSgdStep:
         assert out.element("s3").g == 1e-6
 
 
+def _recorded_batches(monkeypatch) -> list:
+    """The member labels of every simulate_batch call eqprop makes from now on."""
+    batches = []
+    stepped = eqprop.simulate_batch
+
+    def recording(system, drive, cfg, members):
+        batches.append([m.label for m in members])
+        return stepped(system, drive, cfg, members)
+
+    monkeypatch.setattr(eqprop, "simulate_batch", recording)
+    return batches
+
+
+class TestEstimatesAndOracle:
+    @pytest.mark.parametrize("net", [LINNET, TANHNET], ids=["linnet", "tanhnet"])
+    def test_bitwise_equal_to_separate_runs(self, net):
+        # on tanhnet at beta 0.1, a few Newton passes solve for 6 of the 7 members
+        # (the others have converged), so this covers the per-member mask
+        ckt = parse_netlist(net)
+        nudges = [("nudged", 0.1), ("nudged beta/2", 0.05)]
+        estimates, oracle = estimates_and_oracle(ckt, DriveSet(), nudges, 1e-4, sim_cfg(), -1)
+        for est, (_, beta) in zip(estimates, nudges):
+            alone = estimate_gradient(ckt, DriveSet(), beta, sim_cfg(), -1)
+            assert est == alone
+            assert est.metadata == alone.metadata
+        assert oracle == fd_gradient(ckt, DriveSet(), 1e-4, sim_cfg())
+
+    @pytest.mark.parametrize("beta, eps", [(0.0, 1e-4), (1e-3, 0.0), (1e-3, 0.25)])
+    def test_bad_beta_or_eps_fails_before_any_run(self, linnet, monkeypatch, beta, eps):
+        batches = _recorded_batches(monkeypatch)
+        with pytest.raises(ValueError):
+            estimates_and_oracle(linnet, DriveSet(), [("nudged", beta)], eps, sim_cfg())
+        assert batches == []
+
+
 class TestCalibration:
     def test_reference_network_calibrates_positive(self, linnet):
         assert calibrate_sign(linnet, DriveSet(), 1e-3, 1e-4, sim_cfg()) == 1
+
+    def test_one_batch(self, linnet, monkeypatch):
+        batches = _recorded_batches(monkeypatch)
+        calibrate_sign(linnet, DriveSet(), 1e-3, 1e-4, sim_cfg(t_end=0.1))
+        assert len(batches) == 1 and batches[0][:2] == ["free", "nudged"] and len(batches[0]) == 2 + 6
 
 
 class TestTrain:
