@@ -32,7 +32,7 @@ from .circuit import parse_netlist, serialize
 from .circuit import _parse_waveform  # shared token grammar for config files
 from .dynamics import DriveSet, SimConfig, _backward_diff, _csv_body, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
-from .errors import FraceqError, NewtonDivergenceError
+from .errors import FraceqError, NewtonDivergenceError, ParameterError
 from .frac_ops import (
     SampleGrid,
     Signal,
@@ -90,13 +90,21 @@ def _read_netlist(path: str):
     return parse_netlist(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
+_GRID_FLAGS = {"b": "--t-end", "dt": "--dt"}
+
+
 def _grid(args) -> SampleGrid:
-    return SampleGrid.from_span(0.0, args.t_end, args.dt)
+    """The grid of --t-end and --dt; a bad value is an input error naming its flag."""
+    try:
+        return SampleGrid.from_span(0.0, args.t_end, args.dt)
+    except ParameterError as exc:
+        raise ValueError(f"{_GRID_FLAGS[exc.name]}: {exc}") from None
 
 
 def parse_train_config(text: str, circuit) -> TrainConfig:
     """Flat key=value config plus `example` lines of waveform assignments."""
     scalars = {}
+    located = {}  # key -> "config line N: key=value", for diagnostics
     batch = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,27 +136,37 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
         elif len(tokens) == 1 and "=" in tokens[0]:
             key, value = tokens[0].split("=", 1)
             scalars[key] = value
+            located[key] = f"config line {lineno}: {key}={value}"
         else:
             raise ValueError(f"config line {lineno}: expected key=value or example line")
 
     def take(key, cast, default=None):
         if key in scalars:
-            return cast(scalars.pop(key))
+            value = scalars.pop(key)
+            try:
+                return cast(value)
+            except ValueError:
+                raise ValueError(f"{located[key]}: expected {cast.__name__}") from None
         if default is None:
             raise ValueError(f"config is missing required key {key}=")
         return default
 
-    grid = SampleGrid.from_span(0.0, take("t_end", float, 1.0), take("dt", float, 1e-3))
-    cfg = TrainConfig(
-        epochs=take("epochs", int),
-        learning_rate=take("learning_rate", float),
-        beta=take("beta", float),
-        sim=SimConfig(grid),
-        batch=tuple(batch) if batch else (DriveSet(),),
-        g_min=take("g_min", float, 1e-6),
-        seed=take("seed", int, 0),
-        sign_convention=take("sign_convention", int, 1),
-    )
+    try:
+        grid = SampleGrid.from_span(0.0, take("t_end", float, 1.0), take("dt", float, 1e-3))
+        cfg = TrainConfig(
+            epochs=take("epochs", int),
+            learning_rate=take("learning_rate", float),
+            beta=take("beta", float),
+            sim=SimConfig(grid),
+            batch=tuple(batch) if batch else (DriveSet(),),
+            g_min=take("g_min", float, 1e-6),
+            seed=take("seed", int, 0),
+            sign_convention=take("sign_convention", int, 1),
+        )
+    except ParameterError as exc:
+        # only a key the config sets can be out of range: the defaults are not
+        key = {"b": "t_end"}.get(exc.name, exc.name)
+        raise ValueError(f"{located[key]}: {exc}") from None
     if scalars:
         raise ValueError("unknown config keys: " + ", ".join(sorted(scalars)))
     return cfg

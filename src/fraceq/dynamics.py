@@ -8,7 +8,9 @@ memristors, evaluated exactly in two parts (a far part refreshed by FFT once
 per block of steps and a near part summed per step, after Hairer, Lubich and
 Schlichte 1985).  A circuit whose every law is linear steps as one affine
 recurrence, checked a block of steps at a time; Newton iteration runs only
-for nonlinear constitutive laws.
+for nonlinear constitutive laws, and starts each step from the secant
+predictor z_(m-1) + (z_(m-1) - z_(m-2)), which saves about a third of the
+passes on the shipped memristive net.
 
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
@@ -279,10 +281,14 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     the row scaling).  The c_m of a block of HISTORY_BLOCK steps are built
     together, and after the block one array pass checks every step of every
     member.  A circuit with a nonlinear law runs Newton with a convergence
-    mask per member; newton_max_iters bounds its passes, and a singular
-    Jacobian fails the step.  Either way a failed step raises
-    NewtonDivergenceError at the earliest failing time, naming the first
-    failing member there.
+    mask per member, starting each step m >= 2 from the secant predictor
+    dz = z_(m-1) - z_(m-2) (the first step from dz = 0).  Newton stops at
+    NEWTON_TOL, about 1e-11 (relative) short of the converged step, so the
+    start is part of the result: on netlists/memnet.net (2e4 steps) the
+    predictor moves the voltages and currents by up to 2.3e-9 of their
+    largest value from where the dz = 0 start leaves them.  newton_max_iters bounds the passes, and a singular Jacobian
+    fails the step.  Either way a failed step raises NewtonDivergenceError
+    at the earliest failing time, naming the first failing member there.
     """
     if not members:
         raise ValueError("a batch needs at least one member")
@@ -385,7 +391,6 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         y = np.empty((k, len(NL)))
         dy = np.empty((k, len(NL)))
         J = J_lin.copy()  # only the nonlinear rows change between Newton passes
-        no_change = np.zeros((k, nc, 1))
 
     z = np.zeros((k, nc, 1))
     Z = np.zeros((k, nc, n))
@@ -414,9 +419,11 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                 x_off[:, nl_C] = 0.0
                 if has_mem:
                     x_off[:, nl_M] += h_phi[:, nl_mem]
-                dz = no_change
-                for it in range(cfg.newton_max_iters):
-                    F = A @ dz + r if it else r
+                # secant predictor: start from the last step's change
+                # (z_0 = 0, so the first step starts from dz = 0)
+                dz = z_prev - Z[:, :, max(m - 2, 0), None]
+                for _ in range(cfg.newton_max_iters):
+                    F = A @ dz + r
                     Fs = row_scale * F
                     x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div
                     for cols, law, params in nl_groups:

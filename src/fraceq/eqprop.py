@@ -13,6 +13,7 @@ nudged and perturbed runs step as one batch (`estimates_and_oracle`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .circuit import Circuit
 from .dynamics import (
     DriveSet, Member, SimConfig, StepSystem, Trajectory, _csv_body, compile, simulate_batch, trajectory_loss
 )
-from .errors import FraceqError, StepTooLargeError
+from .errors import FraceqError, ParameterError, StepTooLargeError
 from .lagrangian import half_energies
 
 
@@ -56,14 +57,20 @@ class TrainConfig:
     sign_convention: int = 1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.g_min <= 0:
-            raise ValueError("g_min must be positive")
+        # NaN fails every check: sgd_step's max(g_min, nan) is g_min, so a NaN
+        # learning rate would floor every conductance and still exit 0
+        if self.epochs < 1:
+            raise ParameterError("epochs", f"epochs must be at least 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ParameterError(
+                "learning_rate", f"learning_rate must be finite and non-negative, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ParameterError("beta", f"beta must be positive and finite, got {self.beta}")
+        if not (math.isfinite(self.g_min) and self.g_min > 0):
+            raise ParameterError("g_min", f"g_min must be positive and finite, got {self.g_min}")
         if self.sign_convention not in (-1, 1):
-            raise ValueError("sign_convention must be +1 or -1")
+            raise ParameterError("sign_convention", "sign_convention must be +1 or -1")
 
 
 @dataclass

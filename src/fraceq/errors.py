@@ -13,6 +13,18 @@ class GridTooSmallError(FraceqError, ValueError):
     """Signal grid has fewer than two samples."""
 
 
+class ParameterError(FraceqError, ValueError):
+    """A numeric run parameter out of its range; `name` is the parameter's name.
+
+    Callers that read the value from a flag or a config key use `name` to
+    say which one.
+    """
+
+    def __init__(self, name, message):
+        self.name = name
+        super().__init__(message)
+
+
 class NetlistError(FraceqError, ValueError):
     """Netlist text could not be parsed into a circuit.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, InvalidOrderError
+from .errors import GridTooSmallError, InvalidOrderError, ParameterError
 
 __all__ = [
     "SampleGrid",
@@ -49,6 +49,14 @@ class SampleGrid:
 
     @classmethod
     def from_span(cls, a: float, b: float, dt: float) -> "SampleGrid":
+        """The grid on [a, b] with step dt; ParameterError names a bad a, b or dt."""
+        if not (math.isfinite(dt) and dt > 0):
+            raise ParameterError("dt", f"grid step must be positive and finite, got {dt}")
+        for name, end in (("a", a), ("b", b)):
+            if not math.isfinite(end):
+                raise ParameterError(name, f"span end must be finite, got {end}")
+        if not b > a:
+            raise ParameterError("b", f"span end must be after its start {a}, got {b}")
         n = int(round((b - a) / dt)) + 1
         grid = cls(a, dt, n)
         if abs(grid.b - b) > 1e-9 * max(1.0, abs(b)):

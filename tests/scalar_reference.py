@@ -1,8 +1,14 @@
 """Frozen scalar step loop: the simulator as it was before batched stepping.
 
 `simulate` below is the one-trajectory Newton loop, kept verbatim as the
-reference that the batched kernel in `fraceq.dynamics` is tested against.
-It is not used by the package.
+reference that the batched kernel in `fraceq.dynamics` is tested against,
+with one change: on a nonlinear circuit each step from the second on starts
+Newton from the secant predictor z_(m-1) + (z_(m-1) - z_(m-2)), as the
+package does.  The start is part of the stepping method: Newton stops at a
+residual of NEWTON_TOL, which leaves each step about 1e-11 (relative) from
+its converged limit, and where it stops depends on where it starts.  With
+`predictor=False` every step starts from the last step's z, the rule before
+the predictor.  It is not used by the package.
 """
 
 import math
@@ -23,7 +29,7 @@ def _backward_diff(x: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> Trajectory:
+def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, predictor: bool = True) -> Trajectory:
     """Advance the generalized coordinates over the grid.
 
     Initial conditions are zero fluxes and charges at t = a, matching the
@@ -128,6 +134,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
         else:
             mem_phi_hist = mem_q_hist = None
 
+        if predictor and nonlinear and m >= 2:
+            z = Z[:, m - 1] + (Z[:, m - 1] - Z[:, m - 2])
         converged = False
         for it in range(cfg.newton_max_iters):
             phi = P_phi @ z

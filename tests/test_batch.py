@@ -3,8 +3,12 @@
 `scalar_reference.simulate` is the one-trajectory Newton loop the package
 used before the batched kernel; `linear_reference.simulate` solves each step
 of a linear circuit exactly, with one dense solve.  Every comparison requires
-agreement to 1e-12 relative to the largest value of each compared array.
+agreement to 1e-12 relative to the largest value of each compared array,
+except the bound on how far the secant predictor moves a trajectory from the
+dz = 0 start, PREDICTOR_DRIFT.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 import linear_reference
 import scalar_reference
 from fraceq import dynamics
-from fraceq.circuit import Circuit, ConstitutiveSpec, Element, Waveform, parse_netlist
+from fraceq.circuit import LAW_FAMILIES, Circuit, ConstitutiveSpec, Element, Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
 from fraceq.eqprop import TrainConfig, fd_gradient, train
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError
@@ -255,6 +259,58 @@ def test_short_blocks_match_scalar_reference(monkeypatch):
     # a refresh every 4 steps, with FFT lengths from 16 to 256
     monkeypatch.setattr(dynamics, "HISTORY_BLOCK", 4)
     assert_free_nudged_match(parse_netlist(LATE_NONLINEAR), cfg(t_end=0.2))
+
+
+# --- the secant predictor ----------------------------------------------------
+
+MEMNET = (Path(__file__).parent.parent / "netlists" / "memnet.net").read_text()
+# a sharp tanh memristor switched on by a step drive at t = 0.25
+SHARP_STEP = """\
+V vin in 0 w=step(1.0,0.25)
+R r1 in n1 g=1.0
+M m1 n1 0 f=tanh(1.0,0.05)
+OC oc1 n1 0 cap=1.0 w=const(0.3)
+"""
+# how far the predictor start may move a trajectory from the dz = 0 start,
+# relative to the largest value of each field; the outputs moved most,
+# 1.9e-9 on memnet to t_end 5 and 3.5e-10 on SHARP_STEP
+PREDICTOR_DRIFT = 1e-8
+
+
+@pytest.mark.parametrize(
+    "net, t_end",
+    [(MEMNET, 5.0), (SHARP_STEP, 1.0)],  # memnet's step drive turns on at t = 1.97
+    ids=["memnet", "sharp-tanh-step"],
+)
+def test_predictor_drift_is_bounded(net, t_end):
+    circuit = parse_netlist(net)
+    config = cfg(t_end=t_end)
+    secant = scalar_reference.simulate(circuit, DriveSet(), 0.0, config)
+    at_rest = scalar_reference.simulate(circuit, DriveSet(), 0.0, config, predictor=False)
+    for field in ("tree_flux", "loop_charge", "outputs"):
+        a, b = getattr(at_rest, field), getattr(secant, field)
+        assert np.max(np.abs(a - b)) <= PREDICTOR_DRIFT * np.max(np.abs(a)), field
+
+
+def test_predictor_saves_law_evaluations(monkeypatch):
+    # per step on memnet to t_end 5, the dz = 0 start measured 6.71 tanh
+    # evaluations (3.35 Newton passes of 2 memristors), the predictor 4.76
+    tanh = LAW_FAMILIES["tanh"]
+    evaluations = []
+
+    def counting(x, params):
+        evaluations.append(np.size(x))
+        return tanh(x, params)
+
+    monkeypatch.setitem(LAW_FAMILIES, "tanh", counting)
+    circuit = parse_netlist(MEMNET)
+    config = cfg(t_end=5.0)
+    steps = config.grid.n - 1
+    scalar_reference.simulate(circuit, DriveSet(), 0.0, config, predictor=False)
+    at_rest = sum(evaluations) / steps
+    evaluations.clear()
+    simulate(circuit, DriveSet(), 0.0, config)
+    assert sum(evaluations) / steps <= 0.8 * at_rest
 
 
 # --- compile once ------------------------------------------------------------

@@ -402,6 +402,47 @@ class TestValidatesOnce:
         assert not list(tmp_path.rglob("*.manifest"))
 
 
+class TestRunParameters:
+    """A grid flag or config value out of range exits 2 naming it, before any file is written."""
+
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dt", "0", "--dt: grid step must be positive and finite, got 0.0"),
+            ("--dt", "nan", "--dt: grid step must be positive and finite, got nan"),
+            ("--t-end", "inf", "--t-end: span end must be finite, got inf"),
+            ("--t-end", "-1", "--t-end: span end must be after its start 0.0, got -1.0"),
+        ],
+    )
+    def test_grid_flag(self, linnet_path, tmp_path, capsys, command, flag, value, message):
+        assert main([command, linnet_path, flag, value, "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("learning_rate=nan", "learning_rate must be finite and non-negative, got nan"),
+            ("beta=inf", "beta must be positive and finite, got inf"),
+            ("g_min=nan", "g_min must be positive and finite, got nan"),
+            ("epochs=0", "epochs must be at least 1, got 0"),
+            ("epochs=x", "expected int"),
+            ("dt=0", "grid step must be positive and finite, got 0.0"),
+            ("t_end=inf", "span end must be finite, got inf"),
+        ],
+    )
+    def test_train_config_value(self, linnet_path, tmp_path, capsys, setting, message):
+        key = setting.split("=")[0]
+        lines = [line for line in TRAIN_CFG.splitlines() if not line.startswith(key + "=")] + [setting]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", linnet_path, str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert f"error: config line {len(lines)}: {setting}: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestParseTrainConfig:
     def test_example_lines_partition_inputs_and_targets(self):
         ckt = parse_netlist(LINNET)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceq import frac_ops
-from fraceq.errors import GridTooSmallError, InvalidOrderError
+from fraceq.errors import GridTooSmallError, InvalidOrderError, ParameterError
 from fraceq.frac_ops import (
     SampleGrid,
     Signal,
@@ -97,6 +97,25 @@ class TestCaputoLeft:
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
             SampleGrid(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "a, b, dt, name",
+        [
+            (0.0, 1.0, 0.0, "dt"),
+            (0.0, 1.0, -1e-3, "dt"),
+            (0.0, 1.0, math.nan, "dt"),
+            (0.0, 1.0, math.inf, "dt"),
+            (0.0, math.inf, 1e-3, "b"),
+            (0.0, math.nan, 1e-3, "b"),
+            (0.0, -1.0, 1e-3, "b"),
+            (0.0, 0.0, 1e-3, "b"),
+            (-math.inf, 1.0, 1e-3, "a"),
+        ],
+    )
+    def test_span_rejects_bad_numbers_by_name(self, a, b, dt, name):
+        with pytest.raises(ParameterError) as exc:
+            SampleGrid.from_span(a, b, dt)
+        assert exc.value.name == name
 
     def test_refinement_on_power_three_halves(self):
         # halving dt must reduce the max error by at least 1.8x
