@@ -49,6 +49,9 @@ def _tanh(x, p):
 LAW_FAMILIES = {"linear": _linear, "poly": _poly, "tanh": _tanh}
 # (parameter count, whether more are allowed) per family
 _LAW_ARITY = {"linear": (1, False), "poly": (1, True), "tanh": (2, False)}
+# the argument range on which every law is checked to be monotone; evaluation
+# is not limited to it
+LAW_RANGE = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,12 @@ class ConstitutiveSpec:
     """Monotone scalar constitutive relation y = f(x) with derivative.
 
     Families: linear(slope), poly(c0, c1, ...), tanh(gain, scale); any
-    other parameter count is rejected.  The operating range is where
-    monotonicity is validated; evaluation is not limited to it.
+    other parameter count is rejected, and so is a law that is not monotone
+    on LAW_RANGE.
     """
 
     family: str
     params: tuple
-    x_range: tuple = (-10.0, 10.0)
 
     def __post_init__(self):
         if self.family not in LAW_FAMILIES:
@@ -75,9 +77,9 @@ class ConstitutiveSpec:
             raise ValueError("linear constitutive slope must be positive")
         if self.family == "tanh" and (self.params[0] <= 0 or self.params[1] <= 0):
             raise ValueError("tanh gain and scale must be positive")
-        xs = np.linspace(*self.x_range, 257)
+        xs = np.linspace(*LAW_RANGE, 257)
         if np.any(np.diff(self(xs)[0]) < -1e-12):
-            raise ValueError(f"{self.family} constitutive is not monotone on {self.x_range}")
+            raise ValueError(f"{self.family} constitutive is not monotone on {LAW_RANGE}")
 
     def __call__(self, x):
         """Return (y, dy_dx) arrays for scalar or array x."""
@@ -113,18 +115,6 @@ class Waveform:
             amp, freq, phase = self.params
             return amp * np.sin(2 * math.pi * freq * t + phase)
         raise ValueError(f"unknown waveform family {self.family!r}")
-
-    @classmethod
-    def const(cls, v):
-        return cls("const", (float(v),))
-
-    @classmethod
-    def step(cls, v, t0=0.0):
-        return cls("step", (float(v), float(t0)))
-
-    @classmethod
-    def sine(cls, amp, freq, phase=0.0):
-        return cls("sine", (float(amp), float(freq), float(phase)))
 
 
 @dataclass(frozen=True)

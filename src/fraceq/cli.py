@@ -83,22 +83,22 @@ def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
     _atomic_write(path, _lines(lines))
 
 
-def _read_netlist(path: str):
-    """The parsed circuit and the SHA-256 of the file; `compile` validates it."""
+def _read_text(path: str) -> tuple:
+    """(the file's bytes, their UTF-8 text); a byte that is not UTF-8 is an
+    input error naming the path, line and byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return parse_netlist(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
-
-
-_GRID_FLAGS = {"b": "--t-end", "dt": "--dt"}
-
-
-def _grid(args) -> SampleGrid:
-    """The grid of --t-end and --dt; a bad value is an input error naming its flag."""
     try:
-        return SampleGrid.from_span(0.0, args.t_end, args.dt)
-    except ParameterError as exc:
-        raise ValueError(f"{_GRID_FLAGS[exc.name]}: {exc}") from None
+        return raw, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
+def _read_netlist(path: str):
+    """The parsed circuit and the SHA-256 of the file; `compile` validates it."""
+    raw, text = _read_text(path)
+    return parse_netlist(text), hashlib.sha256(raw).hexdigest()
 
 
 def parse_train_config(text: str, circuit) -> TrainConfig:
@@ -164,11 +164,12 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
             sign_convention=take("sign_convention", int, 1),
         )
     except ParameterError as exc:
-        # only a key the config sets can be out of range: the defaults are not
-        key = {"b": "t_end"}.get(exc.name, exc.name)
+        # a default is never out of range alone; a span that dt does not
+        # divide is reported on the line of whichever of the two is set
+        key = next(k for k in ({"b": "t_end"}.get(exc.name, exc.name), "t_end", "dt") if k in located)
         raise ValueError(f"{located[key]}: {exc}") from None
     if scalars:
-        raise ValueError("unknown config keys: " + ", ".join(sorted(scalars)))
+        raise ValueError("; ".join(f"{located[key]}: unknown key" for key in scalars))
     return cfg
 
 
@@ -209,7 +210,7 @@ def cmd_simulate(args) -> int:
     if args.dump_action:
         outputs += [f"{stem}_action.csv"]
     params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
-    traj = simulate(circuit, DriveSet(), args.beta, SimConfig(_grid(args)))
+    traj = simulate(circuit, DriveSet(), args.beta, SimConfig(SampleGrid.from_span(0.0, args.t_end, args.dt)))
     _atomic_write(args.out, traj.csv_chunks())
     if args.dump_topology:
         _dump_topology(traj.topology, stem)
@@ -224,10 +225,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.beta <= 0:
-        raise ValueError("gradcheck needs beta > 0; the estimator is undefined at beta = 0")
     circuit, digest = _read_netlist(args.netlist)
-    cfg = SimConfig(_grid(args))
+    cfg = SimConfig(SampleGrid.from_span(0.0, args.t_end, args.dt))
     stem = os.path.splitext(args.out)[0]
     summary_path = stem + "_summary.csv"
     params = {"beta": args.beta, "eps": args.eps, "dt": args.dt, "t_end": args.t_end}
@@ -282,8 +281,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     circuit, digest = _read_netlist(args.netlist)
-    with open(args.config) as fh:
-        config = parse_train_config(fh.read(), circuit)
+    _, text = _read_text(args.config)
+    try:
+        config = parse_train_config(text, circuit)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
     net_path = os.path.join(args.out_dir, "trained.net")
@@ -358,31 +360,38 @@ def _run_self_test() -> int:
 
 
 def _read_signal_csv(path: str) -> Signal:
-    """t,value rows; only the first line that is not blank or a comment may be a header."""
-    rows = []
+    """t,value rows; only the first line that is not blank or a comment may be a header.
+
+    A bad row, or the first time off the uniform grid, is an error naming path:line."""
+    rows = []  # (line number, t, value)
     first = True
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) < 2:
-                    raise ValueError
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                if not first:
-                    raise ValueError(f"{path}:{lineno}: expected numeric t,value, got {line!r}") from None
-            first = False
+    for lineno, line in enumerate(_read_text(path)[1].splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) < 2:
+                raise ValueError
+            row = (lineno, float(parts[0]), float(parts[1]))
+        except ValueError:
+            if not first:
+                raise ValueError(f"{path}:{lineno}: expected numeric t,value, got {line!r}") from None
+        else:
+            if not all(map(math.isfinite, row[1:])):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            rows.append(row)
+        first = False
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 numeric t,value rows")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    steps = np.diff(t)
-    dt = steps[0]
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise ValueError(f"{path}: time column is not a uniform grid")
+    linenos, t, v = (np.array(col) for col in zip(*rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite step is off the grid
+        steps = np.diff(t)
+        dt = steps[0]
+        off = ~(np.abs(steps - dt) <= 1e-9 * max(1.0, abs(dt)))
+    off[0] |= not (np.isfinite(dt) and dt > 0)
+    if off.any():
+        raise ValueError(f"{path}:{linenos[np.argmax(off) + 1]}: time column is not a uniform grid")
     return Signal(SampleGrid(float(t[0]), float(dt), len(t)), v)
 
 
@@ -442,6 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag that sets each run parameter a ParameterError can name
+_FLAGS = {"b": "--t-end", "dt": "--dt", "beta": "--beta", "eps": "--eps", "alpha": "--alpha"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -449,6 +462,9 @@ def main(argv=None) -> int:
     except NewtonDivergenceError as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ParameterError as exc:
+        print(f"error: {_FLAGS.get(exc.name, exc.name)}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (FraceqError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -28,24 +28,20 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .circuit import KINDS, LAW_FAMILIES, Circuit, Element, Waveform, validate
-from .errors import MissingOutputError, NewtonDivergenceError, ValidationError
+from .errors import MissingOutputError, NewtonDivergenceError, ParameterError, ValidationError
 from .frac_ops import SampleGrid, _gl_convolve, gl_weights
 from .topology import Topology, build_topology
 
 # every step of every run ends with its row-scaled residual max|Fs| at or below this
 NEWTON_TOL = 1e-9
+# Newton passes per step on a circuit with a nonlinear law; a linear circuit
+# solves each step in one affine update and runs none
+NEWTON_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
 class SimConfig:
     grid: SampleGrid
-    # Newton passes per step on a circuit with a nonlinear law; a linear
-    # circuit solves each step in one affine update and ignores it
-    newton_max_iters: int = 50
-
-    def __post_init__(self):
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -117,12 +113,8 @@ class Trajectory:
             self._halves[key] = rows
         return self._halves[key]
 
-    def to_csv(self) -> str:
-        """Deterministic trajectory export, one row per grid sample."""
-        return "".join(self.csv_chunks())
-
     def csv_chunks(self):
-        """The text of `to_csv`: the header line, then chunks of rows."""
+        """The CSV export: the header line, then chunks of rows, one row per grid sample."""
         cols = self._csv_columns()
         yield ",".join(name for name, _ in cols) + "\n"
         yield from _csv_body([values for _, values in cols])
@@ -286,15 +278,20 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     NEWTON_TOL, about 1e-11 (relative) short of the converged step, so the
     start is part of the result: on netlists/memnet.net (2e4 steps) the
     predictor moves the voltages and currents by up to 2.3e-9 of their
-    largest value from where the dz = 0 start leaves them.  newton_max_iters bounds the passes, and a singular Jacobian
-    fails the step.  Either way a failed step raises NewtonDivergenceError
-    at the earliest failing time, naming the first failing member there.
+    largest value from where the dz = 0 start leaves them.
+    NEWTON_MAX_ITERS bounds the passes, and a singular Jacobian fails the
+    step.  Either way a failed step raises NewtonDivergenceError at the
+    earliest failing time, naming the first failing member there.
+
+    Every beta must be finite and non-negative (ParameterError "beta").
+    Conductances are not checked: a NaN one fails as a divergence.
     """
     if not members:
         raise ValueError("a batch needs at least one member")
     betas = np.array([mb.beta for mb in members], dtype=float)
-    if np.any(betas < 0):
-        raise ValueError("beta must be non-negative")
+    bad = ~(np.isfinite(betas) & (betas >= 0))
+    if bad.any():
+        raise ParameterError("beta", f"beta must be finite and non-negative, got {betas[bad][0]}")
     g = np.array([mb.g for mb in members], dtype=float)
     k = len(members)
     elements = system.circuit.elements
@@ -422,7 +419,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                 # secant predictor: start from the last step's change
                 # (z_0 = 0, so the first step starts from dz = 0)
                 dz = z_prev - Z[:, :, max(m - 2, 0), None]
-                for _ in range(cfg.newton_max_iters):
+                for _ in range(NEWTON_MAX_ITERS):
                     F = A @ dz + r
                     Fs = row_scale * F
                     x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div

@@ -90,16 +90,19 @@ class TrainingLog:
             out.setdefault(ep, []).append(loss)
         return [float(np.mean(out[ep])) for ep in sorted(out)]
 
-    def to_csv(self) -> str:
-        """The header, then one row per record (none if the first example failed)."""
-        return "".join(self.csv_chunks())
-
     def csv_chunks(self):
-        """The text of `to_csv`: the header line, then chunks of rows."""
+        """The CSV export: the header line, then chunks of rows, one row per
+        record (none if the first example failed)."""
         yield "epoch,example,J,grad_norm," + ",".join(f"g_{n}" for n in self.synapse_names) + "\n"
         if self.records:
             epochs, examples, losses, norms, gs = zip(*self.records)
             yield from _csv_body([epochs, examples, losses, norms, *zip(*gs)])
+
+
+def _check_nudge(beta: float) -> None:
+    """The estimator divides by beta; written so that a NaN beta fails too."""
+    if not beta > 0:
+        raise ParameterError("beta", f"the estimator needs beta > 0, got {beta}")
 
 
 def _synapses(circuit: Circuit) -> tuple:
@@ -123,8 +126,7 @@ def estimate_gradient(
     is `circuit` compiled, or compiled from a circuit that differs from it
     only in conductances; it is compiled here when omitted.
     """
-    if beta <= 0:
-        raise ValueError("estimator needs beta > 0")
+    _check_nudge(beta)
     if system is None:
         system = compile(circuit)
     g = system.conductances(circuit)
@@ -159,11 +161,11 @@ def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
     """The oracle's runs at beta = 0: per trainable synapse, in synapse
     order, its conductance in `g` moved by +eps, then by -eps.
 
-    eps is checked against the conductances here, so a bad eps fails
+    eps is checked here, against the conductances too, so a bad eps fails
     before any run is stepped.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError("eps", f"eps must be positive and finite, got {eps}")
     idx = _synapses(circuit)
     g_floor = min(circuit.elements[l].g for l in idx)
     if eps >= g_floor:
@@ -184,20 +186,6 @@ def fd_differences(trajectories, eps: float) -> tuple:
     return tuple((losses[k] - losses[k + 1]) / (2.0 * eps) for k in range(0, len(losses), 2))
 
 
-def fd_gradient(
-    circuit: Circuit, drive: DriveSet, eps: float, cfg: SimConfig, system: Optional[StepSystem] = None
-) -> tuple:
-    """Central-difference oracle dJ/dg per trainable synapse, at beta = 0.
-
-    The 2 * |synapses| runs of `fd_members` step together as one batch, and
-    `fd_differences` turns them into the oracle.
-    """
-    if system is None:
-        system = compile(circuit)
-    members = fd_members(circuit, eps, system.conductances(circuit))
-    return fd_differences(simulate_batch(system, drive, cfg, members), eps)
-
-
 def estimates_and_oracle(
     circuit: Circuit, drive: DriveSet, nudges, eps: float, cfg: SimConfig, sign_convention: int = 1
 ) -> tuple:
@@ -206,11 +194,11 @@ def estimates_and_oracle(
     `nudges` holds (label, beta) pairs.  The batch is the free run, one
     nudged run per pair, then the runs of `fd_members`; every beta and eps
     is checked before it steps.  Each estimate contrasts its nudged run with
-    the one free run, and both are bitwise what `estimate_gradient` and
-    `fd_gradient` return.
+    the one free run and is bitwise what `estimate_gradient` returns; the
+    oracle is bitwise what the runs of `fd_members` give stepped alone.
     """
-    if any(beta <= 0 for _, beta in nudges):
-        raise ValueError("estimator needs beta > 0")
+    for _, beta in nudges:
+        _check_nudge(beta)
     system = compile(circuit)
     g = system.conductances(circuit)
     oracle_members = fd_members(circuit, eps, g)
@@ -233,6 +221,7 @@ def calibrate_sign(circuit: Circuit, drive: DriveSet, beta: float, eps: float, c
     """One-time sign convention: the sign that aligns the raw estimator
     quotient with the finite-difference oracle (by inner product).
 
+    This is the paper's sign-fixing step; only criterion 8's test reaches it.
     The free, nudged and oracle runs step as one batch."""
     (est,), oracle = estimates_and_oracle(circuit, drive, [("nudged", beta)], eps, cfg)
     dot = float(np.dot(est.values, oracle))

@@ -5,10 +5,6 @@ class FraceqError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidOrderError(FraceqError, ValueError):
-    """Fractional order outside the supported range."""
-
-
 class GridTooSmallError(FraceqError, ValueError):
     """Signal grid has fewer than two samples."""
 
@@ -23,6 +19,13 @@ class ParameterError(FraceqError, ValueError):
     def __init__(self, name, message):
         self.name = name
         super().__init__(message)
+
+
+class InvalidOrderError(ParameterError):
+    """Fractional order outside the supported range; its name is "alpha"."""
+
+    def __init__(self, message):
+        super().__init__("alpha", message)
 
 
 class NetlistError(FraceqError, ValueError):

@@ -57,10 +57,13 @@ class SampleGrid:
                 raise ParameterError(name, f"span end must be finite, got {end}")
         if not b > a:
             raise ParameterError("b", f"span end must be after its start {a}, got {b}")
-        n = int(round((b - a) / dt)) + 1
+        steps = (b - a) / dt
+        if not math.isfinite(steps):
+            raise ParameterError("dt", f"grid step {dt} is too small for the span [{a}, {b}]")
+        n = int(round(steps)) + 1
         grid = cls(a, dt, n)
         if abs(grid.b - b) > 1e-9 * max(1.0, abs(b)):
-            raise ValueError(f"span [{a}, {b}] is not an integer number of steps of {dt}")
+            raise ParameterError("dt", f"span [{a}, {b}] is not an integer number of steps of {dt}")
         return grid
 
     def times(self) -> np.ndarray:
@@ -168,8 +171,8 @@ def rl_integral_left(x: Signal, alpha: float) -> Signal:
     The weakly singular kernel is integrated exactly against the piecewise
     linear interpolant of x (product trapezoidal rule).
     """
-    if alpha <= 0:
-        raise InvalidOrderError(f"integral order must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidOrderError(f"integral order must be positive and finite, got {alpha}")
     v = x.values
     n = len(v)
     dt = x.grid.dt

@@ -100,7 +100,8 @@ def _kirchhoff_matrices(circuit: Circuit, tree: tuple, links: tuple) -> tuple:
 
     Each link's loop follows the link from n_plus to n_minus and returns
     through the tree; a tree branch traversed along its own orientation gets
-    +1 in the loop row.  Q = [I | F] with F = -B_tree^T on tree columns.
+    +1 in the loop row.  Q is the identity on the tree columns and
+    -B_tree^T on the link columns.
     """
     elements = circuit.elements
     # tree adjacency: node -> list of (branch, neighbor, sign when leaving via n_plus)
@@ -136,12 +137,8 @@ def _kirchhoff_matrices(circuit: Circuit, tree: tuple, links: tuple) -> tuple:
         for tb, s in tree_path(elements[b].n_minus, elements[b].n_plus):
             B[r, tb] = s
     Q = np.zeros((len(tree), len(elements)), dtype=np.int64)
-    for r, b in enumerate(tree):
-        Q[r, b] = 1
-    # F = -B_tree^T on the link columns
-    for lr, lb in enumerate(links):
-        for tr, tb in enumerate(tree):
-            Q[tr, lb] = -B[lr, tb]
+    Q[:, list(tree)] = np.eye(len(tree), dtype=np.int64)
+    Q[:, list(links)] = -B[:, list(tree)].T
     return Q, B
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from fraceq.circuit import Circuit, validate
-from fraceq.dynamics import NEWTON_TOL, DriveSet, SimConfig, Trajectory
+from fraceq.dynamics import NEWTON_MAX_ITERS, NEWTON_TOL, DriveSet, SimConfig, Trajectory
 from fraceq.errors import NewtonDivergenceError, ValidationError
 from fraceq.frac_ops import gl_weights
 from fraceq.topology import build_topology
@@ -137,7 +137,7 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
         if predictor and nonlinear and m >= 2:
             z = Z[:, m - 1] + (Z[:, m - 1] - Z[:, m - 2])
         converged = False
-        for it in range(cfg.newton_max_iters):
+        for it in range(NEWTON_MAX_ITERS):
             phi = P_phi @ z
             q = P_q @ z
             v = (phi - phi_prev) / dt

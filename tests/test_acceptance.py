@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csv_compare import assert_same_csv
+from csv_compare import assert_same_csv, csv_text
 from fraceq.circuit import Circuit, Element, parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, simulate, trajectory_loss
 from fraceq.eqprop import (
@@ -22,7 +22,7 @@ from fraceq.eqprop import (
     agreement_metrics,
     calibrate_sign,
     estimate_gradient,
-    fd_gradient,
+    estimates_and_oracle,
     train,
 )
 from fraceq.frac_ops import SampleGrid, Signal, caputo_left
@@ -180,7 +180,7 @@ def test_criterion_08_estimator_vs_oracle(report):
     cfg = SimConfig(SampleGrid.from_span(0.0, 1.0, 1e-3))
     sign = calibrate_sign(ckt, DriveSet(), 1e-3, 1e-4, cfg)
     est = estimate_gradient(ckt, DriveSet(), 1e-3, cfg, sign_convention=sign)
-    oracle = fd_gradient(ckt, DriveSet(), 1e-4, cfg)
+    oracle = estimates_and_oracle(ckt, DriveSet(), [], 1e-4, cfg)[1]
     m = agreement_metrics(est, oracle)
     ok = m["sign_match"] and m["cosine_similarity"] >= 0.9
     report(
@@ -213,12 +213,12 @@ def test_criterion_09_end_to_end_learning(report):
 
 
 def test_criterion_10_determinism(report):
-    trajs = [run(LINNET, beta=1e-3, t_end=0.5).to_csv() for _ in range(2)]
+    trajs = [csv_text(run(LINNET, beta=1e-3, t_end=0.5)) for _ in range(2)]
     from fraceq.cli import parse_train_config
 
     ckt = parse_netlist(LINNET)
     cfg_text = (NETLISTS / "train.cfg").read_text().replace("epochs=50", "epochs=3")
-    logs = [train(ckt, parse_train_config(cfg_text, ckt))[1].to_csv() for _ in range(2)]
+    logs = [csv_text(train(ckt, parse_train_config(cfg_text, ckt))[1]) for _ in range(2)]
     # each fails naming the first line that differs
     assert_same_csv(trajs[0], trajs[1])
     assert_same_csv(logs[0], logs[1])

@@ -119,8 +119,8 @@ def _random_element(draw, name, np_, nm):
     if kind == "M":
         return Element("M", name, np_, nm, spec=ConstitutiveSpec("tanh", (draw(pos), draw(pos))))
     if kind == "V":
-        return Element("V", name, np_, nm, waveform=Waveform.sine(draw(pos), draw(pos), 0.0))
-    return Element("OC", name, np_, nm, cap_scale=draw(pos), waveform=Waveform.const(draw(pos)))
+        return Element("V", name, np_, nm, waveform=Waveform("sine", (draw(pos), draw(pos), 0.0)))
+    return Element("OC", name, np_, nm, cap_scale=draw(pos), waveform=Waveform("const", (draw(pos),)))
 
 
 # tokens for random netlist lines: every kind, names and nodes, parameters
@@ -264,6 +264,6 @@ class TestConstitutive:
 class TestWaveforms:
     def test_families(self):
         t = np.array([0.0, 0.5, 1.0])
-        assert np.allclose(Waveform.const(2.0)(t), 2.0)
-        assert np.allclose(Waveform.step(3.0, 0.5)(t), [0, 3, 3])
-        assert np.allclose(Waveform.sine(1.0, 1.0)(t), np.sin(2 * np.pi * t), atol=1e-12)
+        assert np.allclose(Waveform("const", (2.0,))(t), 2.0)
+        assert np.allclose(Waveform("step", (3.0, 0.5))(t), [0, 3, 3])
+        assert np.allclose(Waveform("sine", (1.0, 1.0, 0.0))(t), np.sin(2 * np.pi * t), atol=1e-12)

@@ -1,15 +1,16 @@
-import functools
 import hashlib
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fraceq import circuit, cli, dynamics, eqprop
 from fraceq.cli import main, parse_train_config
 from fraceq.circuit import parse_netlist
-from fraceq.dynamics import SimConfig
 
 RC_NET = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
 
@@ -206,7 +207,11 @@ class TestGradcheck:
         assert batches == [["free", "nudged", "nudged beta/2", *fd]]
 
     @pytest.mark.parametrize(
-        "eps, message", [("0", "error: eps must be positive"), ("0.5", "error: eps 0.5 would drive conductance 0.25")]
+        "eps, message",
+        [
+            ("0", "error: --eps: eps must be positive and finite, got 0.0"),
+            ("0.5", "error: eps 0.5 would drive conductance 0.25"),
+        ],
     )
     def test_bad_eps_exit_2_before_any_run(self, linnet_path, tmp_path, capsys, monkeypatch, eps, message):
         def stepping(*args):
@@ -224,7 +229,7 @@ class TestGradcheck:
     def test_newton_divergence_exit_3_names_phase(self, tmp_path, capsys, monkeypatch):
         net = tmp_path / "tanh.net"
         net.write_text(TANH_M)
-        monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))
+        monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 1)
         code = main(["gradcheck", str(net), "--dt", "2e-3", "--out", str(tmp_path / "gc.csv")])
         assert code == 3
         assert "Newton iteration diverged at t=0.002 (free phase)" in capsys.readouterr().err
@@ -313,10 +318,10 @@ class TestTrain:
         assert "config line 8, col 9: v1: non-finite argument in 'const(inf)'" in capsys.readouterr().err
 
     def test_newton_divergence_exit_3_names_phase_and_example(self, tmp_path, capsys, monkeypatch):
-        # a linear circuit ignores newton_max_iters; one pass cannot solve a tanh law
+        # a linear circuit runs no Newton pass; one pass cannot solve a tanh law
         net = tmp_path / "tanh.net"
         net.write_text(TANH_M)
-        monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, newton_max_iters=1))
+        monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 1)
         code, out_dir = self._run(str(net), tmp_path, TRAIN_CFG, "runN")
         assert code == 3
         err = capsys.readouterr().err
@@ -421,6 +426,23 @@ class TestRunParameters:
         assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
 
     @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("gradcheck", "--beta", "nan", "--beta: the estimator needs beta > 0, got nan"),
+            ("gradcheck", "--beta", "inf", "--beta: beta must be finite and non-negative, got inf"),
+            ("gradcheck", "--beta", "0", "--beta: the estimator needs beta > 0, got 0.0"),
+            ("gradcheck", "--eps", "nan", "--eps: eps must be positive and finite, got nan"),
+            ("gradcheck", "--eps", "inf", "--eps: eps must be positive and finite, got inf"),
+            ("simulate", "--beta", "nan", "--beta: beta must be finite and non-negative, got nan"),
+            ("simulate", "--beta", "-1", "--beta: beta must be finite and non-negative, got -1.0"),
+        ],
+    )
+    def test_run_flag(self, linnet_path, tmp_path, capsys, command, flag, value, message):
+        assert main([command, linnet_path, flag, value, "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
+
+    @pytest.mark.parametrize(
         "setting, message",
         [
             ("learning_rate=nan", "learning_rate must be finite and non-negative, got nan"),
@@ -439,8 +461,178 @@ class TestRunParameters:
         cfg.write_text("\n".join(lines) + "\n")
         out_dir = tmp_path / "run"
         assert main(["train", linnet_path, str(cfg), "--out-dir", str(out_dir)]) == 2
-        assert f"error: config line {len(lines)}: {setting}: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: config line {len(lines)}: {setting}: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestInputFiles:
+    """A bad byte or number in an input file exits 2 naming the file and where in it."""
+
+    def test_non_utf8_netlist(self, tmp_path, capsys):
+        net = tmp_path / "bad.net"
+        net.write_bytes(LINNET.encode() + b"# caf\xe9\n")
+        assert main(["simulate", str(net), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {net}:7: not UTF-8 at byte {len(LINNET) + 5} (invalid continuation byte)\n"
+
+    def test_non_utf8_train_config(self, linnet_path, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"epochs=3\n\xff\n")
+        assert main(["train", linnet_path, str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: not UTF-8 at byte 9 (invalid start byte)\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_signal_value(self, tmp_path, capsys, value):
+        sig = tmp_path / "sig.csv"
+        sig.write_text(f"t,value\n0.0,1.0\n0.1,{value}\n0.2,3.0\n")
+        assert main(["frac-bench", str(sig), "--out", str(tmp_path / "res.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {sig}:3: non-finite value in '0.1,{value}'\n"
+
+    def test_overflowing_time_step(self, tmp_path, capsys):
+        # the step from -1e308 to 1e308 is inf, which is no uniform grid
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,value\n-1e308,1.0\n1e308,2.0\n")
+        assert main(["frac-bench", str(sig), "--out", str(tmp_path / "res.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {sig}:3: time column is not a uniform grid\n"
+
+    @pytest.mark.parametrize(
+        "op, alpha, message",
+        [
+            ("rl-integral", "inf", "integral order must be positive and finite, got inf"),
+            ("rl-integral", "nan", "integral order must be positive and finite, got nan"),
+            ("caputo-left", "nan", "caputo_left supports orders in (0, 1], got nan"),
+        ],
+    )
+    def test_bad_alpha_names_its_flag(self, tmp_path, capsys, op, alpha, message):
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,value\n0.0,1.0\n0.1,2.0\n0.2,3.0\n")
+        assert main(["frac-bench", str(sig), "--op", op, "--alpha", alpha, "--out", str(tmp_path / "res.csv")]) == 2
+        assert capsys.readouterr().err == f"error: --alpha: {message}\n"
+
+
+# --- fuzzing the train config and signal CSV readers --------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-1", "1e308", "-1e308", "1e400", "5e-324", "1e-320", "nan", "-inf", "1_000", "", "1e", "0x1"]),
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+)
+_KEYS = ("epochs", "learning_rate", "beta", "dt", "t_end", "g_min", "seed", "sign_convention")
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+_GOOD_CONFIG_LINES = TRAIN_CFG.splitlines() + ["# comment", "", "example", "g_min=1e-6 # floor"]
+# bytes that no UTF-8 text contains: a stray continuation byte, a lead byte
+# cut short, an encoded surrogate, and bytes never used
+_NOT_UTF8 = st.sampled_from([b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xff", b"\xfe\xff"])
+
+
+def _not_a_finite_number(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+@st.composite
+def _bad_config_lines(draw):
+    """One line that the config reader must reject whatever surrounds it."""
+    kind = draw(st.sampled_from(["unknown key", "no key=value", "example token"]))
+    if kind == "unknown key":
+        return f"{draw(_WORDS.filter(lambda k: k not in _KEYS and k != 'example'))}={draw(_NUMBERS)}"
+    if kind == "no key=value":
+        return f"{draw(_WORDS.filter(lambda w: w != 'example'))} {draw(_NUMBERS)}"
+    token = draw(
+        st.sampled_from(["v1const(1)", "vx=const(1)", "s1=const(1)", "v1=const(", "v1=sine(1)", "v1=ramp(1)"])
+        | _NUMBERS.filter(_not_a_finite_number).map(lambda x: f"oc1=const({x})")
+    )
+    return f"example v1=const(1.0) {token}"
+
+
+@st.composite
+def bad_train_configs(draw):
+    """Config bytes with at least one defect, among good, random and truncated lines."""
+    noise = st.one_of(
+        st.sampled_from(_GOOD_CONFIG_LINES),
+        st.builds(lambda k, v: f"{k}={v}", st.sampled_from(_KEYS), _NUMBERS),
+        st.sampled_from(_GOOD_CONFIG_LINES).flatmap(lambda line: st.integers(0, len(line)).map(lambda n: line[:n])),
+    )
+    lines = draw(st.lists(noise, max_size=12))
+    for line in draw(st.lists(_bad_config_lines(), min_size=1, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    raw = "\n".join(lines).encode() + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+    if draw(st.integers(0, 4)) == 4:  # one file in five
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(_NOT_UTF8) + raw[at:]
+    return raw
+
+
+# rows that are bad wherever they stand after the header
+_BAD_ROWS = ["0.1,oops", "0.1", "0.1,", "time,v", "nan,1.0", "0.1,inf", "1e400,0"]
+# times on no uniform grid that starts at 0 with a step of at most 2 and
+# holds at least 2 other rows; the step between the last two overflows
+_OFF_GRID_ROWS = ["1e9,1.0", "-5,2", "1.7e308,0", "-1.7e308,0"]
+
+
+@st.composite
+def bad_signal_csvs(draw):
+    """Signal CSV bytes that must be rejected: a uniform grid of fewer than 2
+    rows, or with bad rows after its header, or with bytes that are not UTF-8."""
+    dt = draw(st.sampled_from([1e-3, 0.1, 0.5, 2.0]))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300, 5e-324]) | st.floats(-1e3, 1e3), max_size=12))
+    # a header first, since the first line may be a header and is skipped if it is not numeric
+    head = draw(st.sampled_from([["t,value"], ["# signal", "t,value"], ["", "t,value"]]))
+    lines = head + [f"{k * dt!r},{v!r}" for k, v in enumerate(values)]
+    rows = _BAD_ROWS + (_OFF_GRID_ROWS if len(values) >= 2 else [])
+    defects = draw(st.lists(st.sampled_from(rows), max_size=2))
+    for line in defects:
+        lines.insert(draw(st.integers(len(head), len(lines))), line)
+    raw = "\n".join(lines).encode() + b"\n"
+    if len(values) >= 2 and not defects:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(_NOT_UTF8) + raw[at:]
+    return raw
+
+
+def _assert_located(err, path, raw, whole_file):
+    """One line: 'error: path:N: ...' with N a line of the file, or a whole-file message."""
+    assert err.count("\n") == 1, err
+    located = re.fullmatch(rf"error: {re.escape(path)}(?::(\d+):|: config line (\d+)[:,]) .*\n", err)
+    if located:
+        line = int(located.group(1) or located.group(2))
+        assert 1 <= line <= raw.count(b"\n") + 1, err
+    else:
+        assert re.fullmatch(rf"error: {re.escape(path)}: ({whole_file})\n", err), err
+
+
+class TestInputFuzz:
+    """Every generated file has a defect: main exits 2 naming the file, and
+    its line where the defect has one, and no exception escapes."""
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(raw=bad_train_configs())
+    def test_train_config(self, linnet_path, tmp_path, capsys, monkeypatch, raw):
+        def training(*args):
+            raise AssertionError("a run was trained")
+
+        monkeypatch.setattr(cli, "train", training)
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_bytes(raw)
+        assert main(["train", linnet_path, str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        _assert_located(capsys.readouterr().err, str(cfg), raw, "config is missing required key [a-z_]+=")
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(raw=bad_signal_csvs())
+    def test_signal_csv(self, tmp_path, capsys, raw):
+        sig = tmp_path / "fuzz.csv"
+        sig.write_bytes(raw)
+        out = tmp_path / "res.csv"
+        out.unlink(missing_ok=True)
+        assert main(["frac-bench", str(sig), "--out", str(out)]) == 2
+        _assert_located(capsys.readouterr().err, str(sig), raw, "need at least 2 numeric t,value rows")
+        assert not out.exists()
 
 
 class TestParseTrainConfig:

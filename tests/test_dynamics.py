@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from csv_compare import assert_same_csv
-from fraceq.circuit import parse_netlist
+from csv_compare import assert_same_csv, csv_text
+from fraceq.circuit import Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, Trajectory, simulate, trajectory_loss
 from fraceq.errors import MissingOutputError, ValidationError
 from fraceq.frac_ops import SampleGrid, Signal
@@ -21,8 +21,8 @@ OC oc1 out 0 cap=1.0 w=const(0.4)
 """
 
 
-def cfg(dt=1e-3, t_end=1.0, **kw):
-    return SimConfig(grid=SampleGrid.from_span(0.0, t_end, dt), **kw)
+def cfg(dt=1e-3, t_end=1.0):
+    return SimConfig(SampleGrid.from_span(0.0, t_end, dt))
 
 
 def run(net, beta=0.0, drive=None, **kwargs):
@@ -108,7 +108,7 @@ class TestLinearMemristorReduction:
 class TestFreePhaseIndependence:
     def test_targets_cannot_leak_at_beta_zero(self):
         a = run(LINNET, beta=0.0)
-        b = run(LINNET, beta=0.0, drive=DriveSet(targets={"oc1": __import__("fraceq.circuit", fromlist=["Waveform"]).Waveform.sine(5.0, 3.0)}))
+        b = run(LINNET, beta=0.0, drive=DriveSet(targets={"oc1": Waveform("sine", (5.0, 3.0, 0.0))}))
         assert np.array_equal(a.tree_flux, b.tree_flux)
         assert np.array_equal(a.loop_charge, b.loop_charge)
         assert np.array_equal(a.outputs, b.outputs)
@@ -152,8 +152,6 @@ class TestEnergySanity:
 
 class TestTrajectoryLoss:
     def test_perfect_tracking(self):
-        from fraceq.circuit import Waveform
-
         # drive the output to match the target exactly via a voltage source
         net = "V vs out 0 w=const(0)\nR r 1 out g=1\nV vin 1 0 w=const(0)\nOC oc1 out 0 cap=1 w=const(0.0)\n"
         traj = run(net)
@@ -166,10 +164,8 @@ class TestTrajectoryLoss:
         assert trajectory_loss(traj) == pytest.approx(1.0, rel=2e-3)
 
     def test_sine_mismatch_integrates_to_half(self):
-        from fraceq.circuit import Waveform
-
         net = "V vs out 0 w=const(0)\nR r 1 out g=1\nV vin 1 0 w=const(0)\nOC oc1 out 0 cap=1 w=const(0)\n"
-        drive = DriveSet(targets={"oc1": Waveform.sine(1.0, 1.0)})
+        drive = DriveSet(targets={"oc1": Waveform("sine", (1.0, 1.0, 0.0))})
         traj = run(net, drive=drive)
         assert trajectory_loss(traj) == pytest.approx(0.5, abs=1e-3)
 
@@ -183,18 +179,18 @@ class TestDeterminismAndExport:
     def test_identical_runs_bit_identical(self):
         a = run(LINNET, beta=1e-3)
         b = run(LINNET, beta=1e-3)
-        assert_same_csv(a.to_csv(), b.to_csv())
+        assert_same_csv(csv_text(a), csv_text(b))
 
     def test_csv_header_layout(self):
         traj = run(LINNET, beta=0.0, t_end=0.01)
-        header = traj.to_csv().splitlines()[0].split(",")
+        header = csv_text(traj).splitlines()[0].split(",")
         assert header[0] == "t"
         assert "out_oc1_v" in header and "out_oc1_T" in header
         assert any(h.startswith("coord_") and h.endswith("_phi") for h in header)
 
     @staticmethod
     def per_cell_body(columns):
-        # the formatter to_csv used before: one "%.17g" per cell
+        # the formatter the CSV export used before: one "%.17g" per cell
         return "".join(",".join("%.17g" % col[row] for col in columns) + "\n" for row in range(len(columns[0])))
 
     def test_body_matches_per_cell_formatter(self):
@@ -216,7 +212,7 @@ class TestDeterminismAndExport:
         traj = run(LINNET, beta=1e-3, t_end=5.0)
         cols = traj._csv_columns()
         expected = ",".join(name for name, _ in cols) + "\n" + self.per_cell_body([v for _, v in cols])
-        assert_same_csv(traj.to_csv(), expected)
+        assert_same_csv(csv_text(traj), expected)
 
 
 class TestHalfRates:
@@ -237,7 +233,7 @@ class TestHalfRates:
         psi, r = traj.tree_half_velocity, traj.loop_half_charge_rate
         rows = len(traj.tree_flux) + len(traj.loop_charge)
         assert calls == [len(traj.tree_flux), len(traj.loop_charge)] and sum(calls) == rows
-        traj.to_csv()
+        csv_text(traj)
         assert traj.tree_half_velocity is psi and traj.loop_half_charge_rate is r
         assert sum(calls) == rows and len(calls) == 2
         assert not psi.flags.writeable and not r.flags.writeable

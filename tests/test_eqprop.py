@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from csv_compare import assert_same_csv
-from fraceq import eqprop
+from csv_compare import assert_same_csv, csv_text
+from fraceq import dynamics, eqprop
 from fraceq.circuit import Circuit, Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
 from fraceq.eqprop import (
@@ -17,7 +17,8 @@ from fraceq.eqprop import (
     estimate_from,
     estimate_gradient,
     estimates_and_oracle,
-    fd_gradient,
+    fd_differences,
+    fd_members,
     sgd_step,
     train,
 )
@@ -47,6 +48,11 @@ def sim_cfg(dt=1e-3, t_end=1.0):
     return SimConfig(SampleGrid.from_span(0.0, t_end, dt))
 
 
+def fd_oracle(circuit, drive, eps, cfg):
+    """The central-difference oracle alone: `estimates_and_oracle` with no nudge."""
+    return estimates_and_oracle(circuit, drive, [], eps, cfg)[1]
+
+
 @pytest.fixture(scope="module")
 def linnet():
     return parse_netlist(LINNET)
@@ -54,7 +60,7 @@ def linnet():
 
 @pytest.fixture(scope="module")
 def oracle(linnet):
-    return fd_gradient(linnet, DriveSet(), 1e-4, sim_cfg())
+    return fd_oracle(linnet, DriveSet(), 1e-4, sim_cfg())
 
 
 class TestEstimateGradient:
@@ -70,7 +76,7 @@ class TestEstimateGradient:
             estimate_gradient(linnet, DriveSet(), 0.0, sim_cfg())
 
     def test_zero_nudge_when_target_matches_free_output(self, linnet):
-        drive = DriveSet(targets={"oc1": Waveform.const(V_FREE)})
+        drive = DriveSet(targets={"oc1": Waveform("const", (V_FREE,))})
         # perfectly tracked target: the nudged phase coincides with the free
         # phase and the estimate sits at roundoff for any small beta
         for beta in (1e-2, 1e-3):
@@ -193,18 +199,18 @@ class TestUnequalOutputCaps:
 
 class TestFdGradient:
     def test_eps_sweep_self_consistency(self, linnet, oracle):
-        fine = fd_gradient(linnet, DriveSet(), 1e-5, sim_cfg())
+        fine = fd_oracle(linnet, DriveSet(), 1e-5, sim_cfg())
         rel = np.max(np.abs(np.array(oracle) - fine) / np.abs(fine))
         assert rel < 1e-3
 
     def test_step_too_large(self, linnet):
         with pytest.raises(StepTooLargeError):
-            fd_gradient(linnet, DriveSet(), 0.25, sim_cfg())
+            fd_oracle(linnet, DriveSet(), 0.25, sim_cfg())
 
     def test_dangling_synapse_zero_gradient(self):
         net = LINNET + "V v3 x1 0 w=const(1.0)\nR s4 x1 0 g=0.3 trainable\n"
         ckt = parse_netlist(net)
-        grads = fd_gradient(ckt, DriveSet(), 1e-4, sim_cfg(t_end=0.5))
+        grads = fd_oracle(ckt, DriveSet(), 1e-4, sim_cfg(t_end=0.5))
         k = list(ckt.trainables).index(ckt.index_of("s4"))
         assert abs(grads[k]) < 1e-10
 
@@ -212,8 +218,8 @@ class TestFdGradient:
         offsets = {}
         for scale in (1.0, 2.0):
             target = V_FREE - scale * 0.1
-            drive = DriveSet(targets={"oc1": Waveform.const(target)})
-            offsets[scale] = np.array(fd_gradient(linnet, drive, 1e-4, sim_cfg()))
+            drive = DriveSet(targets={"oc1": Waveform("const", (target,))})
+            offsets[scale] = np.array(fd_oracle(linnet, drive, 1e-4, sim_cfg()))
         ratio = offsets[2.0] / offsets[1.0]
         assert np.max(np.abs(ratio - 2.0)) < 0.02
 
@@ -264,7 +270,10 @@ class TestEstimatesAndOracle:
             alone = estimate_gradient(ckt, DriveSet(), beta, sim_cfg(), -1)
             assert est == alone
             assert est.metadata == alone.metadata
-        assert oracle == fd_gradient(ckt, DriveSet(), 1e-4, sim_cfg())
+        # the oracle's runs stepped as a batch of their own give the same bits
+        system = compile(ckt)
+        alone = simulate_batch(system, DriveSet(), sim_cfg(), fd_members(ckt, 1e-4, system.conductances(ckt)))
+        assert oracle == fd_differences(alone, 1e-4)
 
     @pytest.mark.parametrize("beta, eps", [(0.0, 1e-4), (1e-3, 0.0), (1e-3, 0.25)])
     def test_bad_beta_or_eps_fails_before_any_run(self, linnet, monkeypatch, beta, eps):
@@ -309,30 +318,31 @@ class TestTrain:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_seed_determinism(self, linnet):
-        a = train(linnet, self._config())[1].to_csv()
-        b = train(linnet, self._config())[1].to_csv()
+        a = csv_text(train(linnet, self._config())[1])
+        b = csv_text(train(linnet, self._config())[1])
         assert_same_csv(a, b)
 
     def test_log_shape_and_csv(self, linnet):
         final, log = train(linnet, self._config(epochs=2))
         assert len(log.records) == 2 * 1
-        header = log.to_csv().splitlines()[0]
+        header = csv_text(log).splitlines()[0]
         assert header == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3"
 
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
             self._config(learning_rate=-0.1)
 
-    def test_failure_names_epoch_and_example(self):
+    def test_failure_names_epoch_and_example(self, monkeypatch):
         # one Newton pass cannot solve a step of a tanh law
         tanh_m = parse_netlist(LINNET + "M m1 out 0 f=tanh(0.5,1.0)\n")
-        config = self._config(sim=SimConfig(sim_cfg(dt=2e-3).grid, newton_max_iters=1), batch=(DriveSet(),) * 2)
+        monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 1)
+        config = self._config(sim=sim_cfg(dt=2e-3), batch=(DriveSet(),) * 2)
         first = int(np.random.default_rng(config.seed).permutation(2)[0])
         message = f"^epoch 0, example {first}: Newton iteration diverged at t=0.002 \\(free phase\\)"
         with pytest.raises(NewtonDivergenceError, match=message) as info:
             train(tanh_m, config)
         assert (info.value.epoch, info.value.example) == (0, first)
-        assert info.value.partial_log.to_csv() == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3\n"
+        assert csv_text(info.value.partial_log) == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3\n"
 
     def test_csv_matches_per_record_formatter(self):
         log = TrainingLog(synapse_names=("a", "b"))
@@ -342,7 +352,7 @@ class TestTrain:
         lines = ["epoch,example,J,grad_norm,g_a,g_b"]
         for ep, ex, loss, gn, gs in log.records:
             lines.append(f"{ep},{ex},%.17g,%.17g," % (loss, gn) + ",".join("%.17g" % g for g in gs))
-        assert_same_csv(log.to_csv(), "\n".join(lines) + "\n")
+        assert_same_csv(csv_text(log), "\n".join(lines) + "\n")
 
 
 class TestMixedPartials:
@@ -394,7 +404,7 @@ def agreement_at_defaults(net):
     """Estimate-vs-oracle metrics at gradcheck's defaults: dt 1e-3, beta 1e-3, eps 1e-4."""
     circuit = parse_netlist(net)
     est = estimate_gradient(circuit, DriveSet(), 1e-3, sim_cfg())
-    return agreement_metrics(est, fd_gradient(circuit, DriveSet(), 1e-4, sim_cfg()))
+    return agreement_metrics(est, fd_oracle(circuit, DriveSet(), 1e-4, sim_cfg()))
 
 
 class TestTimeVaryingCircuits:

@@ -87,11 +87,11 @@ class TestElementTerm:
         assert element_term(e, sample(v=1.0, target=0.25), beta=0.5) == pytest.approx(-0.5 * 2.0 * 0.75**2)
 
     def test_current_source_forcing(self):
-        e = Element("I", "i1", "a", "0", waveform=Waveform.const(2.0))
+        e = Element("I", "i1", "a", "0", waveform=Waveform("const", (2.0,)))
         assert element_term(e, sample(i=2.0, phi=3.0)) == pytest.approx(-6.0)
 
     def test_voltage_source_is_constraint(self):
-        e = Element("V", "v1", "a", "0", waveform=Waveform.const(1.0))
+        e = Element("V", "v1", "a", "0", waveform=Waveform("const", (1.0,)))
         assert element_term(e, sample(phi=5.0, v=1.0)) == 0j
 
     @pytest.mark.parametrize(
@@ -101,7 +101,7 @@ class TestElementTerm:
             Element("L", "x", "a", "0", l=1.0),
             Element("R", "x", "a", "0", g=1.0),
             Element("OC", "x", "a", "0", cap_scale=1.0),
-            Element("I", "x", "a", "0", waveform=Waveform.const(1.0)),
+            Element("I", "x", "a", "0", waveform=Waveform("const", (1.0,))),
         ],
     )
     def test_zero_state_is_zero(self, element):
@@ -113,7 +113,7 @@ class TestLagrangianParts:
         ckt = Circuit(
             (
                 Element("R", "s1", "a", "0", g=0.5, trainable=True),
-                Element("OC", "oc1", "a", "0", cap_scale=1.0, waveform=Waveform.const(0.0)),
+                Element("OC", "oc1", "a", "0", cap_scale=1.0, waveform=Waveform("const", (0.0,))),
             )
         )
         x = branches(["s1", "oc1"], psi={"s1": 2.0}, v={"oc1": 1.0})
