@@ -32,12 +32,13 @@ from .circuit import parse_netlist, serialize
 from .circuit import _parse_waveform  # shared token grammar for config files
 from .dynamics import DriveSet, SimConfig, _backward_diff, _csv_body, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
-from .errors import FraceqError, NewtonDivergenceError, ParameterError
+from .errors import FraceqError, NetlistError, NewtonDivergenceError, ParameterError
 from .frac_ops import (
     SampleGrid,
     Signal,
     caputo_left,
     caputo_right,
+    grid_tolerance,
     rl_derivative_left,
     rl_derivative_right,
     rl_integral_left,
@@ -96,9 +97,13 @@ def _read_text(path: str) -> tuple:
 
 
 def _read_netlist(path: str):
-    """The parsed circuit and the SHA-256 of the file; `compile` validates it."""
+    """The parsed circuit and the SHA-256 of the file; a parse error names the path.  `compile` validates it."""
     raw, text = _read_text(path)
-    return parse_netlist(text), hashlib.sha256(raw).hexdigest()
+    try:
+        circuit = parse_netlist(text)
+    except NetlistError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return circuit, hashlib.sha256(raw).hexdigest()
 
 
 def parse_train_config(text: str, circuit) -> TrainConfig:
@@ -388,7 +393,7 @@ def _read_signal_csv(path: str) -> Signal:
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite step is off the grid
         steps = np.diff(t)
         dt = steps[0]
-        off = ~(np.abs(steps - dt) <= 1e-9 * max(1.0, abs(dt)))
+        off = ~(np.abs(steps - dt) <= grid_tolerance(dt, np.abs(t).max()))
     off[0] |= not (np.isfinite(dt) and dt > 0)
     if off.any():
         raise ValueError(f"{path}:{linenos[np.argmax(off) + 1]}: time column is not a uniform grid")
@@ -465,7 +470,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {_FLAGS.get(exc.name, exc.name)}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FraceqError, OSError, ValueError) as exc:
+    # a MemoryError is numpy refusing an array too large to map, such as a grid of 1e15 steps
+    except (FraceqError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -165,7 +165,8 @@ class StepSystem:
     P_phi and P_q are the topology's coordinate maps padded to the whole
     coordinate vector z = [tree fluxes; loop charges], the layout the step
     loop works in.  Resistor conductances, beta and drives are data of each
-    run; every other element value comes from `circuit`.
+    run; every other element value comes from `circuit`, whose own
+    conductances are kept as `g`, a read-only copy to start runs from.
     """
 
     circuit: Circuit
@@ -175,18 +176,7 @@ class StepSystem:
     rows: dict  # element kind -> branch indices
     laws: tuple  # ConstitutiveSpec per C/L/M branch, None elsewhere
     nonlinear: np.ndarray  # C/L/M branches whose law is not linear, by _law_group
-
-    def conductances(self, circuit: Circuit) -> np.ndarray:
-        """Per-branch conductances of `circuit` (0 off the resistors).
-
-        `circuit` must be the compiled circuit up to its conductances.
-        """
-        ref = self.circuit.elements
-        if len(circuit.elements) != len(ref) or any(
-            replace(e, g=r.g) != r for e, r in zip(circuit.elements, ref)
-        ):
-            raise ValueError("circuit differs from the compiled one in more than its conductances")
-        return np.array([e.g if e.kind == "R" else 0.0 for e in circuit.elements])
+    g: np.ndarray  # per-branch conductances of `circuit`, 0 off the resistors
 
 
 def compile(circuit: Circuit) -> StepSystem:
@@ -206,6 +196,8 @@ def compile(circuit: Circuit) -> StepSystem:
     laws = tuple(e.constitutive() if e.kind in ("C", "L", "M") else None for e in circuit.elements)
     nonlinear = [b for b, law in enumerate(laws) if law is not None and law.family != "linear"]
     nonlinear.sort(key=lambda b: _law_group(laws[b]))
+    g = np.array([e.g if e.kind == "R" else 0.0 for e in circuit.elements])
+    g.flags.writeable = False
     return StepSystem(
         circuit=circuit,
         topology=topology,
@@ -214,6 +206,7 @@ def compile(circuit: Circuit) -> StepSystem:
         rows={k: np.flatnonzero(kinds == k) for k in KINDS},
         laws=laws,
         nonlinear=np.array(nonlinear, dtype=int),
+        g=g,
     )
 
 
@@ -250,7 +243,7 @@ class Member(NamedTuple):
 
     label: Optional[str]  # names the run in a NewtonDivergenceError
     beta: float
-    g: np.ndarray  # per-branch conductances, as StepSystem.conductances
+    g: np.ndarray  # per-branch conductances, as StepSystem.g
 
 
 def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members) -> list:
@@ -493,7 +486,7 @@ def _singular(J: np.ndarray) -> bool:
 def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> Trajectory:
     """One trajectory: a batch of one on a freshly compiled circuit."""
     system = compile(circuit)
-    (traj,) = simulate_batch(system, drive, cfg, [Member(None, beta, system.conductances(circuit))])
+    (traj,) = simulate_batch(system, drive, cfg, [Member(None, beta, system.g)])
     return traj
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,8 @@ class GradientEstimate:
     values[k] = sign_convention * (E_k(beta) - E_k(0)) / (2 * C * beta)
     where E_k is the half-derivative energy of synapse k's branch flux and
     C the output capacitance scale; raw_half_energies keeps the
-    (E_k(beta), E_k(0)) pairs so the quotient is re-derivable from the log.
+    (E_k(beta), E_k(0)) pairs so the quotient is re-derivable from the log,
+    and loss_free is the loss J of the free run.
     """
 
     synapse_names: tuple
@@ -42,7 +42,7 @@ class GradientEstimate:
     beta_used: float
     sign_convention: int
     raw_half_energies: tuple
-    metadata: dict = field(default_factory=dict, compare=False)
+    loss_free: float
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class TrainConfig:
     sign_convention: int = 1
 
     def __post_init__(self):
-        # NaN fails every check: sgd_step's max(g_min, nan) is g_min, so a NaN
-        # learning rate would floor every conductance and still exit 0
+        # NaN fails every check: a NaN learning rate would make every
+        # conductance NaN after the first update
         if self.epochs < 1:
             raise ParameterError("epochs", f"epochs must be at least 1, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -113,32 +113,25 @@ def _synapses(circuit: Circuit) -> tuple:
 
 
 def estimate_gradient(
-    circuit: Circuit,
-    drive: DriveSet,
-    beta: float,
-    cfg: SimConfig,
-    sign_convention: int = 1,
-    system: Optional[StepSystem] = None,
+    system: StepSystem, g: np.ndarray, drive: DriveSet, beta: float, cfg: SimConfig, sign_convention: int = 1
 ) -> GradientEstimate:
-    """Two-trajectory gradient estimate for every trainable synapse.
+    """Two-trajectory gradient estimate for every trainable synapse, with
+    per-branch conductances `g` (as `StepSystem.g`).
 
-    The free and nudged runs step together as one batch of two.  `system`
-    is `circuit` compiled, or compiled from a circuit that differs from it
-    only in conductances; it is compiled here when omitted.
+    The free and nudged runs step together as one batch of two.  Only the
+    structure of `system.circuit` is read, not its conductances.
     """
     _check_nudge(beta)
-    if system is None:
-        system = compile(circuit)
-    g = system.conductances(circuit)
     free, nudged = simulate_batch(system, drive, cfg, [Member("free", 0.0, g), Member("nudged", beta, g)])
-    return estimate_from(circuit, free, nudged, sign_convention)
+    return estimate_from(system.circuit, free, nudged, sign_convention)
 
 
 def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_convention: int = 1) -> GradientEstimate:
     """The gradient estimate of a free run (beta = 0) and a nudged run (beta > 0) of `circuit`.
 
-    The free run's half-rates are kept on it, so estimates that share one
-    free run compute them once.
+    Only structure is read from `circuit`: synapse indices, names and the
+    output cap.  The free run's half-rates are kept on it, so estimates that
+    share one free run compute them once.
     """
     beta = nudged.beta
     idx = _synapses(circuit)
@@ -150,10 +143,7 @@ def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_c
         beta_used=float(beta),
         sign_convention=int(sign_convention),
         raw_half_energies=raw,
-        metadata={
-            "loss_free": trajectory_loss(free),
-            "loss_nudged": trajectory_loss(nudged),
-        },
+        loss_free=trajectory_loss(free),
     )
 
 
@@ -161,13 +151,13 @@ def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
     """The oracle's runs at beta = 0: per trainable synapse, in synapse
     order, its conductance in `g` moved by +eps, then by -eps.
 
-    eps is checked here, against the conductances too, so a bad eps fails
-    before any run is stepped.
+    eps is checked here, against the synapse conductances in `g` too, so a
+    bad eps fails before any run is stepped.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError("eps", f"eps must be positive and finite, got {eps}")
     idx = _synapses(circuit)
-    g_floor = min(circuit.elements[l].g for l in idx)
+    g_floor = min(g[list(idx)])
     if eps >= g_floor:
         raise StepTooLargeError(f"eps {eps} would drive conductance {g_floor} non-positive")
     members = []
@@ -200,21 +190,12 @@ def estimates_and_oracle(
     for _, beta in nudges:
         _check_nudge(beta)
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     oracle_members = fd_members(circuit, eps, g)
     members = [Member("free", 0.0, g)] + [Member(label, beta, g) for label, beta in nudges] + oracle_members
     free, *runs = simulate_batch(system, drive, cfg, members)
     estimates = [estimate_from(circuit, free, nudged, sign_convention) for nudged in runs[: len(nudges)]]
     return estimates, fd_differences(runs[len(nudges) :], eps)
-
-
-def sgd_step(circuit: Circuit, grads: GradientEstimate, eta: float, g_min: float) -> Circuit:
-    """One gradient-descent update on the synapse conductances, floored."""
-    updates = {}
-    for name, value in zip(grads.synapse_names, grads.values):
-        g = circuit.element(name).g
-        updates[name] = max(g_min, g - eta * value)
-    return circuit.with_conductances(updates)
 
 
 def calibrate_sign(circuit: Circuit, drive: DriveSet, beta: float, eps: float, cfg: SimConfig) -> int:
@@ -247,36 +228,29 @@ def train(circuit: Circuit, config: TrainConfig):
     """SGD over the batch: shuffle per epoch by seed, estimate, update.
 
     Returns (trained circuit, TrainingLog).  The circuit is compiled once;
-    updates change only its conductances.  A simulation failure mid-run
-    re-raises with the epoch and example in its message and as attributes,
-    and the partial log attached.
+    updates act on its conductance vector, and the trained circuit is built
+    from it at the end.  A simulation failure mid-run re-raises with the
+    epoch and example in its message and as attributes, and the partial log
+    attached.
     """
-    names = tuple(circuit.elements[l].name for l in _synapses(circuit))
+    idx = list(_synapses(circuit))
+    names = tuple(circuit.elements[l].name for l in idx)
     system = compile(circuit)
+    g = system.g.copy()
     log = TrainingLog(synapse_names=names)
     rng = np.random.default_rng(config.seed)
-    current = circuit
     for epoch in range(config.epochs):
         order = rng.permutation(len(config.batch))
         for example in order:
             drive = config.batch[example]
             try:
-                grads = estimate_gradient(
-                    current, drive, config.beta, config.sim, config.sign_convention, system
-                )
+                grads = estimate_gradient(system, g, drive, config.beta, config.sim, config.sign_convention)
             except FraceqError as exc:
                 exc.args = (f"epoch {epoch}, example {example}: {exc}",)
                 exc.epoch = epoch
                 exc.example = int(example)
                 exc.partial_log = log
                 raise
-            norm = float(np.linalg.norm(grads.values))
-            log.add(
-                epoch,
-                int(example),
-                grads.metadata["loss_free"],
-                norm,
-                [current.element(n).g for n in names],
-            )
-            current = sgd_step(current, grads, config.learning_rate, config.g_min)
-    return current, log
+            log.add(epoch, int(example), grads.loss_free, float(np.linalg.norm(grads.values)), g[idx].tolist())
+            g[idx] = np.maximum(config.g_min, g[idx] - config.learning_rate * np.array(grads.values))
+    return circuit.with_conductances(dict(zip(names, g[idx].tolist()))), log

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+def grid_tolerance(dt: float, t_max: float) -> float:
+    """How far a time may lie off a grid of step dt: 1e-6 dt, plus 4 ulp of the largest |t| for rounding."""
+    return 1e-6 * dt + 4 * math.ulp(t_max)
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Uniform grid on [a, b] with n samples including both endpoints."""
@@ -62,8 +67,8 @@ class SampleGrid:
             raise ParameterError("dt", f"grid step {dt} is too small for the span [{a}, {b}]")
         n = int(round(steps)) + 1
         grid = cls(a, dt, n)
-        if abs(grid.b - b) > 1e-9 * max(1.0, abs(b)):
-            raise ParameterError("dt", f"span [{a}, {b}] is not an integer number of steps of {dt}")
+        if not abs(grid.b - b) <= grid_tolerance(dt, max(abs(a), abs(b))):
+            raise ParameterError("b", f"span [{a}, {b}] is not an integer number of steps of {dt}")
         return grid
 
     def times(self) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 
 from csv_compare import assert_same_csv, csv_text
 from fraceq.circuit import Circuit, Element, parse_netlist
-from fraceq.dynamics import DriveSet, SimConfig, simulate, trajectory_loss
+from fraceq.dynamics import DriveSet, SimConfig, compile, simulate, trajectory_loss
 from fraceq.eqprop import (
     TrainConfig,
     agreement_metrics,
@@ -179,7 +179,8 @@ def test_criterion_08_estimator_vs_oracle(report):
     ckt = parse_netlist(LINNET)
     cfg = SimConfig(SampleGrid.from_span(0.0, 1.0, 1e-3))
     sign = calibrate_sign(ckt, DriveSet(), 1e-3, 1e-4, cfg)
-    est = estimate_gradient(ckt, DriveSet(), 1e-3, cfg, sign_convention=sign)
+    system = compile(ckt)
+    est = estimate_gradient(system, system.g, DriveSet(), 1e-3, cfg, sign_convention=sign)
     oracle = estimates_and_oracle(ckt, DriveSet(), [], 1e-4, cfg)[1]
     m = agreement_metrics(est, oracle)
     ok = m["sign_match"] and m["cosine_similarity"] >= 0.9

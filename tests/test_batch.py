@@ -106,7 +106,7 @@ def test_linear_circuit_ignores_newton_pass_limit(monkeypatch):
 def test_batch_of_k_matches_k_batches_of_one(net):
     circuit = parse_netlist(net)
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     batch = [Member("free", 0.0, g), Member("nudged", 1e-2, g), Member("scaled", 0.0, 1.5 * g)]
     together = simulate_batch(system, DriveSet(), cfg(t_end=0.5), batch)
     for member, traj in zip(batch, together):
@@ -122,7 +122,7 @@ def test_converged_member_stays_put():
         "V vin in 0 w=const(1e-12)\nR r1 in out g=1\nM m2 out 0 f=tanh(1,1)\nOC oc1 out 0 cap=1 w=const(1.0)\n"
     )
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     config = cfg(dt=2e-3)
     free, nudged = simulate_batch(system, DriveSet(), config, [Member("free", 0.0, g), Member("nudged", 1.0, g)])
     assert not np.any(free.tree_flux) and not np.any(free.loop_charge)
@@ -223,7 +223,7 @@ def assert_free_nudged_match(circuit, config, reference=scalar_reference.simulat
         except NewtonDivergenceError as exc:
             outcomes.append(exc)
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     batch = [Member(None, beta, g) for beta in betas]
     failures = [o.t for o in outcomes if isinstance(o, NewtonDivergenceError)]
     if failures:
@@ -366,11 +366,27 @@ def test_train_compiles_once(monkeypatch):
     assert len(validations) == 1
 
 
-def test_conductances_reject_other_circuits():
+def test_train_builds_one_circuit(monkeypatch):
+    # updates act on the conductance vector; the trained circuit is built at the end
+    builds = _count_calls(monkeypatch, Circuit, "with_conductances")
+    config = TrainConfig(
+        epochs=2,
+        learning_rate=0.05,
+        beta=1e-3,
+        sim=cfg(dt=4e-3),
+        batch=(DriveSet(), DriveSet(inputs={"v1": Waveform("const", (0.8,))})),
+        seed=1,
+    )
+    trained, _ = train(parse_netlist(LINNET), config)
+    assert len(builds) == 1
+    assert trained.element("s1").g != 1.0
+
+
+def test_compiled_conductances_are_read_only():
     system = compile(parse_netlist(LINNET))
-    assert list(system.conductances(parse_netlist(LINNET))) == [0.0, 0.0, 1.0, 0.25, 0.5, 0.0]
-    with pytest.raises(ValueError, match="compiled"):
-        system.conductances(parse_netlist(LINNET.replace("cap=1.0", "cap=2.0")))
+    assert list(system.g) == [0.0, 0.0, 1.0, 0.25, 0.5, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        system.g[2] = 2.0
 
 
 # --- divergence reports the member ------------------------------------------
@@ -379,7 +395,7 @@ def test_conductances_reject_other_circuits():
 def test_divergence_names_the_member(monkeypatch):
     circuit = parse_netlist(TANH_M)
     system = compile(circuit)
-    members = fd_members(circuit, 1e-4, system.conductances(circuit))
+    members = fd_members(circuit, 1e-4, system.g)
     monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 1)
     with pytest.raises(NewtonDivergenceError, match=r"\(fd s1\+ phase\)") as exc:
         simulate_batch(system, DriveSet(), cfg(), members)
@@ -392,7 +408,7 @@ def test_singular_jacobian_names_its_member():
     # capacitor keeps its Jacobian regular
     net = "I i1 0 n1 w=step(1,0.5)\nM m1 n1 0 f=poly(0,0,0,1)\nOC oc1 n1 0 cap=1.0 w=const(0.1)\n"
     system = compile(parse_netlist(net))
-    g = system.conductances(system.circuit)
+    g = system.g
     members = [Member("nudged", 1.0, g), Member("free", 0.0, g)]
     with pytest.raises(NewtonDivergenceError, match=r"at t=0\.5 \(free phase\)") as exc:
         simulate_batch(system, DriveSet(), cfg(), members)
@@ -416,7 +432,7 @@ def test_single_simulation_has_no_phase(monkeypatch):
 def test_nan_member_diverges_by_name(net, nan_first):
     circuit = parse_netlist(net)
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     g_nan = g.copy()
     g_nan[2] = np.nan  # s1
     batch = [Member("ok", 0.0, g), Member("bad", 0.0, g_nan)]
@@ -435,7 +451,7 @@ def test_infinite_drive_diverges_where_it_turns_infinite(net, element):
     # at dt = 1e-4, t = 0.25 is step 2500, in the fifth block of steps
     circuit = parse_netlist(net)
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     step = Waveform("step", (np.inf, 0.25))
     drive = DriveSet(targets={element: step}) if element == "oc1" else DriveSet(inputs={element: step})
     with np.errstate(invalid="ignore"):

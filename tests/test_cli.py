@@ -425,6 +425,23 @@ class TestRunParameters:
         assert f"error: {message}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
 
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck"])
+    def test_span_off_a_fine_grid(self, linnet_path, tmp_path, capsys, command):
+        # 1.5 steps of 1e-10: the end lies half a step off the grid
+        argv = [command, linnet_path, "--dt", "1e-10", "--t-end", "1.5e-10", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        message = "--t-end: span [0.0, 1.5e-10] is not an integer number of steps of 1e-10"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
+
+    def test_span_too_large_to_allocate(self, rc_net, tmp_path, capsys):
+        # 1e15 steps: numpy refuses the 7 PiB array of sample times before it
+        # touches any memory
+        assert main(["simulate", rc_net, "--t-end", "1e12", "--out", str(tmp_path / "traj.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["rc.net"]
+
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
@@ -464,9 +481,32 @@ class TestRunParameters:
         assert f"error: {cfg}: config line {len(lines)}: {setting}: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_train_span_off_a_fine_grid(self, linnet_path, tmp_path, capsys):
+        lines = [line for line in TRAIN_CFG.splitlines() if not line.startswith(("dt=", "t_end="))]
+        lines += ["dt=1e-10", "t_end=1.5e-10"]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["train", linnet_path, str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        message = "t_end=1.5e-10: span [0.0, 1.5e-10] is not an integer number of steps of 1e-10"
+        assert capsys.readouterr().err == f"error: {cfg}: config line {len(lines)}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestInputFiles:
     """A bad byte or number in an input file exits 2 naming the file and where in it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck", "train"])
+    def test_netlist_syntax_error_names_its_file(self, tmp_path, capsys, command):
+        net = tmp_path / "bad.net"
+        net.write_text("R r1 a 0 g=1\nX bogus a 0\n")
+        if command == "train":
+            # the netlist is read before the config, which does not exist
+            argv = ["train", str(net), str(tmp_path / "train.cfg"), "--out-dir", str(tmp_path / "run")]
+        else:
+            argv = [command, str(net), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {net}: line 2, col 1: unknown element kind 'X'\n"
+        assert sorted(os.listdir(tmp_path)) == ["bad.net"]
 
     def test_non_utf8_netlist(self, tmp_path, capsys):
         net = tmp_path / "bad.net"
@@ -494,6 +534,20 @@ class TestInputFiles:
         sig.write_text("t,value\n-1e308,1.0\n1e308,2.0\n")
         assert main(["frac-bench", str(sig), "--out", str(tmp_path / "res.csv")]) == 2
         assert capsys.readouterr().err == f"error: {sig}:3: time column is not a uniform grid\n"
+
+    def test_time_off_a_fine_grid(self, tmp_path, capsys):
+        # steps of 1e-12, then 2e-12: the time on line 4 is a whole step off the grid
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,value\n0,1\n1e-12,2\n3e-12,3\n1e-11,4\n")
+        assert main(["frac-bench", str(sig), "--out", str(tmp_path / "res.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {sig}:4: time column is not a uniform grid\n"
+
+    def test_fine_uniform_grid_accepted(self, tmp_path):
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,value\n0,1\n1e-12,2\n2e-12,3\n3e-12,4\n")
+        assert main(["frac-bench", str(sig), "--out", str(tmp_path / "res.csv")]) == 0
+        header, data = read_csv(tmp_path / "res.csv")
+        assert list(data[:, 0]) == [0.0, 1e-12, 2e-12, 3e-12]
 
     @pytest.mark.parametrize(
         "op, alpha, message",

@@ -10,6 +10,7 @@ from fraceq import dynamics, eqprop
 from fraceq.circuit import Circuit, Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
 from fraceq.eqprop import (
+    GradientEstimate,
     TrainConfig,
     TrainingLog,
     agreement_metrics,
@@ -19,7 +20,6 @@ from fraceq.eqprop import (
     estimates_and_oracle,
     fd_differences,
     fd_members,
-    sgd_step,
     train,
 )
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, StepTooLargeError, ValidationError
@@ -48,6 +48,12 @@ def sim_cfg(dt=1e-3, t_end=1.0):
     return SimConfig(SampleGrid.from_span(0.0, t_end, dt))
 
 
+def estimate(circuit, drive, beta, cfg, sign_convention=1):
+    """`estimate_gradient` of `circuit` as written: compiled here, run with its own conductances."""
+    system = compile(circuit)
+    return estimate_gradient(system, system.g, drive, beta, cfg, sign_convention)
+
+
 def fd_oracle(circuit, drive, eps, cfg):
     """The central-difference oracle alone: `estimates_and_oracle` with no nudge."""
     return estimates_and_oracle(circuit, drive, [], eps, cfg)[1]
@@ -65,39 +71,47 @@ def oracle(linnet):
 
 class TestEstimateGradient:
     def test_identity_recoverable_from_raw_energies(self, linnet):
-        est = estimate_gradient(linnet, DriveSet(), 1e-3, sim_cfg())
+        est = estimate(linnet, DriveSet(), 1e-3, sim_cfg())
         cap = linnet.loss_capacitance
         for value, (e_nudged, e_free) in zip(est.values, est.raw_half_energies):
             assert value == est.sign_convention * (e_nudged - e_free) / (2 * cap * est.beta_used)
             assert e_nudged >= 0 and e_free >= 0
 
+    def test_conductance_vector_stands_for_the_circuit(self, linnet):
+        # conductances are read from g alone, never from the compiled circuit
+        system = compile(linnet)
+        g = system.g.copy()
+        g[linnet.index_of("s1")] = 0.7
+        moved = estimate(linnet.with_conductances({"s1": 0.7}), DriveSet(), 1e-3, sim_cfg())
+        assert estimate_gradient(system, g, DriveSet(), 1e-3, sim_cfg()) == moved
+
     def test_beta_zero_rejected(self, linnet):
         with pytest.raises(ValueError, match="beta"):
-            estimate_gradient(linnet, DriveSet(), 0.0, sim_cfg())
+            estimate(linnet, DriveSet(), 0.0, sim_cfg())
 
     def test_zero_nudge_when_target_matches_free_output(self, linnet):
         drive = DriveSet(targets={"oc1": Waveform("const", (V_FREE,))})
         # perfectly tracked target: the nudged phase coincides with the free
         # phase and the estimate sits at roundoff for any small beta
         for beta in (1e-2, 1e-3):
-            est = estimate_gradient(linnet, drive, beta, sim_cfg())
+            est = estimate(linnet, drive, beta, sim_cfg())
             assert np.max(np.abs(est.values)) < 1e-8
 
     def test_sign_agreement_and_cosine(self, linnet, oracle):
-        est = estimate_gradient(linnet, DriveSet(), 1e-3, sim_cfg(), sign_convention=1)
+        est = estimate(linnet, DriveSet(), 1e-3, sim_cfg(), sign_convention=1)
         m = agreement_metrics(est, oracle)
         assert m["sign_match"]
         assert m["cosine_similarity"] >= 0.9
 
     def test_halving_beta_changes_estimate_little(self, linnet):
-        a = np.array(estimate_gradient(linnet, DriveSet(), 1e-3, sim_cfg()).values)
-        b = np.array(estimate_gradient(linnet, DriveSet(), 5e-4, sim_cfg()).values)
+        a = np.array(estimate(linnet, DriveSet(), 1e-3, sim_cfg()).values)
+        b = np.array(estimate(linnet, DriveSet(), 5e-4, sim_cfg()).values)
         assert np.max(np.abs(a - b) / np.abs(a)) <= 0.05
 
     def test_zero_nudge_quotient_cauchy(self, linnet):
         # the finite-beta quotient stabilizes as beta drops below 1e-6
         quotients = [
-            np.array(estimate_gradient(linnet, DriveSet(), beta, sim_cfg()).values)
+            np.array(estimate(linnet, DriveSet(), beta, sim_cfg()).values)
             for beta in (1e-6, 5e-7)
         ]
         rel = np.max(np.abs(quotients[0] - quotients[1]) / np.abs(quotients[1]))
@@ -107,7 +121,7 @@ class TestEstimateGradient:
         # measured relationship on the reference network: the two-trajectory
         # estimate equals the true gradient scaled by 1/pi (the half-order
         # energy quadrature of the constant-drive response), to under 1%
-        est = np.array(estimate_gradient(linnet, DriveSet(), 1e-3, sim_cfg()).values)
+        est = np.array(estimate(linnet, DriveSet(), 1e-3, sim_cfg()).values)
         ratio = np.pi * est / np.array(oracle)
         assert np.max(np.abs(ratio - 1.0)) < 0.01
 
@@ -120,7 +134,7 @@ def reference_energies(traj, branches):
 
 def free_and_nudged(circuit, beta, config):
     system = compile(circuit)
-    g = system.conductances(circuit)
+    g = system.g
     return simulate_batch(system, DriveSet(), config, [Member("free", 0.0, g), Member("nudged", beta, g)])
 
 
@@ -182,7 +196,7 @@ class TestUnequalOutputCaps:
 
     def test_estimator_rejects(self):
         with pytest.raises(ValidationError, match="oc1=1, oc2=5"):
-            estimate_gradient(parse_netlist(self.NET), DriveSet(), 1e-3, sim_cfg())
+            estimate(parse_netlist(self.NET), DriveSet(), 1e-3, sim_cfg())
 
     def test_beta_partial_rejects(self):
         from fraceq.lagrangian import action_beta_partial
@@ -224,27 +238,6 @@ class TestFdGradient:
         assert np.max(np.abs(ratio - 2.0)) < 0.02
 
 
-class TestSgdStep:
-    def _grad(self, linnet, values):
-        names = tuple(linnet.elements[l].name for l in linnet.trainables)
-        from fraceq.eqprop import GradientEstimate
-
-        return GradientEstimate(names, tuple(values), 1e-3, 1, tuple((0.0, 0.0) for _ in names))
-
-    def test_zero_gradient_no_change(self, linnet):
-        out = sgd_step(linnet, self._grad(linnet, [0.0, 0.0, 0.0]), 0.1, 1e-6)
-        assert out == linnet
-
-    def test_plain_update(self, linnet):
-        out = sgd_step(linnet, self._grad(linnet, [1.0, 0.0, 0.0]), 0.1, 1e-6)
-        assert out.element("s1").g == pytest.approx(0.9)
-        assert out.element("s2").g == 0.25
-
-    def test_floor_engaged(self, linnet):
-        out = sgd_step(linnet, self._grad(linnet, [0.0, 0.0, 100.0]), 0.1, 1e-6)
-        assert out.element("s3").g == 1e-6
-
-
 def _recorded_batches(monkeypatch) -> list:
     """The member labels of every simulate_batch call eqprop makes from now on."""
     batches = []
@@ -267,12 +260,12 @@ class TestEstimatesAndOracle:
         nudges = [("nudged", 0.1), ("nudged beta/2", 0.05)]
         estimates, oracle = estimates_and_oracle(ckt, DriveSet(), nudges, 1e-4, sim_cfg(), -1)
         for est, (_, beta) in zip(estimates, nudges):
-            alone = estimate_gradient(ckt, DriveSet(), beta, sim_cfg(), -1)
+            alone = estimate(ckt, DriveSet(), beta, sim_cfg(), -1)
             assert est == alone
-            assert est.metadata == alone.metadata
+            assert est.loss_free == alone.loss_free
         # the oracle's runs stepped as a batch of their own give the same bits
         system = compile(ckt)
-        alone = simulate_batch(system, DriveSet(), sim_cfg(), fd_members(ckt, 1e-4, system.conductances(ckt)))
+        alone = simulate_batch(system, DriveSet(), sim_cfg(), fd_members(ckt, 1e-4, system.g))
         assert oracle == fd_differences(alone, 1e-4)
 
     @pytest.mark.parametrize("beta, eps", [(0.0, 1e-4), (1e-3, 0.0), (1e-3, 0.25)])
@@ -327,6 +320,28 @@ class TestTrain:
         assert len(log.records) == 2 * 1
         header = csv_text(log).splitlines()[0]
         assert header == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3"
+
+    def _train_on_fixed_gradient(self, linnet, monkeypatch, values):
+        """One update at learning rate 0.1, with every estimate replaced by `values`."""
+        names = tuple(linnet.elements[l].name for l in linnet.trainables)
+
+        def fixed(system, g, drive, beta, cfg, sign_convention=1):
+            return GradientEstimate(names, tuple(values), beta, sign_convention, ((0.0, 0.0),) * len(names), 0.0)
+
+        monkeypatch.setattr(eqprop, "estimate_gradient", fixed)
+        return train(linnet, self._config(epochs=1, learning_rate=0.1))[0]
+
+    def test_zero_gradient_no_change(self, linnet, monkeypatch):
+        assert self._train_on_fixed_gradient(linnet, monkeypatch, [0.0, 0.0, 0.0]) == linnet
+
+    def test_plain_update(self, linnet, monkeypatch):
+        out = self._train_on_fixed_gradient(linnet, monkeypatch, [1.0, 0.0, 0.0])
+        assert out.element("s1").g == pytest.approx(0.9)
+        assert out.element("s2").g == 0.25
+
+    def test_floor_engaged(self, linnet, monkeypatch):
+        out = self._train_on_fixed_gradient(linnet, monkeypatch, [0.0, 0.0, 100.0])
+        assert out.element("s3").g == 1e-6
 
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
@@ -403,7 +418,7 @@ CAP_01F_LINNET = LINNET + "C cx out 0 c=0.1\n"
 def agreement_at_defaults(net):
     """Estimate-vs-oracle metrics at gradcheck's defaults: dt 1e-3, beta 1e-3, eps 1e-4."""
     circuit = parse_netlist(net)
-    est = estimate_gradient(circuit, DriveSet(), 1e-3, sim_cfg())
+    est = estimate(circuit, DriveSet(), 1e-3, sim_cfg())
     return agreement_metrics(est, fd_oracle(circuit, DriveSet(), 1e-4, sim_cfg()))
 
 

@@ -110,12 +110,21 @@ class TestCaputoLeft:
             (0.0, -1.0, 1e-3, "b"),
             (0.0, 0.0, 1e-3, "b"),
             (-math.inf, 1.0, 1e-3, "a"),
+            (0.0, 1.5e-10, 1e-10, "b"),  # half a step off the grid, 5e-11 in all
+            (0.0, 1.0 + 1e-8, 1e-5, "b"),
         ],
     )
     def test_span_rejects_bad_numbers_by_name(self, a, b, dt, name):
         with pytest.raises(ParameterError) as exc:
             SampleGrid.from_span(a, b, dt)
         assert exc.value.name == name
+
+    @pytest.mark.parametrize("dt", [1e-12, 1e-10, 1e-5, 1e-4, 1e-3, 2e-3, 4e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("steps", [3, 10, 1000, 20000])
+    def test_span_of_whole_steps_accepted(self, dt, steps):
+        # the span end as it would be typed: decimal, rounded once
+        b = float(f"{steps * dt:.12g}")
+        assert SampleGrid.from_span(0.0, b, dt).n == steps + 1
 
     def test_refinement_on_power_three_halves(self):
         # halving dt must reduce the max error by at least 1.8x
