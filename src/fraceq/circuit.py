@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NetlistError, ValidationError
+from .errors import MissingOutputError, NetlistError, ValidationError
 
 GROUND = "0"
 
@@ -175,15 +175,18 @@ class Circuit:
         """Common capacitance scale C of the output capacitors.
 
         The nudge weights each output by its own cap, so the loss J that
-        the estimator follows is unweighted only if all caps are equal.
+        the estimator follows is unweighted only if all caps are equal.  A
+        circuit without output capacitors raises MissingOutputError.
         """
         caps = {e.name: e.cap_scale for e in self.elements if e.kind == "OC"}
+        if not caps:
+            raise MissingOutputError("circuit has no output capacitors")
         if len(set(caps.values())) > 1:
             listed = ", ".join(f"{name}={cap:g}" for name, cap in caps.items())
             raise ValidationError(
                 [Diagnostic("unequal-output-caps", f"output capacitors need one common cap, got {listed}")]
             )
-        return next(iter(caps.values()), 1.0)
+        return next(iter(caps.values()))
 
     def element(self, name: str) -> Element:
         for e in self.elements:

@@ -35,7 +35,6 @@ from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
 from .errors import FraceqError, NetlistError, NewtonDivergenceError, ParameterError
 from .frac_ops import (
     SampleGrid,
-    Signal,
     caputo_left,
     caputo_right,
     grid_tolerance,
@@ -197,8 +196,8 @@ def _dump_action(circuit, traj, stem):
         lines.append(f"action_{key},%.17g,%.17g" % (v.real, v.imag))
     total = bd.total
     lines.append("action_total,%.17g,%.17g" % (total.real, total.imag))
-    for name, sig in res.items():
-        interior = sig.values[1:-1]
+    for name, values in res.items():
+        interior = values[1:-1]
         norm = float(np.max(np.abs(interior))) if len(interior) else 0.0
         lines.append(f"el_residual_max_{name},%.17g,0" % norm)
     path = f"{stem}_action.csv"
@@ -330,42 +329,35 @@ _OPS = {
     "rl-integral": rl_integral_left,
 }
 
-# analytic self-test matrix: (label, signal, exact result, threshold)
+# analytic self-test matrix: (label, op, signal, exact result, threshold)
 def _self_test_cases():
     grid = SampleGrid.from_span(0.0, 1.0, 1e-3)
-    t = grid.times()
+    t, dt = grid.times(), grid.dt
     g15 = math.gamma(2.5) / math.gamma(2.0)
-    return grid, t, [
-        ("caputo_left t a=0.5", lambda s: caputo_left(s, 0.5), t, 2 * np.sqrt(t / np.pi), 2e-2),
-        ("caputo_left t^1.5 a=0.5", lambda s: caputo_left(s, 0.5), t**1.5, g15 * t, 2e-3),
-        (
-            "half-half composition t^2",
-            lambda s: caputo_left(caputo_left(s, 0.5), 0.5),
-            t**2,
-            2 * t,
-            5e-2,
-        ),
-        ("caputo_right 1-t a=0.5", lambda s: caputo_right(s, 0.5), 1 - t, 2 * np.sqrt((1 - t) / np.pi), 2e-2),
-        ("rl_integral t a=0.5", lambda s: rl_integral_left(s, 0.5), t, t**1.5 / g15, 1e-12),
-        ("caputo_left sin a=1", lambda s: caputo_left(s, 1.0), np.sin(t), _backward_diff(np.sin(t), 1e-3), 1e-12),
+    return [
+        ("caputo_left t a=0.5", lambda x: caputo_left(x, dt, 0.5), t, 2 * np.sqrt(t / np.pi), 2e-2),
+        ("caputo_left t^1.5 a=0.5", lambda x: caputo_left(x, dt, 0.5), t**1.5, g15 * t, 2e-3),
+        ("half-half composition t^2", lambda x: caputo_left(caputo_left(x, dt, 0.5), dt, 0.5), t**2, 2 * t, 5e-2),
+        ("caputo_right 1-t a=0.5", lambda x: caputo_right(x, dt, 0.5), 1 - t, 2 * np.sqrt((1 - t) / np.pi), 2e-2),
+        ("rl_integral t a=0.5", lambda x: rl_integral_left(x, dt, 0.5), t, t**1.5 / g15, 1e-12),
+        ("caputo_left sin a=1", lambda x: caputo_left(x, dt, 1.0), np.sin(t), _backward_diff(np.sin(t), dt), 1e-12),
     ]
 
 
 def _run_self_test() -> int:
-    grid, _, cases = _self_test_cases()
     ok = True
     print("case,max_error,threshold,pass")
-    for label, op, values, exact, threshold in cases:
-        result = op(Signal(grid, values)).values
-        err = float(np.max(np.abs(result - exact)))
+    for label, op, values, exact, threshold in _self_test_cases():
+        err = float(np.max(np.abs(op(values) - exact)))
         good = err <= threshold
         ok = ok and good
         print("%s,%.3e,%.3e,%s" % (label, err, threshold, "yes" if good else "NO"))
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _read_signal_csv(path: str) -> Signal:
-    """t,value rows; only the first line that is not blank or a comment may be a header.
+def _read_signal_csv(path: str) -> tuple:
+    """(SampleGrid, values) of t,value rows; only the first line that is not
+    blank or a comment may be a header.
 
     A bad row, or the first time off the uniform grid, is an error naming path:line."""
     rows = []  # (line number, t, value)
@@ -397,7 +389,7 @@ def _read_signal_csv(path: str) -> Signal:
     off[0] |= not (np.isfinite(dt) and dt > 0)
     if off.any():
         raise ValueError(f"{path}:{linenos[np.argmax(off) + 1]}: time column is not a uniform grid")
-    return Signal(SampleGrid(float(t[0]), float(dt), len(t)), v)
+    return SampleGrid(float(t[0]), float(dt), len(t)), v
 
 
 def cmd_fracbench(args) -> int:
@@ -405,9 +397,9 @@ def cmd_fracbench(args) -> int:
         return _run_self_test()
     if args.signal is None:
         raise ValueError("frac-bench needs a signal CSV (or --self-test)")
-    sig = _read_signal_csv(args.signal)
-    result = _OPS[args.op](sig, args.alpha)
-    _atomic_write(args.out, itertools.chain(["t,value\n"], _csv_body([sig.grid.times(), np.real(result.values)])))
+    grid, values = _read_signal_csv(args.signal)
+    result = _OPS[args.op](values, grid.dt, args.alpha)
+    _atomic_write(args.out, itertools.chain(["t,value\n"], _csv_body([grid.times(), result])))
     print(f"wrote {args.out}")
     return EXIT_OK
 

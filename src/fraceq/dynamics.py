@@ -29,7 +29,7 @@ import numpy as np
 
 from .circuit import KINDS, LAW_FAMILIES, Circuit, Element, Waveform, validate
 from .errors import MissingOutputError, NewtonDivergenceError, ParameterError, ValidationError
-from .frac_ops import SampleGrid, _gl_convolve, gl_weights
+from .frac_ops import SampleGrid, caputo_left, gl_weights
 from .topology import Topology, build_topology
 
 # every step of every run ends with its row-scaled residual max|Fs| at or below this
@@ -103,12 +103,11 @@ class Trajectory:
     def _half(self, key, rows) -> np.ndarray:
         """Half-derivative rows, computed on the first read and kept (read-only).
 
-        All rows go through one GL convolution; each row gets the same bits
-        as `caputo_left` of that row alone.
+        All rows go through one `caputo_left` call.
         """
         if key not in self._halves:
             if len(rows):
-                rows = _gl_convolve(rows - rows[:, :1], self.grid.dt, 0.5)
+                rows = caputo_left(rows, self.grid.dt, 0.5)
                 rows.flags.writeable = False
             self._halves[key] = rows
         return self._halves[key]

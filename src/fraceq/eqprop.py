@@ -69,6 +69,8 @@ class TrainConfig:
             raise ParameterError("beta", f"beta must be positive and finite, got {self.beta}")
         if not (math.isfinite(self.g_min) and self.g_min > 0):
             raise ParameterError("g_min", f"g_min must be positive and finite, got {self.g_min}")
+        if self.seed < 0:
+            raise ParameterError("seed", f"seed must be non-negative, got {self.seed}")
         if self.sign_convention not in (-1, 1):
             raise ParameterError("sign_convention", "sign_convention must be +1 or -1")
 
@@ -106,9 +108,12 @@ def _check_nudge(beta: float) -> None:
 
 
 def _synapses(circuit: Circuit) -> tuple:
+    """The trainable synapse indices.  The estimator also divides by the
+    output cap, so this checks that the circuit has output caps of one value."""
     idx = circuit.trainables
     if not idx:
         raise ValueError("circuit has no trainable synapses")
+    circuit.loss_capacitance  # raises for no output cap or unequal caps
     return idx
 
 
@@ -189,6 +194,7 @@ def estimates_and_oracle(
     """
     for _, beta in nudges:
         _check_nudge(beta)
+    _synapses(circuit)
     system = compile(circuit)
     g = system.g
     oracle_members = fd_members(circuit, eps, g)

@@ -6,7 +6,7 @@ class FraceqError(Exception):
 
 
 class GridTooSmallError(FraceqError, ValueError):
-    """Signal grid has fewer than two samples."""
+    """Sample grid has fewer than two samples."""
 
 
 class ParameterError(FraceqError, ValueError):

@@ -1,11 +1,15 @@
 """Discrete fractional-calculus operators on uniformly sampled signals.
 
-All operators use the Grunwald-Letnikov (GL) convolution scheme on a uniform
-grid.  Caputo variants subtract the initial value first, which makes GL and
-Caputo coincide for orders below one.  Right-sided operators are evaluated by
-time reversal around the midpoint of the grid.  Every convolution sum (the GL
-sums and the product-integration weights of `rl_integral_left`) is evaluated
-by zero-padded FFT, O(N log N) in the number of samples.
+The operators take a plain array of samples with step dt and act along its
+last axis, so a 2-D array is one signal per row; each row gets the same bits
+as the operator applied to that row alone.  `rl_integral_left` takes 1-D
+input only.  All operators use the Grunwald-Letnikov (GL) convolution scheme
+on a uniform grid.  Caputo variants subtract the initial value first, which
+makes GL and Caputo coincide for orders below one.  Right-sided operators are
+evaluated by time reversal around the midpoint of the grid.  Every
+convolution sum (the GL sums and the product-integration weights of
+`rl_integral_left`) is evaluated by zero-padded FFT, O(N log N) in the number
+of samples.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .errors import GridTooSmallError, InvalidOrderError, ParameterError
 
 __all__ = [
     "SampleGrid",
-    "Signal",
     "gl_weights",
     "caputo_left",
     "caputo_right",
@@ -75,27 +78,6 @@ class SampleGrid:
         return self.a + self.dt * np.arange(self.n)
 
 
-@dataclass(frozen=True)
-class Signal:
-    """Sampled real- or complex-valued time series on a SampleGrid."""
-
-    grid: SampleGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 1 or len(v) != self.grid.n:
-            raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal contains non-finite values")
-        v = v.astype(complex) if np.iscomplexobj(v) else v.astype(float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def with_values(self, values) -> "Signal":
-        return Signal(self.grid, values)
-
-
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """GL binomial weights w_0..w_n, w_k = (-1)^k C(alpha, k).
 
@@ -115,23 +97,14 @@ def _causal_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     n is the length of x's last axis; each row of a 2-D x is convolved on
     its own.  w has at least n entries (the rest is not read).  Zero padding
     to a power of two at least 2n - 1 long keeps the circular convolution
-    from wrapping.  Complex input takes the full transform, because rfft
-    rejects it.
+    from wrapping.
     """
     n = x.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
-    if np.iscomplexobj(x):
-        return np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(w[:n], size))[..., :n]
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[..., :n]
 
 
-def _gl_convolve(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """GL sum of order alpha along the last axis, scaled by dt^-alpha."""
-    w = gl_weights(alpha, values.shape[-1] - 1)
-    return _causal_convolve(values, w) * dt ** (-alpha)
-
-
-def caputo_left(x: Signal, alpha) -> Signal:
+def caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     """Left Caputo derivative of order alpha in (0, 1].
 
     GL convolution of x - x(a); the initial-value subtraction makes the GL
@@ -139,26 +112,25 @@ def caputo_left(x: Signal, alpha) -> Signal:
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
-    return x.with_values(_gl_convolve(x.values - x.values[0], x.grid.dt, alpha))
+    return rl_derivative_left(x - x[..., :1], dt, alpha)
 
 
-def caputo_right(x: Signal, alpha) -> Signal:
+def caputo_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     """Right Caputo derivative: time reversal of the left operator.
 
     Subtracts x(b) so the weights see a terminal value of zero.
     """
-    rev = x.with_values(x.values[::-1])
-    return x.with_values(caputo_left(rev, alpha).values[::-1])
+    return caputo_left(x[..., ::-1], dt, alpha)[..., ::-1]
 
 
-def rl_derivative_left(x: Signal, alpha) -> Signal:
+def rl_derivative_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     """Left Riemann-Liouville derivative via plain GL (no subtraction)."""
     if not 0.0 < alpha <= 1.0:
         raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
-    return x.with_values(_gl_convolve(x.values, x.grid.dt, alpha))
+    return _causal_convolve(x, gl_weights(alpha, x.shape[-1] - 1)) * dt ** (-alpha)
 
 
-def rl_derivative_right(x: Signal, alpha) -> Signal:
+def rl_derivative_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     """Right Riemann-Liouville derivative of order alpha in (0, 1].
 
     Implemented as time reversal -> left RL derivative -> time reversal.  For
@@ -166,21 +138,18 @@ def rl_derivative_right(x: Signal, alpha) -> Signal:
     the final sample is reported as computed from the one-sided stencil, not
     clamped.
     """
-    rev = x.with_values(x.values[::-1])
-    return x.with_values(rl_derivative_left(rev, alpha).values[::-1])
+    return rl_derivative_left(x[..., ::-1], dt, alpha)[..., ::-1]
 
 
-def rl_integral_left(x: Signal, alpha: float) -> Signal:
-    """Left RL fractional integral via product-integration quadrature.
+def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    """Left RL fractional integral of a 1-D x via product-integration quadrature.
 
     The weakly singular kernel is integrated exactly against the piecewise
     linear interpolant of x (product trapezoidal rule).
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidOrderError(f"integral order must be positive and finite, got {alpha}")
-    v = x.values
-    n = len(v)
-    dt = x.grid.dt
+    n = len(x)
     m = np.arange(n, dtype=float)
     p = alpha + 1.0
     # interior convolution weights a_k and the boundary weight c_m for the
@@ -190,8 +159,8 @@ def rl_integral_left(x: Signal, alpha: float) -> Signal:
     c = np.zeros(n)
     c[1:] = (m[1:] - 1) ** p - m[1:] ** p + p * m[1:] ** alpha
     scale = dt**alpha / math.gamma(alpha + 2.0)
-    conv = _causal_convolve(v, a)
-    # convolution attributes weight a_m to v[0]; the correct weight is c_m
-    out = scale * (conv + (c - a) * v[0])
+    conv = _causal_convolve(x, a)
+    # convolution attributes weight a_m to x[0]; the correct weight is c_m
+    out = scale * (conv + (c - a) * x[0])
     out[0] = 0.0
-    return x.with_values(out)
+    return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, Element
 from .dynamics import Trajectory, trajectory_loss
-from .frac_ops import Signal, rl_derivative_right
+from .frac_ops import rl_derivative_right
 
 PART_KEYS = ("inductive", "capacitive", "memristive", "synaptic", "output", "source")
 
@@ -188,7 +188,7 @@ def _central_diff(x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
-    """Euler-Lagrange residual per flux coordinate, as complex Signals.
+    """Euler-Lagrange residual per flux coordinate, as complex arrays over the grid.
 
     Evaluates dL/dphi - d/dt(dL/dv) + D_right^{1/2}(dL/dpsi) assembled
     through the cut-set matrix; the result equals minus the cut-set current
@@ -220,9 +220,9 @@ def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
             v = _central_diff(phi[b], dt)
             contrib[b] = -_central_diff(e.constitutive()(v)[0], dt)
         elif e.kind == "R":
-            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.g * psi[b]), 0.5).values
+            contrib[b] = 1j * rl_derivative_right(e.g * psi[b], dt, 0.5)
         elif e.kind == "M":
-            contrib[b] = 1j * rl_derivative_right(Signal(grid, e.constitutive()(psi[b])[0]), 0.5).values
+            contrib[b] = 1j * rl_derivative_right(e.constitutive()(psi[b])[0], dt, 0.5)
         elif e.kind == "OC":
             v = _central_diff(phi[b], dt)
             contrib[b] = 2 * beta * e.cap_scale * _central_diff(v - targets[e.name], dt)
@@ -231,9 +231,8 @@ def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
         # V: driven constraint, no variational contribution
 
     res = topology.flux_map.T @ contrib
-    out = {}
-    for c, (branch, name) in enumerate(zip(topology.tree, topology.flux_coord_names)):
-        if elements[branch].kind == "V":
-            continue
-        out[name] = Signal(grid, res[c])
-    return out
+    return {
+        name: res[c]
+        for c, (branch, name) in enumerate(zip(topology.tree, topology.flux_coord_names))
+        if elements[branch].kind != "V"
+    }

@@ -334,6 +334,48 @@ class TestTrain:
         assert not os.path.exists(os.path.join(out_dir, "train.manifest"))
 
 
+# nets the estimator cannot use: no output cap to divide by, or caps of two values
+NO_OUTPUT_CAP = LINNET.replace("OC oc1 out 0 cap=1.0 w=const(0.4)\n", "")
+UNEQUAL_CAPS = LINNET + "R s4 out out2 g=0.5 trainable\nOC oc2 out2 0 cap=5.0 w=const(0.2)\n"
+
+
+class TestEstimatorNetlist:
+    CASES = pytest.mark.parametrize(
+        "net, message",
+        [
+            (NO_OUTPUT_CAP, "error: circuit has no output capacitors\n"),
+            (UNEQUAL_CAPS, "error: unequal-output-caps: output capacitors need one common cap, got oc1=1, oc2=5\n"),
+        ],
+        ids=["no-output-cap", "unequal-caps"],
+    )
+
+    @staticmethod
+    def no_runs(monkeypatch):
+        def stepping(*args):
+            raise AssertionError("a run was stepped")
+
+        monkeypatch.setattr(eqprop, "simulate_batch", stepping)
+
+    @CASES
+    def test_train_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch, net, message):
+        self.no_runs(monkeypatch)
+        (tmp_path / "bad.net").write_text(net)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(re.sub(r" oc1=const\([0-9.]+\)", "", TRAIN_CFG) if net is NO_OUTPUT_CAP else TRAIN_CFG)
+        out_dir = tmp_path / "run"
+        assert main(["train", str(tmp_path / "bad.net"), str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == message
+        assert not (out_dir / "train_log.csv").exists()
+
+    @CASES
+    def test_gradcheck_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch, net, message):
+        self.no_runs(monkeypatch)
+        (tmp_path / "bad.net").write_text(net)
+        assert main(["gradcheck", str(tmp_path / "bad.net"), "--out", str(tmp_path / "gc.csv")]) == 2
+        assert capsys.readouterr().err == message
+        assert sorted(os.listdir(tmp_path)) == ["bad.net"]
+
+
 class TestAtomicWrite:
     @staticmethod
     def failing_chunks():
@@ -469,6 +511,7 @@ class TestRunParameters:
             ("epochs=x", "expected int"),
             ("dt=0", "grid step must be positive and finite, got 0.0"),
             ("t_end=inf", "span end must be finite, got inf"),
+            ("seed=-1", "seed must be non-negative, got -1"),
         ],
     )
     def test_train_config_value(self, linnet_path, tmp_path, capsys, setting, message):
@@ -628,7 +671,7 @@ _OFF_GRID_ROWS = ["1e9,1.0", "-5,2", "1.7e308,0", "-1.7e308,0"]
 
 @st.composite
 def bad_signal_csvs(draw):
-    """Signal CSV bytes that must be rejected: a uniform grid of fewer than 2
+    """CSV signal bytes that must be rejected: a uniform grid of fewer than 2
     rows, or with bad rows after its header, or with bytes that are not UTF-8."""
     dt = draw(st.sampled_from([1e-3, 0.1, 0.5, 2.0]))
     values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300, 5e-324]) | st.floats(-1e3, 1e3), max_size=12))
@@ -779,12 +822,12 @@ class TestFracBench:
         p.write_text("t,value\n" + "\n".join(f"{a!r},{b!r}" for a, b in zip(t.tolist(), v.tolist())) + "\n")
         if op == "identity":
             # the signed zero and the extremes reach the formatter as read
-            monkeypatch.setitem(cli._OPS, "caputo-left", lambda sig, alpha: sig)
+            monkeypatch.setitem(cli._OPS, "caputo-left", lambda values, dt, alpha: values)
             op = "caputo-left"
         out = tmp_path / "res.csv"
         assert main(["frac-bench", str(p), "--op", op, "--out", str(out)]) == 0
-        sig = cli._read_signal_csv(str(p))
-        expected = self.per_sample_text(sig.grid.times(), cli._OPS[op](sig, 0.5).values)
+        grid, values = cli._read_signal_csv(str(p))
+        expected = self.per_sample_text(grid.times(), cli._OPS[op](values, grid.dt, 0.5))
         assert out.read_text() == expected
 
     def test_self_test_passes(self, capsys):

@@ -5,7 +5,7 @@ from csv_compare import assert_same_csv, csv_text
 from fraceq.circuit import Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, Trajectory, simulate, trajectory_loss
 from fraceq.errors import MissingOutputError, ValidationError
-from fraceq.frac_ops import SampleGrid, Signal
+from fraceq.frac_ops import SampleGrid
 from fraceq.lagrangian import branch_quantities
 
 RC_NET = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
@@ -217,19 +217,18 @@ class TestDeterminismAndExport:
 
 class TestHalfRates:
     def test_computed_once_per_trajectory(self, monkeypatch):
-        # one GL convolution per half-rate property covers all of its rows
+        # one caputo_left call per half-rate property covers all of its rows
         from fraceq import dynamics
         from fraceq.frac_ops import caputo_left
 
         traj = run(LINNET, beta=1e-3, t_end=0.1)
         calls = []
-        convolve = dynamics._gl_convolve
 
         def counting(values, dt, alpha):
             calls.append(len(values))
-            return convolve(values, dt, alpha)
+            return caputo_left(values, dt, alpha)
 
-        monkeypatch.setattr(dynamics, "_gl_convolve", counting)
+        monkeypatch.setattr(dynamics, "caputo_left", counting)
         psi, r = traj.tree_half_velocity, traj.loop_half_charge_rate
         rows = len(traj.tree_flux) + len(traj.loop_charge)
         assert calls == [len(traj.tree_flux), len(traj.loop_charge)] and sum(calls) == rows
@@ -238,5 +237,5 @@ class TestHalfRates:
         assert sum(calls) == rows and len(calls) == 2
         assert not psi.flags.writeable and not r.flags.writeable
         for values, rate in zip((traj.tree_flux, traj.loop_charge), (psi, r)):
-            expected = [caputo_left(Signal(traj.grid, row), 0.5).values for row in values]
+            expected = [caputo_left(row, traj.grid.dt, 0.5) for row in values]
             assert np.array_equal(rate, expected)

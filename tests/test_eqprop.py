@@ -23,7 +23,7 @@ from fraceq.eqprop import (
     train,
 )
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, StepTooLargeError, ValidationError
-from fraceq.frac_ops import SampleGrid, Signal
+from fraceq.frac_ops import SampleGrid
 from fraceq.lagrangian import action_g_partial, half_energies
 from test_batch import random_circuits
 from test_frac_ops import half_energy_integral
@@ -129,7 +129,7 @@ class TestEstimateGradient:
 def reference_energies(traj, branches):
     """half_energy_integral of each branch flux: a half-derivative per branch."""
     flux = traj.topology.flux_map[list(branches)] @ traj.tree_flux
-    return np.array([half_energy_integral(Signal(traj.grid, row)) for row in flux])
+    return np.array([half_energy_integral(row, traj.grid.dt) for row in flux])
 
 
 def free_and_nudged(circuit, beta, config):

@@ -9,7 +9,6 @@ from fraceq import frac_ops
 from fraceq.errors import GridTooSmallError, InvalidOrderError, ParameterError
 from fraceq.frac_ops import (
     SampleGrid,
-    Signal,
     caputo_left,
     caputo_right,
     gl_weights,
@@ -24,8 +23,7 @@ def unit_grid(dt=1e-3):
 
 
 def sig(f, dt=1e-3):
-    grid = unit_grid(dt)
-    return Signal(grid, f(grid.times()))
+    return f(unit_grid(dt).times())
 
 
 class TestGlWeights:
@@ -56,15 +54,15 @@ class TestGlWeights:
 
 class TestCaputoLeft:
     def test_constant_vanishes(self):
-        y = caputo_left(sig(lambda t: 3.7 + 0 * t), 0.5)
-        assert np.max(np.abs(y.values)) == 0.0
+        y = caputo_left(sig(lambda t: 3.7 + 0 * t), 1e-3, 0.5)
+        assert np.max(np.abs(y)) == 0.0
 
     def test_ramp_against_closed_form(self):
         t = unit_grid().times()
-        y = caputo_left(sig(lambda t: t), 0.5)
+        y = caputo_left(sig(lambda t: t), 1e-3, 0.5)
         exact = 2 * np.sqrt(t / np.pi)
-        assert abs(y.values[-1] - 1.1283791670955126) < 2e-4
-        assert np.max(np.abs(y.values - exact)) < 5e-3
+        assert abs(y[-1] - 1.1283791670955126) < 2e-4
+        assert np.max(np.abs(y - exact)) < 5e-3
 
     def test_ramp_against_quadrature_oracle(self):
         # independent oracle: 1/Gamma(1/2) * int_0^t (t-s)^(-1/2) x'(s) ds
@@ -73,26 +71,26 @@ class TestCaputoLeft:
             u = np.linspace(0.0, math.sqrt(t), 20_001)
             return np.trapezoid(2.0 / math.sqrt(math.pi) + 0 * u, u)
 
-        y = caputo_left(sig(lambda t: t), 0.5)
+        y = caputo_left(sig(lambda t: t), 1e-3, 0.5)
         for i in [100, 500, 1000]:
             t = unit_grid().times()[i]
-            assert abs(y.values[i] - oracle(t)) < 5e-3
+            assert abs(y[i] - oracle(t)) < 5e-3
 
     def test_integer_order_matches_backward_difference(self):
         t = unit_grid().times()
-        y = caputo_left(sig(lambda t: t**2), 1.0)
-        assert np.max(np.abs(y.values[1:] - 2 * t[1:])) < 2e-3
+        y = caputo_left(sig(lambda t: t**2), 1e-3, 1.0)
+        assert np.max(np.abs(y[1:] - 2 * t[1:])) < 2e-3
 
     def test_integer_order_error_bound(self):
         # within 2 dt max|x''| of the derivative for alpha = 1
         dt = 1e-3
         t = unit_grid(dt).times()
-        y = caputo_left(sig(np.sin, dt), 1.0)
-        assert np.max(np.abs(y.values[1:] - np.cos(t[1:]))) <= 2 * dt * 1.0
+        y = caputo_left(sig(np.sin, dt), dt, 1.0)
+        assert np.max(np.abs(y[1:] - np.cos(t[1:]))) <= 2 * dt * 1.0
 
     def test_rejects_large_order(self):
         with pytest.raises(InvalidOrderError):
-            caputo_left(sig(lambda t: t), 1.5)
+            caputo_left(sig(lambda t: t), 1e-3, 1.5)
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
@@ -131,49 +129,49 @@ class TestCaputoLeft:
         errs = []
         for dt in (2e-3, 1e-3):
             t = unit_grid(dt).times()
-            y = caputo_left(sig(lambda t: t**1.5, dt), 0.5)
+            y = caputo_left(sig(lambda t: t**1.5, dt), dt, 0.5)
             exact = math.gamma(2.5) / math.gamma(2.0) * t
-            errs.append(np.max(np.abs(y.values - exact)))
+            errs.append(np.max(np.abs(y - exact)))
         assert errs[0] / errs[1] >= 1.8
 
 
 class TestRlIntegralLeft:
     def test_order_one_is_ordinary_integral(self):
         t = unit_grid().times()
-        y = rl_integral_left(sig(lambda t: 1 + 0 * t), 1.0)
-        assert np.max(np.abs(y.values - t)) < 1e-12
+        y = rl_integral_left(sig(lambda t: 1 + 0 * t), 1e-3, 1.0)
+        assert np.max(np.abs(y - t)) < 1e-12
 
     def test_half_order_of_constant(self):
         t = unit_grid().times()
-        y = rl_integral_left(sig(lambda t: 1 + 0 * t), 0.5)
+        y = rl_integral_left(sig(lambda t: 1 + 0 * t), 1e-3, 0.5)
         exact = np.sqrt(t) / math.gamma(1.5)
-        assert abs(y.values[-1] - 1.1283791670955126) < 1e-6
-        assert np.max(np.abs(y.values - exact)) < 1e-4
+        assert abs(y[-1] - 1.1283791670955126) < 1e-6
+        assert np.max(np.abs(y - exact)) < 1e-4
 
     def test_semigroup_composition(self):
         x = sig(lambda t: np.sin(2 * t))
-        once = rl_integral_left(rl_integral_left(x, 0.5), 0.5)
-        full = rl_integral_left(x, 1.0)
-        assert np.max(np.abs(once.values - full.values)) < 2e-3
+        once = rl_integral_left(rl_integral_left(x, 1e-3, 0.5), 1e-3, 0.5)
+        full = rl_integral_left(x, 1e-3, 1.0)
+        assert np.max(np.abs(once - full)) < 2e-3
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(InvalidOrderError):
-            rl_integral_left(sig(lambda t: t), -0.5)
+            rl_integral_left(sig(lambda t: t), 1e-3, -0.5)
 
 
 class TestRlDerivativeRight:
     def test_constant_closed_form(self):
         # c (b-t)^(-1/2) / Gamma(1/2), checked away from the singular endpoint
         t = unit_grid().times()
-        y = rl_derivative_right(sig(lambda t: 1 + 0 * t), 0.5)
+        y = rl_derivative_right(sig(lambda t: 1 + 0 * t), 1e-3, 0.5)
         interior = slice(0, -50)
         exact = (1.0 - t[interior]) ** -0.5 / math.gamma(0.5)
-        assert np.max(np.abs(y.values[interior] - exact)) < 2e-2
+        assert np.max(np.abs(y[interior] - exact)) < 2e-2
 
     def test_integer_order_with_vanishing_endpoint(self):
         t = unit_grid().times()
-        y = rl_derivative_right(sig(lambda t: 1 - t), 1.0)
-        assert np.max(np.abs(y.values[:-1] - 1.0)) < 1e-9
+        y = rl_derivative_right(sig(lambda t: 1 - t), 1e-3, 1.0)
+        assert np.max(np.abs(y[:-1] - 1.0)) < 1e-9
 
     def test_right_composition_gives_negative_derivative(self):
         # discrete right-RL applied to the discrete right-Caputo half
@@ -186,8 +184,8 @@ class TestRlDerivativeRight:
         for dt in (2e-3, 1e-3):
             t = unit_grid(dt).times()
             x = sig(lambda t: t**2, dt)
-            y = rl_derivative_right(caputo_right(x, 0.5), 0.5)
-            errs.append(np.max(np.abs(y.values[1:-1] - (-2 * t[1:-1]))))
+            y = rl_derivative_right(caputo_right(x, dt, 0.5), dt, 0.5)
+            errs.append(np.max(np.abs(y[1:-1] - (-2 * t[1:-1]))))
         assert errs[1] < 5e-3
         assert errs[0] / errs[1] > 1.8
 
@@ -195,11 +193,10 @@ class TestRlDerivativeRight:
 @st.composite
 def random_signal_pair(draw):
     n = draw(st.integers(8, 40))
-    grid = SampleGrid(0.0, 0.05, n)
     mk = lambda: np.array(
         draw(st.lists(st.floats(-5, 5, allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
     )
-    return Signal(grid, mk()), Signal(grid, mk())
+    return mk(), mk()
 
 
 class TestLinearity:
@@ -207,18 +204,16 @@ class TestLinearity:
     @settings(max_examples=40, deadline=None)
     def test_caputo_left_linear(self, pair, a, b):
         x, y = pair
-        combo = x.with_values(a * x.values + b * y.values)
-        lhs = caputo_left(combo, 0.5).values
-        rhs = a * caputo_left(x, 0.5).values + b * caputo_left(y, 0.5).values
+        lhs = caputo_left(a * x + b * y, 0.05, 0.5)
+        rhs = a * caputo_left(x, 0.05, 0.5) + b * caputo_left(y, 0.05, 0.5)
         assert np.allclose(lhs, rhs, atol=1e-8)
 
     @given(random_signal_pair(), st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_rl_integral_linear(self, pair, a, b):
         x, y = pair
-        combo = x.with_values(a * x.values + b * y.values)
-        lhs = rl_integral_left(combo, 0.5).values
-        rhs = a * rl_integral_left(x, 0.5).values + b * rl_integral_left(y, 0.5).values
+        lhs = rl_integral_left(a * x + b * y, 0.05, 0.5)
+        rhs = a * rl_integral_left(x, 0.05, 0.5) + b * rl_integral_left(y, 0.05, 0.5)
         assert np.allclose(lhs, rhs, atol=1e-8)
 
 
@@ -228,53 +223,52 @@ class TestGridAndOrderTypes:
         assert g.b == 1.0
         assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_signal_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Signal(SampleGrid(0, 1, 3), np.array([0.0, np.inf, 1.0]))
 
-    def test_complex_values_accepted(self):
-        s = Signal(SampleGrid(0, 1, 3), np.array([0, 1j, 2j]))
-        y = caputo_left(s, 0.5)
-        assert np.iscomplexobj(y.values)
+class TestRowsAlongLastAxis:
+    # Trajectory's half rates take every coordinate row in one caputo_left call
+    @pytest.mark.parametrize("op", [caputo_left, caputo_right, rl_derivative_left, rl_derivative_right])
+    @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_each_row_as_if_alone(self, op, n, alpha):
+        rows = np.random.default_rng(n).standard_normal((4, n)).cumsum(axis=1)
+        together = op(rows, 1e-3, alpha)
+        for row, got in zip(rows, together):
+            assert np.array_equal(got, op(row, 1e-3, alpha))
 
 
 # --- FFT convolution against direct summation --------------------------------
 
 
-def half_energy_integral(phi):
-    """Trapezoid of the squared left Caputo half-derivative of a flux signal.
+def half_energy_integral(phi, dt):
+    """Trapezoid of the squared left Caputo half-derivative of a flux signal with step dt.
 
     The reference the estimator's energies (`lagrangian.half_energies`) are
-    checked against: one half-derivative per branch flux.  Non-negative for
-    real inputs.
+    checked against: one half-derivative per branch flux.  Non-negative.
     """
-    d = caputo_left(phi, 0.5).values
-    sq = np.real(d) ** 2 if not np.iscomplexobj(d) else d**2
-    return float(np.real(np.trapezoid(sq, dx=phi.grid.dt)))
+    return float(np.trapezoid(caputo_left(phi, dt, 0.5) ** 2, dx=dt))
 
 
 class TestHalfEnergyIntegral:
     def test_zero_trajectory(self):
-        assert half_energy_integral(sig(lambda t: 0 * t)) == 0.0
+        assert half_energy_integral(sig(lambda t: 0 * t), 1e-3) == 0.0
 
     def test_ramp_closed_form(self):
         # int_0^1 (2 sqrt(t/pi))^2 dt = 2/pi
-        e = half_energy_integral(sig(lambda t: t))
+        e = half_energy_integral(sig(lambda t: t), 1e-3)
         assert abs(e - 2 / math.pi) < 5e-3
 
     @given(st.floats(-10, 10, allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_quadratic_scaling(self, c):
         base = sig(lambda t: np.sin(3 * t), 1e-2)
-        scaled = base.with_values(c * base.values)
-        assert half_energy_integral(scaled) == pytest.approx(
-            c**2 * half_energy_integral(base), abs=1e-12
+        assert half_energy_integral(c * base, 1e-2) == pytest.approx(
+            c**2 * half_energy_integral(base, 1e-2), abs=1e-12
         )
 
     def test_nonnegative_and_zero_only_for_constants(self):
-        e = half_energy_integral(sig(lambda t: 1e-3 * np.sin(t), 1e-2))
+        e = half_energy_integral(sig(lambda t: 1e-3 * np.sin(t), 1e-2), 1e-2)
         assert e > 1e-12
-        e0 = half_energy_integral(sig(lambda t: 0.5 + 0 * t, 1e-2))
+        e0 = half_energy_integral(sig(lambda t: 0.5 + 0 * t, 1e-2), 1e-2)
         assert abs(e0) < 1e-12
 
 
@@ -308,42 +302,38 @@ def fft_and_direct(op, *args):
 
 @st.composite
 def fft_cases(draw):
-    """Seeded random signals: noise or random walk, real or complex."""
+    """Seeded random signals (noise or random walk), a step and an order."""
     n = draw(st.integers(2, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal(n)
     if draw(st.booleans()):
-        values = values + 1j * rng.standard_normal(n)
-    if draw(st.booleans()):
         values = np.cumsum(values)
     values = values * 10.0 ** draw(st.integers(-3, 3))
-    grid = SampleGrid(0.0, draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1])), n)
-    return Signal(grid, values), draw(st.floats(0.0, 1.0, exclude_min=True))
+    dt = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
+    return values, dt, draw(st.floats(0.0, 1.0, exclude_min=True))
 
 
-def check_against_direct(x, alpha):
-    v, dt = x.values, x.grid.dt
+def check_against_direct(v, dt, alpha):
     for op, convolved in [
         (caputo_left, v - v[0]),
         (caputo_right, v - v[-1]),
         (rl_derivative_left, v),
         (rl_derivative_right, v),
     ]:
-        fast, slow = fft_and_direct(op, x, alpha)
-        assert fast.values.dtype == slow.values.dtype, op.__name__
+        fast, slow = fft_and_direct(op, v, dt, alpha)
+        assert fast.dtype == slow.dtype, op.__name__
         if np.any(convolved):
-            assert np.max(np.abs(fast.values - slow.values)) <= gl_bound(convolved, alpha, dt), op.__name__
+            assert np.max(np.abs(fast - slow)) <= gl_bound(convolved, alpha, dt), op.__name__
         else:
-            assert np.array_equal(fast.values, slow.values), op.__name__
-    fast, slow = fft_and_direct(rl_integral_left, x, alpha)
-    assert fast.values.dtype == slow.values.dtype
-    assert np.max(np.abs(fast.values - slow.values)) <= integral_bound(v, alpha, dt) + 0.0
-    if not np.iscomplexobj(v):
-        # |dE| <= (b - a) (2 max|d| delta + delta^2), delta the bound on d
-        fast, slow = fft_and_direct(half_energy_integral, x)
-        d = caputo_left(x, 0.5).values
-        delta = gl_bound(v - v[0], 0.5, dt) if np.any(v - v[0]) else 0.0
-        assert abs(fast - slow) <= (x.grid.b - x.grid.a) * (2 * np.max(np.abs(d)) * delta + delta**2)
+            assert np.array_equal(fast, slow), op.__name__
+    fast, slow = fft_and_direct(rl_integral_left, v, dt, alpha)
+    assert fast.dtype == slow.dtype
+    assert np.max(np.abs(fast - slow)) <= integral_bound(v, alpha, dt) + 0.0
+    # |dE| <= (b - a) (2 max|d| delta + delta^2), delta the bound on d
+    fast, slow = fft_and_direct(half_energy_integral, v, dt)
+    d = caputo_left(v, dt, 0.5)
+    delta = gl_bound(v - v[0], 0.5, dt) if np.any(v - v[0]) else 0.0
+    assert abs(fast - slow) <= (len(v) - 1) * dt * (2 * np.max(np.abs(d)) * delta + delta**2)
 
 
 class TestFftAgainstDirect:
@@ -353,22 +343,20 @@ class TestFftAgainstDirect:
         check_against_direct(*case)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 1024, 1025])
-    @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_power_of_two_edges(self, n, complex_values, alpha):
+    def test_power_of_two_edges(self, n, alpha):
         # lengths at and around the padded FFT size
-        rng = np.random.default_rng(n)
-        values = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_values else 0)
-        check_against_direct(Signal(SampleGrid(0.0, 1e-3, n), values), alpha)
+        values = np.random.default_rng(n).standard_normal(n)
+        check_against_direct(values, 1e-3, alpha)
 
     def test_long_signal(self):
         # np.convolve is too slow at this length; the reference sums
         # w_(m-j) (x_j - x_0) directly at a few hundred samples m
         n, dt = 50_001, 1e-3
         grid = SampleGrid(0.0, dt, n)
-        x = Signal(grid, np.sin(grid.times()) + 0.1 * np.random.default_rng(5).standard_normal(n))
-        fast = caputo_left(x, 0.5).values
-        convolved = x.values - x.values[0]
+        x = np.sin(grid.times()) + 0.1 * np.random.default_rng(5).standard_normal(n)
+        fast = caputo_left(x, dt, 0.5)
+        convolved = x - x[0]
         w = gl_weights(0.5, n - 1)
         samples = np.unique(np.concatenate([np.arange(0, n, 173), [n - 2, n - 1]]))
         direct = np.array([np.dot(w[m::-1], convolved[: m + 1]) for m in samples]) * dt**-0.5
