@@ -290,7 +290,6 @@ def cmd_train(args) -> int:
         config = parse_train_config(text, circuit)
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
     net_path = os.path.join(args.out_dir, "trained.net")
     params = {
@@ -306,10 +305,12 @@ def cmd_train(args) -> int:
         final, log = train(circuit, config)
     except FraceqError as exc:
         if hasattr(exc, "partial_log"):
+            os.makedirs(args.out_dir, exist_ok=True)
             # the exception itself names the epoch and example
             _atomic_write(log_path, exc.partial_log.csv_chunks())
             print(f"partial log flushed to {log_path}", file=sys.stderr)
         raise
+    os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(log_path, log.csv_chunks())
     _atomic_write(net_path, [serialize(final)])
     manifest_path = os.path.join(args.out_dir, "train.manifest")

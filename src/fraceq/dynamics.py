@@ -272,8 +272,9 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     predictor moves the voltages and currents by up to 2.3e-9 of their
     largest value from where the dz = 0 start leaves them.
     NEWTON_MAX_ITERS bounds the passes, and a singular Jacobian fails the
-    step.  Either way a failed step raises NewtonDivergenceError at the
-    earliest failing time, naming the first failing member there.
+    step.  A failed step, or a linear step that fails the check, raises
+    NewtonDivergenceError at the earliest failing time, naming the first
+    failing member there.
 
     Every beta must be finite and non-negative (ParameterError "beta").
     Conductances are not checked: a NaN one fails as a divergence.
@@ -444,14 +445,17 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
             if has_mem:
                 mem[:, :, m] = (P_mem @ z)[:, :, 0]
         if linear:
-            # the residual of every step of every member in the block
-            Zb = Z[:, :, lo - 1 : hi]
-            res = np.abs(row_scale * (A @ np.diff(Zb) + D @ Zb[:, :, :-1] + c)).max(axis=1)
+            # every step's residual in the block, at the increment dz = -K r it
+            # solved for: the difference of the stored z would carry their
+            # rounding into a C row's residual divided by dt^2
+            r = D @ Z[:, :, lo - 1 : hi - 1] + c
+            res = np.abs(row_scale * (r - A @ (K @ r))).max(axis=1)
             failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
             if failed.any():
                 j = int(np.argmax(failed.any(axis=0)))
                 i = int(np.argmax(failed[:, j]))
-                raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label)
+                failure = "step residual check failed"
+                raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label, failure)
 
     output_names = tuple(elements[b].name for b in OC)
     outputs = _backward_diff(P_phi[OC] @ Z, dt)

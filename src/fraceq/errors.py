@@ -54,14 +54,17 @@ class DegenerateTopologyError(FraceqError, ValueError):
 
 
 class NewtonDivergenceError(FraceqError, RuntimeError):
-    """Implicit step failed to converge."""
+    """Implicit step failed to converge, or a linear step failed its residual check.
 
-    def __init__(self, t, residual, phase=None):
+    `failure` says which, and starts the message.
+    """
+
+    def __init__(self, t, residual, phase=None, failure="Newton iteration diverged"):
         self.t = t
         self.residual = residual
         self.phase = phase
         tag = f" ({phase} phase)" if phase else ""
-        super().__init__(f"Newton iteration diverged at t={t:.6g}{tag}, residual={residual:.3e}")
+        super().__init__(f"{failure} at t={t:.6g}{tag}, residual={residual:.3e}")
 
 
 class MissingOutputError(FraceqError, ValueError):

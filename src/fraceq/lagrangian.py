@@ -191,11 +191,13 @@ def el_residual(circuit: Circuit, traj: Trajectory) -> dict:
     """Euler-Lagrange residual per flux coordinate, as complex arrays over the grid.
 
     Evaluates dL/dphi - d/dt(dL/dv) + D_right^{1/2}(dL/dpsi) assembled
-    through the cut-set matrix; the result equals minus the cut-set current
-    balance, so it vanishes on simulated trajectories up to discretization
-    error at interior samples.  Time derivatives use central differences,
-    deliberately different from the solver's backward stencil, so the
-    residual measures discretization error instead of echoing the solver.
+    through the cut-set matrix.  It vanishes, up to discretization error at
+    interior samples, only on circuits without R or M branches: each R/M
+    term is a right half-derivative of a left one, and the two do not
+    compose to d/dt (the strict xfail test_resistive_term_reproduces_current),
+    so on a dissipative circuit the residual does not shrink with dt.  Time
+    derivatives use central differences, deliberately different from the
+    solver's backward stencil, so the residual does not echo the solver.
     Coordinates on driven voltage-source branches are constrained, not
     variational, and are omitted.
     """

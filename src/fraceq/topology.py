@@ -52,43 +52,32 @@ class Topology:
         return tuple(self.names[b] for b in self.links)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _select_tree(circuit: Circuit) -> tuple:
     """Priority spanning tree: V > C/OC > R > M > L > I, declaration order ties.
 
-    Returns (tree, links), both sorted.  Raises DegenerateTopologyError for
-    voltage-source loops (a V forced into the cotree) and current-source
-    cut-sets (an I forced into the tree), and for disconnected graphs.
+    Branches are taken greedily in priority order; a branch joins the tree
+    when it connects two components, and every node of one component then
+    takes the other's label.  Returns (tree, links), both sorted.  Raises
+    DegenerateTopologyError for voltage-source loops (a V forced into the
+    cotree) and current-source cut-sets (an I forced into the tree), and for
+    disconnected graphs.
     """
     elements = circuit.elements
     order = sorted(range(len(elements)), key=lambda b: (_PRIORITY[elements[b].kind], b))
     nodes = circuit.nodes
-    uf = _UnionFind(nodes)
-    tree = [b for b in order if uf.union(elements[b].n_plus, elements[b].n_minus)]
+    component = {n: n for n in nodes}
+    tree = []
+    for b in order:
+        old, new = component[elements[b].n_plus], component[elements[b].n_minus]
+        if old != new:
+            tree.append(b)
+            component = {n: new if label == old else label for n, label in component.items()}
     if len(tree) != len(nodes) - 1:
         raise DegenerateTopologyError("graph is not connected; no spanning tree exists")
-    tree_set = set(tree)
     for b in tree:
         if elements[b].kind == "I":
             raise DegenerateTopologyError(f"current source {elements[b].name} forms a cut-set of current sources")
-    links = [b for b in range(len(elements)) if b not in tree_set]
+    links = sorted(set(range(len(elements))).difference(tree))
     for b in links:
         if elements[b].kind == "V":
             raise DegenerateTopologyError(f"voltage source {elements[b].name} closes a loop of voltage sources")
@@ -96,49 +85,26 @@ def _select_tree(circuit: Circuit) -> tuple:
 
 
 def _kirchhoff_matrices(circuit: Circuit, tree: tuple, links: tuple) -> tuple:
-    """Fundamental loop matrix from tree paths, cut-set matrix from B.
+    """Cut-set matrix Q = A_T^-1 A and loop matrix B = [-Q_L^T | I].
 
-    Each link's loop follows the link from n_plus to n_minus and returns
-    through the tree; a tree branch traversed along its own orientation gets
-    +1 in the loop row.  Q is the identity on the tree columns and
-    -B_tree^T on the link columns.
+    A is the reduced incidence matrix: one row per node but the first (the
+    graph is connected, so any one row is redundant), +1 where a branch
+    leaves the node (n_plus) and -1 where it enters (n_minus).  A_T, its
+    tree columns, is unimodular, so every entry of Q is -1, 0 or 1 and
+    rounding the solve gives it exactly.  A link's loop row follows the link
+    from n_plus to n_minus and returns through the tree.
     """
     elements = circuit.elements
-    # tree adjacency: node -> list of (branch, neighbor, sign when leaving via n_plus)
-    adj = {n: [] for n in circuit.nodes}
-    for b in tree:
-        u, v = elements[b].n_plus, elements[b].n_minus
-        adj[u].append((b, v, +1))
-        adj[v].append((b, u, -1))
-
-    def tree_path(src, dst):
-        # BFS through the tree; returns [(branch, direction)] from src to dst
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            n = queue.pop(0)
-            if n == dst:
-                break
-            for b, m, s in adj[n]:
-                if m not in prev:
-                    prev[m] = (n, b, s)
-                    queue.append(m)
-        path = []
-        n = dst
-        while prev[n] is not None:
-            p, b, s = prev[n]
-            path.append((b, s))
-            n = p
-        return path[::-1]
-
+    row = {n: r for r, n in enumerate(circuit.nodes)}
+    A = np.zeros((len(row), len(elements)))
+    for b, e in enumerate(elements):
+        A[row[e.n_plus], b] += 1.0
+        A[row[e.n_minus], b] -= 1.0
+    A = A[1:]
+    Q = np.rint(np.linalg.solve(A[:, list(tree)], A)).astype(np.int64)
     B = np.zeros((len(links), len(elements)), dtype=np.int64)
-    for r, b in enumerate(links):
-        B[r, b] = 1
-        for tb, s in tree_path(elements[b].n_minus, elements[b].n_plus):
-            B[r, tb] = s
-    Q = np.zeros((len(tree), len(elements)), dtype=np.int64)
-    Q[:, list(tree)] = np.eye(len(tree), dtype=np.int64)
-    Q[:, list(links)] = -B[:, list(tree)].T
+    B[:, list(tree)] = -Q[:, list(links)].T
+    B[:, list(links)] = np.eye(len(links), dtype=np.int64)
     return Q, B
 
 

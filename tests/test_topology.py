@@ -88,6 +88,25 @@ class TestStructuralProperties:
         assert np.all(prod == 0)
 
     @given(random_connected_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_matrices_agree_with_the_graph(self, ckt):
+        # Q B^T = 0 holds by construction, so check Q and B against the
+        # incidence matrix built here from each element's nodes: +1 where
+        # a branch leaves a node, -1 where it enters
+        nodes = ckt.nodes
+        A = np.zeros((len(nodes), len(ckt.elements)), dtype=np.int64)
+        for b, e in enumerate(ckt.elements):
+            A[nodes.index(e.n_plus), b] += 1
+            A[nodes.index(e.n_minus), b] -= 1
+        topo = build_topology(ckt)
+        tree, links = list(topo.tree), list(topo.links)
+        assert topo.Q.dtype.kind == topo.B.dtype.kind == "i"
+        assert np.all(A @ topo.B.T == 0)  # every loop current obeys KCL at every node
+        assert np.array_equal(A[:, tree] @ topo.Q, A)
+        assert np.array_equal(topo.Q[:, tree], np.eye(len(tree), dtype=np.int64))
+        assert np.array_equal(topo.B[:, links], np.eye(len(links), dtype=np.int64))
+
+    @given(random_connected_circuits())
     @settings(max_examples=50, deadline=None)
     def test_coordinate_count_and_kvl_kcl_residuals(self, ckt):
         topo = build_topology(ckt)
