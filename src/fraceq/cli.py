@@ -165,13 +165,15 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
             batch=tuple(batch) if batch else (DriveSet(),),
             g_min=take("g_min", float, 1e-6),
             seed=take("seed", int, 0),
-            sign_convention=take("sign_convention", int, 1),
         )
     except ParameterError as exc:
         # a default is never out of range alone; a span that dt does not
         # divide is reported on the line of whichever of the two is set
         key = next(k for k in ({"b": "t_end"}.get(exc.name, exc.name), "t_end", "dt") if k in located)
         raise ValueError(f"{located[key]}: {exc}") from None
+    # the estimator's sign is fixed; configs that state it may say 1
+    if take("sign_convention", int, 1) != 1:
+        raise ValueError(f"{located['sign_convention']}: the estimator's sign is fixed at 1")
     if scalars:
         raise ValueError("; ".join(f"{located[key]}: unknown key" for key in scalars))
     return cfg
@@ -237,7 +239,7 @@ def cmd_gradcheck(args) -> int:
 
     # the estimates at beta and beta/2 share one free run and the oracle's batch
     nudges = [("nudged", args.beta), ("nudged beta/2", args.beta / 2)]
-    (est, est_half), oracle = estimates_and_oracle(circuit, DriveSet(), nudges, args.eps, cfg, args.sign)
+    (est, est_half), oracle = estimates_and_oracle(circuit, DriveSet(), nudges, args.eps, cfg)
     metrics = agreement_metrics(est, oracle)
     metrics_half = agreement_metrics(est_half, oracle)
 
@@ -259,7 +261,6 @@ def cmd_gradcheck(args) -> int:
         "cosine_similarity_half_beta,%.17g" % metrics_half["cosine_similarity"],
         "max_rel_error,%.17g" % metrics["max_rel_error"],
         f"sign_match_all,{int(metrics['sign_match'])}",
-        f"sign_convention,{est.sign_convention}",
         "beta,%.17g" % args.beta,
         "dt,%.17g" % args.dt,
     ]
@@ -298,7 +299,6 @@ def cmd_train(args) -> int:
         "learning_rate": config.learning_rate,
         "beta": config.beta,
         "seed": config.seed,
-        "sign_convention": config.sign_convention,
         "examples": len(config.batch),
     }
     try:
@@ -429,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--eps", type=float, default=1e-4)
     gc.add_argument("--dt", type=float, default=1e-3)
     gc.add_argument("--t-end", type=float, default=1.0)
-    gc.add_argument("--sign", type=int, default=1, choices=(-1, 1))
     gc.add_argument("--out", default="gradcheck.csv")
     gc.set_defaults(func=cmd_gradcheck)
 

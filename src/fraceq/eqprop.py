@@ -3,8 +3,8 @@
 The estimator contrasts a free trajectory (beta = 0) with a nudged one
 (beta > 0) and reads each synapse gradient off the change in its
 half-derivative flux energy.  The estimator is real-valued: the imaginary
-unit of the synaptic action term is absorbed into a global sign convention
-fixed once by calibration against the finite-difference oracle.
+unit of the synaptic action term is absorbed into its sign, fixed at +1;
+criterion 8 checks that sign against the finite-difference oracle.
 
 The oracle is a central difference of the loss in each synapse conductance,
 at beta = 0.  Where an estimate is checked against the oracle, the free,
@@ -22,7 +22,7 @@ from .circuit import Circuit
 from .dynamics import (
     DriveSet, Member, SimConfig, StepSystem, Trajectory, _csv_body, compile, simulate_batch, trajectory_loss
 )
-from .errors import FraceqError, ParameterError, StepTooLargeError
+from .errors import FraceqError, ParameterError
 from .lagrangian import half_energies
 
 
@@ -30,7 +30,7 @@ from .lagrangian import half_energies
 class GradientEstimate:
     """Per-synapse gradient values with the raw quantities behind them.
 
-    values[k] = sign_convention * (E_k(beta) - E_k(0)) / (2 * C * beta)
+    values[k] = (E_k(beta) - E_k(0)) / (2 * C * beta)
     where E_k is the half-derivative energy of synapse k's branch flux and
     C the output capacitance scale; raw_half_energies keeps the
     (E_k(beta), E_k(0)) pairs so the quotient is re-derivable from the log,
@@ -39,8 +39,6 @@ class GradientEstimate:
 
     synapse_names: tuple
     values: tuple
-    beta_used: float
-    sign_convention: int
     raw_half_energies: tuple
     loss_free: float
 
@@ -54,7 +52,6 @@ class TrainConfig:
     batch: tuple  # DriveSets, one per training example
     g_min: float = 1e-6
     seed: int = 0
-    sign_convention: int = 1
 
     def __post_init__(self):
         # NaN fails every check: a NaN learning rate would make every
@@ -71,8 +68,6 @@ class TrainConfig:
             raise ParameterError("g_min", f"g_min must be positive and finite, got {self.g_min}")
         if self.seed < 0:
             raise ParameterError("seed", f"seed must be non-negative, got {self.seed}")
-        if self.sign_convention not in (-1, 1):
-            raise ParameterError("sign_convention", "sign_convention must be +1 or -1")
 
 
 @dataclass
@@ -117,9 +112,7 @@ def _synapses(circuit: Circuit) -> tuple:
     return idx
 
 
-def estimate_gradient(
-    system: StepSystem, g: np.ndarray, drive: DriveSet, beta: float, cfg: SimConfig, sign_convention: int = 1
-) -> GradientEstimate:
+def estimate_gradient(system: StepSystem, g: np.ndarray, drive: DriveSet, beta: float, cfg: SimConfig) -> GradientEstimate:
     """Two-trajectory gradient estimate for every trainable synapse, with
     per-branch conductances `g` (as `StepSystem.g`).
 
@@ -128,10 +121,10 @@ def estimate_gradient(
     """
     _check_nudge(beta)
     free, nudged = simulate_batch(system, drive, cfg, [Member("free", 0.0, g), Member("nudged", beta, g)])
-    return estimate_from(system.circuit, free, nudged, sign_convention)
+    return estimate_from(system.circuit, free, nudged)
 
 
-def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_convention: int = 1) -> GradientEstimate:
+def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory) -> GradientEstimate:
     """The gradient estimate of a free run (beta = 0) and a nudged run (beta > 0) of `circuit`.
 
     Only structure is read from `circuit`: synapse indices, names and the
@@ -144,9 +137,7 @@ def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory, sign_c
     raw = tuple(zip(half_energies(circuit, nudged, idx).tolist(), half_energies(circuit, free, idx).tolist()))
     return GradientEstimate(
         synapse_names=tuple(circuit.elements[l].name for l in idx),
-        values=tuple(sign_convention * (e_nudged - e_free) / (2.0 * cap * beta) for e_nudged, e_free in raw),
-        beta_used=float(beta),
-        sign_convention=int(sign_convention),
+        values=tuple((e_nudged - e_free) / (2.0 * cap * beta) for e_nudged, e_free in raw),
         raw_half_energies=raw,
         loss_free=trajectory_loss(free),
     )
@@ -164,7 +155,7 @@ def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
     idx = _synapses(circuit)
     g_floor = min(g[list(idx)])
     if eps >= g_floor:
-        raise StepTooLargeError(f"eps {eps} would drive conductance {g_floor} non-positive")
+        raise ParameterError("eps", f"eps {eps} would drive conductance {g_floor} non-positive")
     members = []
     for l in idx:
         name = circuit.elements[l].name
@@ -181,9 +172,7 @@ def fd_differences(trajectories, eps: float) -> tuple:
     return tuple((losses[k] - losses[k + 1]) / (2.0 * eps) for k in range(0, len(losses), 2))
 
 
-def estimates_and_oracle(
-    circuit: Circuit, drive: DriveSet, nudges, eps: float, cfg: SimConfig, sign_convention: int = 1
-) -> tuple:
+def estimates_and_oracle(circuit: Circuit, drive: DriveSet, nudges, eps: float, cfg: SimConfig) -> tuple:
     """(one GradientEstimate per nudge, the FD oracle), from one batch.
 
     `nudges` holds (label, beta) pairs.  The batch is the free run, one
@@ -200,19 +189,8 @@ def estimates_and_oracle(
     oracle_members = fd_members(circuit, eps, g)
     members = [Member("free", 0.0, g)] + [Member(label, beta, g) for label, beta in nudges] + oracle_members
     free, *runs = simulate_batch(system, drive, cfg, members)
-    estimates = [estimate_from(circuit, free, nudged, sign_convention) for nudged in runs[: len(nudges)]]
+    estimates = [estimate_from(circuit, free, nudged) for nudged in runs[: len(nudges)]]
     return estimates, fd_differences(runs[len(nudges) :], eps)
-
-
-def calibrate_sign(circuit: Circuit, drive: DriveSet, beta: float, eps: float, cfg: SimConfig) -> int:
-    """One-time sign convention: the sign that aligns the raw estimator
-    quotient with the finite-difference oracle (by inner product).
-
-    This is the paper's sign-fixing step; only criterion 8's test reaches it.
-    The free, nudged and oracle runs step as one batch."""
-    (est,), oracle = estimates_and_oracle(circuit, drive, [("nudged", beta)], eps, cfg)
-    dot = float(np.dot(est.values, oracle))
-    return 1 if dot >= 0 else -1
 
 
 def agreement_metrics(estimate: GradientEstimate, oracle: tuple) -> dict:
@@ -250,7 +228,7 @@ def train(circuit: Circuit, config: TrainConfig):
         for example in order:
             drive = config.batch[example]
             try:
-                grads = estimate_gradient(system, g, drive, config.beta, config.sim, config.sign_convention)
+                grads = estimate_gradient(system, g, drive, config.beta, config.sim)
             except FraceqError as exc:
                 exc.args = (f"epoch {epoch}, example {example}: {exc}",)
                 exc.epoch = epoch

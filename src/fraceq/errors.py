@@ -69,7 +69,3 @@ class NewtonDivergenceError(FraceqError, RuntimeError):
 
 class MissingOutputError(FraceqError, ValueError):
     """Operation requires at least one output capacitor."""
-
-
-class StepTooLargeError(FraceqError, ValueError):
-    """Finite-difference step is not small relative to the conductances."""

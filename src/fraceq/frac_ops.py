@@ -68,9 +68,10 @@ class SampleGrid:
         steps = (b - a) / dt
         if not math.isfinite(steps):
             raise ParameterError("dt", f"grid step {dt} is too small for the span [{a}, {b}]")
-        n = int(round(steps)) + 1
-        grid = cls(a, dt, n)
+        grid = cls(a, dt, max(int(round(steps)), 1) + 1)
         if not abs(grid.b - b) <= grid_tolerance(dt, max(abs(a), abs(b))):
+            if steps < 1:
+                raise ParameterError("dt", f"grid step {dt} is longer than the span [{a}, {b}]")
             raise ParameterError("b", f"span [{a}, {b}] is not an integer number of steps of {dt}")
         return grid
 
@@ -145,7 +146,8 @@ def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     """Left RL fractional integral of a 1-D x via product-integration quadrature.
 
     The weakly singular kernel is integrated exactly against the piecewise
-    linear interpolant of x (product trapezoidal rule).
+    linear interpolant of x (product trapezoidal rule); an order whose
+    weights or scale dt^alpha / Gamma(alpha + 2) overflow is rejected.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidOrderError(f"integral order must be positive and finite, got {alpha}")
@@ -155,10 +157,16 @@ def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     # interior convolution weights a_k and the boundary weight c_m for the
     # j = 0 sample (which sees a truncated hat function)
     a = np.ones(n)
-    a[1:] = (m[1:] + 1) ** p - 2 * m[1:] ** p + (m[1:] - 1) ** p
     c = np.zeros(n)
-    c[1:] = (m[1:] - 1) ** p - m[1:] ** p + p * m[1:] ** alpha
-    scale = dt**alpha / math.gamma(alpha + 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        a[1:] = (m[1:] + 1) ** p - 2 * m[1:] ** p + (m[1:] - 1) ** p
+        c[1:] = (m[1:] - 1) ** p - m[1:] ** p + p * m[1:] ** alpha
+    try:
+        scale = dt**alpha / math.gamma(alpha + 2.0)
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(scale) and np.isfinite(a).all() and np.isfinite(c).all()):
+        raise InvalidOrderError(f"integral order {alpha} overflows the quadrature weights on {n} samples of step {dt}")
     conv = _causal_convolve(x, a)
     # convolution attributes weight a_m to x[0]; the correct weight is c_m
     out = scale * (conv + (c - a) * x[0])

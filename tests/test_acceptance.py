@@ -20,7 +20,6 @@ from fraceq.dynamics import DriveSet, SimConfig, compile, simulate, trajectory_l
 from fraceq.eqprop import (
     TrainConfig,
     agreement_metrics,
-    calibrate_sign,
     estimate_gradient,
     estimates_and_oracle,
     train,
@@ -176,19 +175,18 @@ def test_criterion_07_explicit_partial_consistency(report):
 
 
 def test_criterion_08_estimator_vs_oracle(report):
+    # the estimator's sign is fixed, not calibrated per run: a flipped sign fails here
     ckt = parse_netlist(LINNET)
     cfg = SimConfig(SampleGrid.from_span(0.0, 1.0, 1e-3))
-    sign = calibrate_sign(ckt, DriveSet(), 1e-3, 1e-4, cfg)
     system = compile(ckt)
-    est = estimate_gradient(system, system.g, DriveSet(), 1e-3, cfg, sign_convention=sign)
+    est = estimate_gradient(system, system.g, DriveSet(), 1e-3, cfg)
     oracle = estimates_and_oracle(ckt, DriveSet(), [], 1e-4, cfg)[1]
     m = agreement_metrics(est, oracle)
     ok = m["sign_match"] and m["cosine_similarity"] >= 0.9
     report(
         8,
         ok,
-        f"sign_match={m['sign_match']}, cosine={m['cosine_similarity']:.7f} (>=0.9), "
-        f"calibrated sign {sign:+d}",
+        f"sign_match={m['sign_match']}, cosine={m['cosine_similarity']:.7f} (>=0.9) at the fixed sign",
         60.0,
     )
 

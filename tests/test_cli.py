@@ -216,7 +216,7 @@ class TestGradcheck:
         "eps, message",
         [
             ("0", "error: --eps: eps must be positive and finite, got 0.0"),
-            ("0.5", "error: eps 0.5 would drive conductance 0.25"),
+            ("0.5", "error: --eps: eps 0.5 would drive conductance 0.25 non-positive"),
         ],
     )
     def test_bad_eps_exit_2_before_any_run(self, linnet_path, tmp_path, capsys, monkeypatch, eps, message):
@@ -227,6 +227,13 @@ class TestGradcheck:
         assert main(["gradcheck", linnet_path, "--eps", eps, "--out", str(tmp_path / "gc.csv")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "gc.csv").exists()
+
+    def test_sign_is_no_flag(self, linnet_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gradcheck", linnet_path, "--sign", "1", "--out", str(tmp_path / "gc.csv")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --sign 1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
 
     def test_beta_zero_exit_2(self, linnet_path, capsys):
         assert main(["gradcheck", linnet_path, "--beta", "0"]) == 2
@@ -464,6 +471,7 @@ class TestRunParameters:
         [
             ("--dt", "0", "--dt: grid step must be positive and finite, got 0.0"),
             ("--dt", "nan", "--dt: grid step must be positive and finite, got nan"),
+            ("--dt", "3", "--dt: grid step 3.0 is longer than the span [0.0, 1.0]"),
             ("--t-end", "inf", "--t-end: span end must be finite, got inf"),
             ("--t-end", "-1", "--t-end: span end must be after its start 0.0, got -1.0"),
         ],
@@ -518,6 +526,7 @@ class TestRunParameters:
             ("dt=0", "grid step must be positive and finite, got 0.0"),
             ("t_end=inf", "span end must be finite, got inf"),
             ("seed=-1", "seed must be non-negative, got -1"),
+            ("sign_convention=-1", "the estimator's sign is fixed at 1"),
         ],
     )
     def test_train_config_value(self, linnet_path, tmp_path, capsys, setting, message):
@@ -529,6 +538,16 @@ class TestRunParameters:
         assert main(["train", linnet_path, str(cfg), "--out-dir", str(out_dir)]) == 2
         assert f"error: {cfg}: config line {len(lines)}: {setting}: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_train_step_longer_than_the_span(self, linnet_path, tmp_path, capsys):
+        lines = [line for line in TRAIN_CFG.splitlines() if not line.startswith(("dt=", "t_end="))]
+        lines += ["dt=0.5", "t_end=0.2"]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["train", linnet_path, str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        message = "dt=0.5: grid step 0.5 is longer than the span [0.0, 0.2]"
+        assert capsys.readouterr().err == f"error: {cfg}: config line {len(lines) - 1}: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_train_span_off_a_fine_grid(self, linnet_path, tmp_path, capsys):
         lines = [line for line in TRAIN_CFG.splitlines() if not line.startswith(("dt=", "t_end="))]
@@ -604,13 +623,18 @@ class TestInputFiles:
             ("rl-integral", "inf", "integral order must be positive and finite, got inf"),
             ("rl-integral", "nan", "integral order must be positive and finite, got nan"),
             ("caputo-left", "nan", "caputo_left supports orders in (0, 1], got nan"),
+            # Gamma(172) overflows a float
+            ("rl-integral", "170", "integral order 170.0 overflows the quadrature weights on 2001 samples of step 0.1"),
+            # 2000^151 overflows, so the weights would be inf - inf = nan
+            ("rl-integral", "150", "integral order 150.0 overflows the quadrature weights on 2001 samples of step 0.1"),
         ],
     )
     def test_bad_alpha_names_its_flag(self, tmp_path, capsys, op, alpha, message):
         sig = tmp_path / "sig.csv"
-        sig.write_text("t,value\n0.0,1.0\n0.1,2.0\n0.2,3.0\n")
+        sig.write_text("t,value\n" + "".join(f"{k / 10!r},1.0\n" for k in range(2001)))
         assert main(["frac-bench", str(sig), "--op", op, "--alpha", alpha, "--out", str(tmp_path / "res.csv")]) == 2
         assert capsys.readouterr().err == f"error: --alpha: {message}\n"
+        assert not (tmp_path / "res.csv").exists()
 
 
 # --- fuzzing the train config and signal CSV readers --------------------------
@@ -745,6 +769,10 @@ class TestParseTrainConfig:
         assert cfg.epochs == 3 and len(cfg.batch) == 2
         assert set(cfg.batch[1].inputs) == {"v1", "v2"}
         assert set(cfg.batch[1].targets) == {"oc1"}
+
+    def test_sign_convention_one_is_accepted(self):
+        ckt = parse_netlist(LINNET)
+        assert parse_train_config(TRAIN_CFG + "sign_convention=1\n", ckt) == parse_train_config(TRAIN_CFG, ckt)
 
     def test_missing_required_key(self):
         with pytest.raises(ValueError, match="epochs"):

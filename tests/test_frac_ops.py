@@ -103,6 +103,8 @@ class TestCaputoLeft:
             (0.0, 1.0, -1e-3, "dt"),
             (0.0, 1.0, math.nan, "dt"),
             (0.0, 1.0, math.inf, "dt"),
+            (0.0, 1.0, 3.0, "dt"),  # not one step in the span
+            (0.0, 1.0, 1.5, "dt"),
             (0.0, math.inf, 1e-3, "b"),
             (0.0, math.nan, 1e-3, "b"),
             (0.0, -1.0, 1e-3, "b"),
