@@ -399,7 +399,11 @@ def cmd_fracbench(args) -> int:
     if args.signal is None:
         raise ValueError("frac-bench needs a signal CSV (or --self-test)")
     grid, values = _read_signal_csv(args.signal)
-    result = _OPS[args.op](values, grid.dt, args.alpha)
+    with np.errstate(all="ignore"):  # a non-finite result is refused below
+        result = _OPS[args.op](values, grid.dt, args.alpha)
+    if not np.isfinite(result).all():
+        t = grid.times()[np.argmin(np.isfinite(result))]
+        raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}")
     _atomic_write(args.out, itertools.chain(["t,value\n"], _csv_body([grid.times(), result])))
     print(f"wrote {args.out}")
     return EXIT_OK

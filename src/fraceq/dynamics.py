@@ -10,7 +10,9 @@ Schlichte 1985).  A circuit whose every law is linear steps as one affine
 recurrence, checked a block of steps at a time; Newton iteration runs only
 for nonlinear constitutive laws, and starts each step from the secant
 predictor z_(m-1) + (z_(m-1) - z_(m-2)), which saves about a third of the
-passes on the shipped memristive net.
+passes on the shipped memristive net.  Numpy dispatch bounds that loop, so
+the fixed Jacobian rows, row scales and law lookups are set up once per run,
+rows that form one run of indices are sliced, and z_(m-2) is carried along.
 
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
@@ -354,6 +356,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         P_mem = np.concatenate([P_phi[M], P_q[M]])
         mem = np.zeros((k, 2 * len(M), n))
         kernels = {}  # FFT length -> spectrum of w_0..w_(length-1)
+        M_rows, dq_M, dphi_M = _run(M), dq[:, M], dphi[:, M]
     NL = system.nonlinear
     linear = not len(NL)
     if linear:
@@ -365,24 +368,26 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     else:
         # nonlinear rows: x = (phi + x_off) / x_div is the law's argument
         nl_kind = np.array([elements[b].kind for b in NL], dtype=str)
-        nl_C = nl_kind == "C"
-        nl_M = nl_kind == "M"
-        nl_mem = np.searchsorted(M, NL[nl_M])  # their places among the memristors
-        x_div = np.where(nl_C, dt, np.where(nl_M, sqrt_dt, 1.0))
+        nl_C = _run(np.flatnonzero(nl_kind == "C"))
+        nl_M = _run(np.flatnonzero(nl_kind == "M"))
+        nl_mem = _run(np.searchsorted(M, NL[nl_kind == "M"]))  # their places among the memristors
+        # x_div, row scales and law parameters per member: the pass does not broadcast them
+        x_div = np.tile(np.where(nl_kind == "C", dt, np.where(nl_kind == "M", sqrt_dt, 1.0)), (k, 1))
         P_nl = P_phi[NL]
-        nl_scale = row_scale[NL, 0]
+        nl_scale, scale = np.tile(row_scale[NL, 0], (k, 1)), np.tile(row_scale, (k, 1, 1))
         # one law call per group and Newton pass (compile sorted NL by group)
         nl_groups = []
         start = 0
         for (family, _), group in itertools.groupby(NL, lambda b: _law_group(system.laws[b])):
-            params = np.array([system.laws[b].params for b in group], dtype=float).T
-            nl_groups.append((slice(start, start + params.shape[1]), LAW_FAMILIES[family], params))
-            start += params.shape[1]
-        y = np.empty((k, len(NL)))
-        dy = np.empty((k, len(NL)))
-        J = J_lin.copy()  # only the nonlinear rows change between Newton passes
+            params = np.array([system.laws[b].params for b in group], dtype=float).T[:, None].repeat(k, 1)
+            nl_groups.append((slice(start, start + params.shape[2]), LAW_FAMILIES[family], params))
+            start += params.shape[2]
+        (_, law, params), *several = nl_groups
+        y, dy = np.empty((2, k, len(NL)))  # law values and slopes, with several groups
+        NL = _run(NL)
+        J, J_nl = J_lin.copy(), J_lin[:, NL]  # only the nonlinear rows change between Newton passes
 
-    z = np.zeros((k, nc, 1))
+    z = z_back = np.zeros((k, nc, 1))  # z_back: z_(m-2) for the secant predictor
     Z = np.zeros((k, nc, n))
     block = HISTORY_BLOCK
     for m0 in range(0, n, block):
@@ -399,7 +404,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
             if has_mem:
                 hist = far[:, :, m - m0] + mem[:, :, m0:m] @ w_rev[n - 1 - m + m0 : n - 1]
                 h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
-                c[:, M, j] = dq[:, M] * h_q + dphi[:, M] * h_phi
+                c[:, M_rows, j] = dq_M * h_q + dphi_M * h_phi
             if linear:
                 z = z - K @ (D @ z + c_step[j])
             else:
@@ -411,36 +416,39 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                     x_off[:, nl_M] += h_phi[:, nl_mem]
                 # secant predictor: start from the last step's change
                 # (z_0 = 0, so the first step starts from dz = 0)
-                dz = z_prev - Z[:, :, max(m - 2, 0), None]
+                dz = z_prev - z_back
                 for _ in range(NEWTON_MAX_ITERS):
                     F = A @ dz + r
-                    Fs = row_scale * F
+                    Fs = scale * F
                     x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div
-                    for cols, law, params in nl_groups:
-                        y[:, cols], dy[:, cols] = law(x[:, cols], params)
+                    if several:
+                        for cols, group_law, group_params in nl_groups:
+                            y[:, cols], dy[:, cols] = group_law(x[:, cols], group_params)
+                    else:  # y and dy straight from the one law call, not copied
+                        y, dy = law(x, params)
                     Fs[:, NL, 0] = nl_scale * (F[:, NL, 0] - y)
-                    res = np.abs(Fs).max(axis=(1, 2))
-                    active = ~(res <= NEWTON_TOL)  # a NaN residual has not converged
-                    if not active.any():
+                    res = np.maximum.reduce(np.abs(Fs), axis=(1, 2))
+                    if np.maximum.reduce(res) <= NEWTON_TOL:  # a NaN residual has not converged
                         break
-                    # converged members stay put
-                    J[:, NL] = J_lin[:, NL] - (nl_scale * (dy / x_div))[:, :, None] * P_nl
+                    J[:, NL] = J_nl - (nl_scale * (dy / x_div))[:, :, None] * P_nl
                     try:
-                        if active.all():
-                            step = np.linalg.solve(J, Fs)
-                        else:
+                        if np.fmin.reduce(res) <= NEWTON_TOL:
+                            # converged members stay put; a NaN one is active
+                            active = ~(res <= NEWTON_TOL)
                             step = np.zeros_like(Fs)
                             step[active] = np.linalg.solve(J[active], Fs[active])
+                        else:
+                            step = np.linalg.solve(J, Fs)
                     except np.linalg.LinAlgError as exc:
                         # a singular Jacobian ends Newton as divergence does,
                         # naming the first active member whose Jacobian it is
-                        i = next(i for i in np.flatnonzero(active) if _singular(J[i]))
+                        i = next(i for i in np.flatnonzero(~(res <= NEWTON_TOL)) if _singular(J[i]))
                         raise NewtonDivergenceError(times[m], float(res[i]), members[i].label) from exc
                     dz = dz - step
                 else:
-                    i = int(np.argmax(active))
+                    i = int(np.argmax(~(res <= NEWTON_TOL)))
                     raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
-                z = z_prev + dz
+                z, z_back = z_prev + dz, z_prev
             Z[:, :, m] = z[:, :, 0]
             if has_mem:
                 mem[:, :, m] = (P_mem @ z)[:, :, 0]
@@ -475,6 +483,12 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         )
         for i, mb in enumerate(members)
     ]
+
+
+def _run(idx: np.ndarray):
+    """idx as a slice if its indices are one ascending run, else idx itself."""
+    start = int(idx[0]) if len(idx) else 0
+    return slice(start, start + len(idx)) if np.array_equal(idx, np.arange(start, start + len(idx))) else idx
 
 
 def _singular(J: np.ndarray) -> bool:

@@ -146,8 +146,8 @@ def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     """Left RL fractional integral of a 1-D x via product-integration quadrature.
 
     The weakly singular kernel is integrated exactly against the piecewise
-    linear interpolant of x (product trapezoidal rule); an order whose
-    weights or scale dt^alpha / Gamma(alpha + 2) overflow is rejected.
+    linear interpolant of x (product trapezoidal rule); an order whose weights
+    or scale dt^alpha / Gamma(alpha + 2) overflow, or whose scale underflows, is rejected.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidOrderError(f"integral order must be positive and finite, got {alpha}")
@@ -167,6 +167,8 @@ def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
         scale = math.inf
     if not (math.isfinite(scale) and np.isfinite(a).all() and np.isfinite(c).all()):
         raise InvalidOrderError(f"integral order {alpha} overflows the quadrature weights on {n} samples of step {dt}")
+    if scale < np.finfo(float).tiny:  # 0 or subnormal: the results would read 0 or lose their digits
+        raise InvalidOrderError(f"integral order {alpha} underflows the quadrature scale on step {dt}")
     conv = _causal_convolve(x, a)
     # convolution attributes weight a_m to x[0]; the correct weight is c_m
     out = scale * (conv + (c - a) * x[0])

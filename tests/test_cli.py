@@ -617,6 +617,25 @@ class TestInputFiles:
         header, data = read_csv(tmp_path / "res.csv")
         assert list(data[:, 0]) == [0.0, 1e-12, 2e-12, 3e-12]
 
+    def test_non_finite_result_names_the_signal_and_op(self, tmp_path, capsys):
+        # every sample is finite, but the FFT product of the rl-integral overflows
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,value\n" + "".join(f"{k / 1000!r},1e300\n" for k in range(1000)))
+        out = tmp_path / "res.csv"
+        argv = ["frac-bench", str(sig), "--op", "rl-integral", "--alpha", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {sig}: --op rl-integral gives a non-finite result, first at t=0.001\n"
+        assert not out.exists()
+
+    def test_underflowing_integral_scale_names_alpha(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,value\n" + "".join(f"{k / 1000!r},{math.sin(k / 1000)!r}\n" for k in range(2001)))
+        out = tmp_path / "res.csv"
+        assert main(["frac-bench", str(sig), "--op", "rl-integral", "--alpha", "90", "--out", str(out)]) == 2
+        message = "integral order 90.0 underflows the quadrature scale on step 0.001"
+        assert capsys.readouterr().err == f"error: --alpha: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "op, alpha, message",
         [

@@ -160,6 +160,15 @@ class TestRlIntegralLeft:
         with pytest.raises(InvalidOrderError):
             rl_integral_left(sig(lambda t: t), 1e-3, -0.5)
 
+    def test_rejects_order_whose_scale_underflows(self):
+        # dt^90 / Gamma(92) = 1e-270 / 8e139 is below the smallest normal float;
+        # the weights, at most 2001^91 = 3e300, are still finite
+        x = np.sin(np.arange(2001) * 1e-3)
+        with pytest.raises(InvalidOrderError, match="integral order 90 underflows the quadrature scale"):
+            rl_integral_left(x, 1e-3, 90)
+        # at dt 1e-1 the same order's scale, 1e-90 / 8e139, is a normal float
+        assert np.isfinite(rl_integral_left(x[:101], 1e-1, 90)).all()
+
 
 class TestRlDerivativeRight:
     def test_constant_closed_form(self):
