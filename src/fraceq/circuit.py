@@ -225,7 +225,7 @@ def _parse_call(token: str):
     return fam, args
 
 
-def _parse_waveform(token: str) -> Waveform:
+def parse_waveform(token: str) -> Waveform:
     fam, args = _parse_call(token)
     if fam not in _WAVEFORM_ARITY:
         raise ValueError(f"unknown waveform family {fam!r}")
@@ -339,7 +339,7 @@ def _build_element(kind, name, n_plus, n_minus, kv, trainable, lineno) -> Elemen
             if val is None:
                 raise _LineError((lineno, 1, f"{name}: source needs w=family(args)"))
             try:
-                e["waveform"] = _parse_waveform(val)
+                e["waveform"] = parse_waveform(val)
             except ValueError as exc:
                 raise _LineError((lineno, col, f"{name}: {exc}"))
         elif kind == "OC":
@@ -347,7 +347,7 @@ def _build_element(kind, name, n_plus, n_minus, kv, trainable, lineno) -> Elemen
             if "w" in kv:
                 val, col = kv.pop("w")
                 try:
-                    e["waveform"] = _parse_waveform(val)
+                    e["waveform"] = parse_waveform(val)
                 except ValueError as exc:
                     raise _LineError((lineno, col, f"{name}: {exc}"))
     except _LineError:

@@ -1,16 +1,16 @@
 """Command-line front end: simulate, gradcheck, train, frac-bench.
 
 Every file a command writes goes through one writer, `_atomic_write`: it
-streams the file's text to `<path>.tmp` a chunk at a time (a trajectory or
-training-log CSV in chunks of `dynamics.CSV_CHUNK_ROWS` rows), so no run
-holds the whole text of an output, and renames it to `<path>` once all of
-it is written.  If producing the text fails, the tmp file is removed and
-`<path>` keeps what it had.  A run that has written its data files then
-writes a plain-text key=value manifest the same way, recording the command,
-input hash, flags and those files, so recorded runs can be reproduced
-byte-for-byte; a run that fails before then leaves no manifest.  Exit
-codes: 0 success,
-2 input or configuration error, 3 numerical or simulation failure.
+streams the file's text to `<path>.tmp` a chunk at a time, so no run holds
+the whole text of an output, and renames it to `<path>` once all of it is
+written.  If producing the text fails, the tmp file is removed and `<path>`
+keeps what it had.  Every CSV is a table that `_write_csv` formats here;
+the simulator and the estimator return arrays and records.  A run that has
+written its data files then writes a plain-text key=value manifest the same
+way, recording the command, input hash, flags and those files, so recorded
+runs can be reproduced byte-for-byte; a run that fails before then leaves no
+manifest.  Exit codes: 0 success, 2 input or configuration error, 3
+numerical or simulation failure.
 A gradcheck whose estimate misses criterion 8's gate (every sign matching
 and cosine at least GRADCHECK_MIN_COSINE) writes its CSVs and exits 3.
 Diagnostics go to stderr; stdout carries only result summaries.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import math
 import os
 import sys
@@ -28,9 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import parse_netlist, serialize
-from .circuit import _parse_waveform  # shared token grammar for config files
-from .dynamics import DriveSet, SimConfig, _backward_diff, _csv_body, simulate
+from .circuit import parse_netlist, parse_waveform, serialize
+from .dynamics import DriveSet, SimConfig, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
 from .errors import FraceqError, NetlistError, NewtonDivergenceError, ParameterError
 from .frac_ops import (
@@ -70,9 +68,51 @@ def _atomic_write(path: str, chunks) -> None:
     os.replace(tmp, path)
 
 
-def _lines(lines):
-    """Each line with its newline, for _atomic_write."""
-    return (line + "\n" for line in lines)
+CSV_CHUNK_ROWS = 2048
+
+
+def _csv_chunks(header, columns, labels=None):
+    """A table's CSV text: the header line, then chunks of CSV_CHUNK_ROWS rows.
+
+    A row holds its label, if `labels` is given, then one "%.17g" cell per
+    column.  Each chunk stacks only its own slice of the columns and goes to
+    Python numbers alone, so neither the whole table nor its text exists at once.
+    """
+    yield ",".join(header) + "\n"
+    fmt = ",".join((["%s"] if labels is not None else []) + ["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        rows = np.stack([col[lo : lo + CSV_CHUNK_ROWS] for col in columns], axis=1).tolist()
+        if labels is not None:
+            rows = [(label, *row) for label, row in zip(labels[lo : lo + CSV_CHUNK_ROWS], rows)]
+        yield "".join([fmt % tuple(row) for row in rows])
+
+
+def _write_csv(path, header, columns, labels=None) -> None:
+    """Write a table (see _csv_chunks) with _atomic_write."""
+    _atomic_write(path, _csv_chunks(header, columns, labels))
+
+
+def _trajectory_table(traj) -> tuple:
+    """(header, columns) of a trajectory: t, then (phi, v, psi) per flux
+    coordinate, (q, i, r) per charge coordinate and (v, T) per output."""
+    header, columns = ["t"], [traj.grid.times()]
+    topo = traj.topology
+    for prefix, names, parts, signals in (
+        ("coord", topo.flux_coord_names, "phi v psi", (traj.tree_flux, traj.tree_voltage, traj.tree_half_velocity)),
+        ("coord", topo.charge_coord_names, "q i r", (traj.loop_charge, traj.loop_current, traj.loop_half_charge_rate)),
+        ("out", traj.output_names, "v T", (traj.outputs, traj.targets)),
+    ):
+        for name, values in zip(names, zip(*signals)):
+            header += [f"{prefix}_{name}_{part}" for part in parts.split()]
+            columns += values
+    return header, columns
+
+
+def _log_table(log) -> tuple:
+    """(header, columns) of a training log: one row per record, none if the first example failed."""
+    header = ["epoch", "example", "J", "grad_norm"] + [f"g_{name}" for name in log.synapse_names]
+    rows = np.array([(ep, ex, loss, norm, *gs) for ep, ex, loss, norm, gs in log.records], dtype=float)
+    return header, rows.reshape(-1, len(header)).T
 
 
 def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
@@ -80,7 +120,7 @@ def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
     lines = [f"command={command}", f"version={__version__}", f"netlist={netlist}", f"netlist_sha256={digest}"]
     lines += [f"{k}={v}" for k, v in sorted(params.items())]
     lines.append("outputs=" + ",".join(outputs))
-    _atomic_write(path, _lines(lines))
+    _atomic_write(path, [line + "\n" for line in lines])
 
 
 def _read_text(path: str) -> tuple:
@@ -126,7 +166,7 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
                 except KeyError:
                     raise ValueError(f"config line {lineno}: unknown element {name!r}") from None
                 try:
-                    wf = _parse_waveform(wf_text)
+                    wf = parse_waveform(wf_text)
                 except ValueError as exc:
                     col = raw.index(tok) + 1
                     raise ValueError(f"config line {lineno}, col {col}: {name}: {exc}") from None
@@ -184,27 +224,19 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
 
 def _dump_topology(topology, stem):
     for label, M in (("Q", topology.Q), ("B", topology.B)):
-        lines = [",".join(topology.names)]
-        lines += [",".join(str(v) for v in row) for row in M]
-        _atomic_write(f"{stem}_{label}.csv", _lines(lines))
+        _write_csv(f"{stem}_{label}.csv", topology.names, M.T)
 
 
 def _dump_action(circuit, traj, stem):
     bd = action_breakdown(circuit, traj)
-    res = el_residual(circuit, traj)
-    lines = ["quantity,real,imag"]
-    for key in sorted(bd.parts):
-        v = bd.parts[key]
-        lines.append(f"action_{key},%.17g,%.17g" % (v.real, v.imag))
-    total = bd.total
-    lines.append("action_total,%.17g,%.17g" % (total.real, total.imag))
-    for name, values in res.items():
-        interior = values[1:-1]
-        norm = float(np.max(np.abs(interior))) if len(interior) else 0.0
-        lines.append(f"el_residual_max_{name},%.17g,0" % norm)
-    path = f"{stem}_action.csv"
-    _atomic_write(path, _lines(lines))
-    return [path]
+    rows = {f"action_{key}": bd.parts[key] for key in sorted(bd.parts)} | {"action_total": bd.total}
+    # max over interior samples of the EL residual's real part (the L, C, OC
+    # and I terms) and of its imaginary part (the dissipative R and M terms)
+    for name, values in el_residual(circuit, traj).items():
+        real, imag = (np.abs(part[1:-1]).max(initial=0.0) for part in (values.real, values.imag))
+        rows[f"el_residual_max_{name}"] = complex(real, imag)
+    values = np.array(list(rows.values()), dtype=complex)
+    _write_csv(f"{stem}_action.csv", ["quantity", "real", "imag"], [values.real, values.imag], labels=list(rows))
 
 
 def cmd_simulate(args) -> int:
@@ -217,7 +249,7 @@ def cmd_simulate(args) -> int:
         outputs += [f"{stem}_action.csv"]
     params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(SampleGrid.from_span(0.0, args.t_end, args.dt)))
-    _atomic_write(args.out, traj.csv_chunks())
+    _write_csv(args.out, *_trajectory_table(traj))
     if args.dump_topology:
         _dump_topology(traj.topology, stem)
     if args.dump_action:
@@ -243,28 +275,22 @@ def cmd_gradcheck(args) -> int:
     metrics = agreement_metrics(est, oracle)
     metrics_half = agreement_metrics(est_half, oracle)
 
-    lines = ["synapse,estimate,oracle,ratio,sign_match,e_nudged,e_free"]
-    mismatched = []
-    for name, value, ref, (e_n, e_f) in zip(
-        est.synapse_names, est.values, oracle, est.raw_half_energies
-    ):
-        ratio = value / ref if ref != 0 else math.inf
-        match = int(np.sign(value) == np.sign(ref))
-        if not match:
-            mismatched.append(name)
-        lines.append(f"{name},%.17g,%.17g,%.17g,{match},%.17g,%.17g" % (value, ref, ratio, e_n, e_f))
-    _atomic_write(args.out, _lines(lines))
+    ratios = [value / ref if ref != 0 else math.inf for value, ref in zip(est.values, oracle)]
+    matches = np.sign(est.values) == np.sign(oracle)
+    mismatched = [name for name, match in zip(est.synapse_names, matches) if not match]
+    header = ["synapse", "estimate", "oracle", "ratio", "sign_match", "e_nudged", "e_free"]
+    columns = [est.values, oracle, ratios, matches, *zip(*est.raw_half_energies)]
+    _write_csv(args.out, header, columns, labels=est.synapse_names)
 
-    summary = [
-        "metric,value",
-        "cosine_similarity,%.17g" % metrics["cosine_similarity"],
-        "cosine_similarity_half_beta,%.17g" % metrics_half["cosine_similarity"],
-        "max_rel_error,%.17g" % metrics["max_rel_error"],
-        f"sign_match_all,{int(metrics['sign_match'])}",
-        "beta,%.17g" % args.beta,
-        "dt,%.17g" % args.dt,
-    ]
-    _atomic_write(summary_path, _lines(summary))
+    summary = {
+        "cosine_similarity": metrics["cosine_similarity"],
+        "cosine_similarity_half_beta": metrics_half["cosine_similarity"],
+        "max_rel_error": metrics["max_rel_error"],
+        "sign_match_all": metrics["sign_match"],
+        "beta": args.beta,
+        "dt": args.dt,
+    }
+    _write_csv(summary_path, ["metric", "value"], [list(summary.values())], labels=list(summary))
     _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
@@ -307,11 +333,11 @@ def cmd_train(args) -> int:
         if hasattr(exc, "partial_log"):
             os.makedirs(args.out_dir, exist_ok=True)
             # the exception itself names the epoch and example
-            _atomic_write(log_path, exc.partial_log.csv_chunks())
+            _write_csv(log_path, *_log_table(exc.partial_log))
             print(f"partial log flushed to {log_path}", file=sys.stderr)
         raise
     os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_write(log_path, log.csv_chunks())
+    _write_csv(log_path, *_log_table(log))
     _atomic_write(net_path, [serialize(final)])
     manifest_path = os.path.join(args.out_dir, "train.manifest")
     _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
@@ -341,7 +367,8 @@ def _self_test_cases():
         ("half-half composition t^2", lambda x: caputo_left(caputo_left(x, dt, 0.5), dt, 0.5), t**2, 2 * t, 5e-2),
         ("caputo_right 1-t a=0.5", lambda x: caputo_right(x, dt, 0.5), 1 - t, 2 * np.sqrt((1 - t) / np.pi), 2e-2),
         ("rl_integral t a=0.5", lambda x: rl_integral_left(x, dt, 0.5), t, t**1.5 / g15, 1e-12),
-        ("caputo_left sin a=1", lambda x: caputo_left(x, dt, 1.0), np.sin(t), _backward_diff(np.sin(t), dt), 1e-12),
+        # order 1 is the backward difference, zero at t = 0 (sin 0 = 0)
+        ("caputo_left sin a=1", lambda x: caputo_left(x, dt, 1.0), np.sin(t), np.diff(np.sin(t), prepend=0) / dt, 1e-12),
     ]
 
 
@@ -404,7 +431,7 @@ def cmd_fracbench(args) -> int:
     if not np.isfinite(result).all():
         t = grid.times()[np.argmin(np.isfinite(result))]
         raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}")
-    _atomic_write(args.out, itertools.chain(["t,value\n"], _csv_body([grid.times(), result])))
+    _write_csv(args.out, ["t", "value"], [grid.times(), result])
     print(f"wrote {args.out}")
     return EXIT_OK
 

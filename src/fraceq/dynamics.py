@@ -17,7 +17,8 @@ rows that form one run of indices are sliced, and z_(m-2) is carried along.
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
 the free and nudged phases or the finite-difference perturbations, in one
-loop.  `simulate` is a batch of one.
+loop.  `simulate` is a batch of one.  A Trajectory holds arrays and knows
+no file format; `cli` writes its CSV.
 """
 
 from __future__ import annotations
@@ -113,42 +114,6 @@ class Trajectory:
                 rows.flags.writeable = False
             self._halves[key] = rows
         return self._halves[key]
-
-    def csv_chunks(self):
-        """The CSV export: the header line, then chunks of rows, one row per grid sample."""
-        cols = self._csv_columns()
-        yield ",".join(name for name, _ in cols) + "\n"
-        yield from _csv_body([values for _, values in cols])
-
-    def _csv_columns(self) -> list:
-        """(header name, values) per CSV column, in column order."""
-        cols = [("t", self.grid.times())]
-        for name, phi, v, psi in zip(
-            self.topology.flux_coord_names, self.tree_flux, self.tree_voltage, self.tree_half_velocity
-        ):
-            cols += [(f"coord_{name}_phi", phi), (f"coord_{name}_v", v), (f"coord_{name}_psi", psi)]
-        for name, q, i, r in zip(
-            self.topology.charge_coord_names, self.loop_charge, self.loop_current, self.loop_half_charge_rate
-        ):
-            cols += [(f"coord_{name}_q", q), (f"coord_{name}_i", i), (f"coord_{name}_r", r)]
-        for k, name in enumerate(self.output_names):
-            cols += [(f"out_{name}_v", self.outputs[k]), (f"out_{name}_T", self.targets[k])]
-        return cols
-
-
-CSV_CHUNK_ROWS = 2048
-
-
-def _csv_body(columns):
-    """Rows of "%.17g" cells, each ending in a newline, CSV_CHUNK_ROWS rows per string.
-
-    Each chunk stacks only its own slice of the columns and goes to Python
-    floats alone, so neither the whole table nor its text exists at once.
-    """
-    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        table = np.stack([col[lo : lo + CSV_CHUNK_ROWS] for col in columns], axis=1)
-        yield "".join([fmt % tuple(row) for row in table.tolist()])
 
 
 def _backward_diff(x: np.ndarray, dt: float) -> np.ndarray:

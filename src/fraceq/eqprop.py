@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .dynamics import (
-    DriveSet, Member, SimConfig, StepSystem, Trajectory, _csv_body, compile, simulate_batch, trajectory_loss
-)
+from .dynamics import DriveSet, Member, SimConfig, StepSystem, Trajectory, compile, simulate_batch, trajectory_loss
 from .errors import FraceqError, ParameterError
 from .lagrangian import half_energies
 
@@ -86,14 +84,6 @@ class TrainingLog:
         for ep, _, loss, _, _ in self.records:
             out.setdefault(ep, []).append(loss)
         return [float(np.mean(out[ep])) for ep in sorted(out)]
-
-    def csv_chunks(self):
-        """The CSV export: the header line, then chunks of rows, one row per
-        record (none if the first example failed)."""
-        yield "epoch,example,J,grad_norm," + ",".join(f"g_{n}" for n in self.synapse_names) + "\n"
-        if self.records:
-            epochs, examples, losses, norms, gs = zip(*self.records)
-            yield from _csv_body([epochs, examples, losses, norms, *zip(*gs)])
 
 
 def _check_nudge(beta: float) -> None:

@@ -1,10 +1,13 @@
 """Exact comparison of two CSV texts that fails on the first differing line,
-and the whole CSV text of a trajectory or training log.
+and the whole CSV text that the CLI writes for a trajectory or training log.
 
 A bare `assert a == b` on two long CSV strings makes pytest build a diff of
 the whole text when it fails, which takes minutes for a trajectory of 10^4
 rows.  This helper requires the same equality and reports one line.
 """
+
+from fraceq import cli
+from fraceq.dynamics import Trajectory
 
 
 def assert_same_csv(actual: str, expected: str) -> None:
@@ -19,5 +22,6 @@ def assert_same_csv(actual: str, expected: str) -> None:
 
 
 def csv_text(exported) -> str:
-    """The CSV of a Trajectory or TrainingLog as one string: its chunks joined."""
-    return "".join(exported.csv_chunks())
+    """The CSV of a Trajectory or TrainingLog as one string: the chunks the CLI writes, joined."""
+    table = cli._trajectory_table if isinstance(exported, Trajectory) else cli._log_table
+    return "".join(cli._csv_chunks(*table(exported)))

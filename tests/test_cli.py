@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from csv_compare import assert_same_csv, csv_text
 from fraceq import circuit, cli, dynamics, eqprop
 from fraceq.cli import main, parse_train_config
 from fraceq.circuit import parse_netlist
+from fraceq.dynamics import DriveSet, SimConfig, simulate
+from fraceq.eqprop import TrainingLog, agreement_metrics, estimates_and_oracle
+from fraceq.frac_ops import SampleGrid
+from fraceq.lagrangian import action_breakdown, el_residual
+from fraceq.topology import build_topology
 
 RC_NET = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
 
@@ -23,6 +30,7 @@ R s3 out 0 g=0.5 trainable
 OC oc1 out 0 cap=1.0 w=const(0.4)
 """
 TANH_M = LINNET.replace("R s3 out 0 g=0.5 trainable", "M s3 out 0 f=tanh(0.5,1.0)")
+LC_NET = "C c1 n1 0 c=1\nL l1 n1 0 l=1\nI isrc 0 n1 w=step(1,0)\n"
 
 # a cubic memristor law has zero slope at the origin, and at beta = 0 the
 # output capacitor adds none: once the current step turns on at t = 0.5, the
@@ -39,6 +47,11 @@ seed=1
 example v1=const(1.0) v2=const(0.5) oc1=const(0.4)
 example v1=const(0.8) v2=const(0.3) oc1=const(0.3)
 """
+
+
+def run(net, beta=0.0, t_end=1.0, dt=1e-3):
+    """The trajectory `simulate` writes for a netlist text and these flags."""
+    return simulate(parse_netlist(net), DriveSet(), beta, SimConfig(SampleGrid.from_span(0.0, t_end, dt)))
 
 
 def read_csv(path):
@@ -110,13 +123,13 @@ class TestSimulate:
         assert sorted(os.listdir(tmp_path)) == ["singular.net"]
 
     def test_failed_csv_write_leaves_no_output(self, rc_net, tmp_path, capsys, monkeypatch):
-        # the disk fills after the first chunk of rows
-        def first_chunk_then_full(columns):
-            yield next(csv_body(columns))
+        # the disk fills after the header and the first chunk of rows
+        def first_chunk_then_full(*table):
+            yield from itertools.islice(csv_chunks(*table), 2)
             raise OSError(28, "No space left on device")
 
-        csv_body = dynamics._csv_body
-        monkeypatch.setattr(dynamics, "_csv_body", first_chunk_then_full)
+        csv_chunks = cli._csv_chunks
+        monkeypatch.setattr(cli, "_csv_chunks", first_chunk_then_full)
         out = tmp_path / "traj.csv"
         assert main(["simulate", rc_net, "--dt", "1e-3", "--t-end", "5", "--out", str(out)]) == 2
         assert "No space left on device" in capsys.readouterr().err
@@ -414,6 +427,132 @@ class TestAtomicWrite:
             cli._atomic_write(str(path), self.failing_chunks())
         assert path.read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+class TestCsvFormat:
+    """Every CSV the CLI writes, against the formatter it had before one writer made them all."""
+
+    @staticmethod
+    def per_cell_body(columns):
+        # the formatter the CSV export used before: one "%.17g" per cell
+        return "".join(",".join("%.17g" % col[row] for col in columns) + "\n" for row in range(len(columns[0])))
+
+    def test_body_matches_per_cell_formatter(self):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]
+        rng = np.random.default_rng(7)
+        for rows in (1, 3, cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 5):
+            columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(4)]
+            columns.append(np.resize(special, rows))
+            columns.append(np.resize(special[::-1], rows))
+            _, *chunks = cli._csv_chunks([f"c{k}" for k in range(len(columns))], columns)
+            assert "".join(chunks) == self.per_cell_body(columns)
+            # every chunk but the last holds CSV_CHUNK_ROWS rows
+            sizes = [chunk.count("\n") for chunk in chunks]
+            assert sizes[:-1] == [cli.CSV_CHUNK_ROWS] * (len(sizes) - 1) and 0 < sizes[-1] <= cli.CSV_CHUNK_ROWS
+
+    def test_labels_lead_their_rows_across_chunks(self):
+        rows = 2 * cli.CSV_CHUNK_ROWS + 5
+        columns = [np.arange(rows) / 7.0, np.arange(rows) % 3]
+        labels = [f"row{k}" for k in range(rows)]
+        text = "".join(cli._csv_chunks(["name", "x", "m"], columns, labels=labels))
+        body = self.per_cell_body(columns).splitlines()
+        assert text == "name,x,m\n" + "".join(f"{label},{line}\n" for label, line in zip(labels, body))
+
+    def test_csv_header_layout(self):
+        traj = run(LINNET, beta=0.0, t_end=0.01)
+        header = csv_text(traj).splitlines()[0].split(",")
+        assert header[0] == "t"
+        assert "out_oc1_v" in header and "out_oc1_T" in header
+        assert any(h.startswith("coord_") and h.endswith("_phi") for h in header)
+
+    def test_csv_matches_per_cell_formatter(self):
+        traj = run(LINNET, beta=1e-3, t_end=5.0)
+        header, columns = cli._trajectory_table(traj)
+        expected = ",".join(header) + "\n" + self.per_cell_body(columns)
+        assert_same_csv(csv_text(traj), expected)
+
+    def test_csv_matches_per_record_formatter(self):
+        log = TrainingLog(synapse_names=("a", "b"))
+        log.add(0, 3, -0.0, 5e-324, [1e300, 0.1])
+        log.add(12, 0, 1.0 / 3.0, 2.0, [-1e-300, 7.0])
+        # the formatter the log used before: one "%" per field
+        lines = ["epoch,example,J,grad_norm,g_a,g_b"]
+        for ep, ex, loss, gn, gs in log.records:
+            lines.append(f"{ep},{ex},%.17g,%.17g," % (loss, gn) + ",".join("%.17g" % g for g in gs))
+        assert_same_csv(csv_text(log), "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("net", [LINNET, TANH_M], ids=["linnet", "tanh"])
+    def test_gradcheck_and_summary_match_per_row_formatter(self, tmp_path, net):
+        p = tmp_path / "net.net"
+        p.write_text(net)
+        out = tmp_path / "gc.csv"
+        assert main(["gradcheck", str(p), "--t-end", "0.5", "--out", str(out)]) == 0
+        ckt = parse_netlist(net)
+        cfg = SimConfig(SampleGrid.from_span(0.0, 0.5, 1e-3))
+        nudges = [("nudged", 1e-3), ("nudged beta/2", 1e-3 / 2)]
+        (est, est_half), oracle = estimates_and_oracle(ckt, DriveSet(), nudges, 1e-4, cfg)
+        # the formatters the two files had before: one "%" per line
+        lines = ["synapse,estimate,oracle,ratio,sign_match,e_nudged,e_free"]
+        for name, value, ref, (e_n, e_f) in zip(est.synapse_names, est.values, oracle, est.raw_half_energies):
+            ratio = value / ref if ref != 0 else math.inf
+            match = int(np.sign(value) == np.sign(ref))
+            lines.append(f"{name},%.17g,%.17g,%.17g,{match},%.17g,%.17g" % (value, ref, ratio, e_n, e_f))
+        assert out.read_text() == "\n".join(lines) + "\n"
+        metrics, metrics_half = agreement_metrics(est, oracle), agreement_metrics(est_half, oracle)
+        summary = [
+            "metric,value",
+            "cosine_similarity,%.17g" % metrics["cosine_similarity"],
+            "cosine_similarity_half_beta,%.17g" % metrics_half["cosine_similarity"],
+            "max_rel_error,%.17g" % metrics["max_rel_error"],
+            f"sign_match_all,{int(metrics['sign_match'])}",
+            "beta,%.17g" % 1e-3,
+            "dt,%.17g" % 1e-3,
+        ]
+        assert (tmp_path / "gc_summary.csv").read_text() == "\n".join(summary) + "\n"
+
+    @pytest.mark.parametrize("net, beta", [(RC_NET, 0.0), (LC_NET, 0.0), (LINNET, 1e-3), (TANH_M, 1e-3)])
+    def test_action_rows_match_per_row_formatter(self, tmp_path, net, beta):
+        p = tmp_path / "net.net"
+        p.write_text(net)
+        argv = ["simulate", str(p), "--beta", repr(beta), "--t-end", "0.5", "--out", str(tmp_path / "traj.csv")]
+        assert main(argv + ["--dump-action"]) == 0
+        ckt = parse_netlist(net)
+        bd = action_breakdown(ckt, run(net, beta=beta, t_end=0.5))
+        # the formatter the action rows had before: one "%" per row
+        lines = ["quantity,real,imag"]
+        for key in sorted(bd.parts):
+            lines.append(f"action_{key},%.17g,%.17g" % (bd.parts[key].real, bd.parts[key].imag))
+        lines.append("action_total,%.17g,%.17g" % (bd.total.real, bd.total.imag))
+        written = (tmp_path / "traj_action.csv").read_text().splitlines()
+        assert written[: len(lines)] == lines
+
+    @pytest.mark.parametrize("net", [RC_NET, LC_NET], ids=["rc", "lc"])
+    def test_el_residual_rows_split_real_and_imaginary_parts(self, tmp_path, net):
+        # the real part holds the L, C, OC and I terms, the imaginary part the
+        # dissipative R and M terms: an LC circuit has none, so its imag reads 0
+        p = tmp_path / "net.net"
+        p.write_text(net)
+        assert main(["simulate", str(p), "--t-end", "0.5", "--out", str(tmp_path / "traj.csv"), "--dump-action"]) == 0
+        rows = [line.split(",") for line in (tmp_path / "traj_action.csv").read_text().splitlines()]
+        written = {name: (real, imag) for name, real, imag in rows}
+        res = el_residual(parse_netlist(net), run(net, t_end=0.5))
+        assert res
+        for name, values in res.items():
+            real, imag = written[f"el_residual_max_{name}"]
+            assert float(real) == np.abs(values[1:-1].real).max() > 0
+            assert float(imag) == np.abs(values[1:-1].imag).max()
+            assert (imag == "0") == (net == LC_NET)
+
+    @pytest.mark.parametrize("net", [RC_NET, LC_NET, LINNET, TANH_M])
+    def test_topology_matches_per_row_formatter(self, tmp_path, net):
+        p = tmp_path / "net.net"
+        p.write_text(net)
+        assert main(["simulate", str(p), "--t-end", "0.01", "--out", str(tmp_path / "traj.csv"), "--dump-topology"]) == 0
+        topology = build_topology(parse_netlist(net))
+        for label, M in (("Q", topology.Q), ("B", topology.B)):
+            # the formatter the matrices had before: str of each entry
+            lines = [",".join(topology.names)] + [",".join(str(v) for v in row) for row in M]
+            assert (tmp_path / f"traj_{label}.csv").read_text() == "\n".join(lines) + "\n"
 
 
 FLOATING_LINNET = LINNET + "R rf a b g=1\n"
@@ -866,7 +1005,7 @@ class TestFracBench:
         lines = ["t,value"] + ["%.17g,%.17g" % (t[k], np.real(values[k])) for k in range(len(t))]
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("op", ["identity", "caputo-left", "rl-integral"])
+    @pytest.mark.parametrize("op", ["identity", "caputo-left", "caputo-right", "rl-left", "rl-right", "rl-integral"])
     def test_output_matches_per_sample_formatter(self, tmp_path, monkeypatch, op):
         t = np.arange(0, 0.0205, 1e-3)
         v = np.sin(40 * t)

@@ -181,39 +181,6 @@ class TestDeterminismAndExport:
         b = run(LINNET, beta=1e-3)
         assert_same_csv(csv_text(a), csv_text(b))
 
-    def test_csv_header_layout(self):
-        traj = run(LINNET, beta=0.0, t_end=0.01)
-        header = csv_text(traj).splitlines()[0].split(",")
-        assert header[0] == "t"
-        assert "out_oc1_v" in header and "out_oc1_T" in header
-        assert any(h.startswith("coord_") and h.endswith("_phi") for h in header)
-
-    @staticmethod
-    def per_cell_body(columns):
-        # the formatter the CSV export used before: one "%.17g" per cell
-        return "".join(",".join("%.17g" % col[row] for col in columns) + "\n" for row in range(len(columns[0])))
-
-    def test_body_matches_per_cell_formatter(self):
-        from fraceq import dynamics
-
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]
-        rng = np.random.default_rng(7)
-        for rows in (1, 3, dynamics.CSV_CHUNK_ROWS, 2 * dynamics.CSV_CHUNK_ROWS + 5):
-            columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(4)]
-            columns.append(np.resize(special, rows))
-            columns.append(np.resize(special[::-1], rows))
-            chunks = list(dynamics._csv_body(columns))
-            assert "".join(chunks) == self.per_cell_body(columns)
-            # every chunk but the last holds CSV_CHUNK_ROWS rows
-            sizes = [chunk.count("\n") for chunk in chunks]
-            assert sizes[:-1] == [dynamics.CSV_CHUNK_ROWS] * (len(sizes) - 1) and 0 < sizes[-1] <= dynamics.CSV_CHUNK_ROWS
-
-    def test_csv_matches_per_cell_formatter(self):
-        traj = run(LINNET, beta=1e-3, t_end=5.0)
-        cols = traj._csv_columns()
-        expected = ",".join(name for name, _ in cols) + "\n" + self.per_cell_body([v for _, v in cols])
-        assert_same_csv(csv_text(traj), expected)
-
 
 class TestHalfRates:
     def test_computed_once_per_trajectory(self, monkeypatch):

@@ -12,7 +12,6 @@ from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simu
 from fraceq.eqprop import (
     GradientEstimate,
     TrainConfig,
-    TrainingLog,
     agreement_metrics,
     estimate_from,
     estimate_gradient,
@@ -354,16 +353,6 @@ class TestTrain:
             train(tanh_m, config)
         assert (info.value.epoch, info.value.example) == (0, first)
         assert csv_text(info.value.partial_log) == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3\n"
-
-    def test_csv_matches_per_record_formatter(self):
-        log = TrainingLog(synapse_names=("a", "b"))
-        log.add(0, 3, -0.0, 5e-324, [1e300, 0.1])
-        log.add(12, 0, 1.0 / 3.0, 2.0, [-1e-300, 7.0])
-        # the formatter the log used before: one "%" per field
-        lines = ["epoch,example,J,grad_norm,g_a,g_b"]
-        for ep, ex, loss, gn, gs in log.records:
-            lines.append(f"{ep},{ex},%.17g,%.17g," % (loss, gn) + ",".join("%.17g" % g for g in gs))
-        assert_same_csv(csv_text(log), "\n".join(lines) + "\n")
 
 
 class TestMixedPartials:
