@@ -10,7 +10,10 @@ written its data files then writes a plain-text key=value manifest the same
 way, recording the command, input hash, flags and those files, so recorded
 runs can be reproduced byte-for-byte; a run that fails before then leaves no
 manifest.  Exit codes: 0 success, 2 input or configuration error, 3
-numerical or simulation failure.
+numerical or simulation failure.  Every command runs under
+np.errstate(all="ignore"), so no numpy warning reaches stderr; `simulate`
+checks every cell of its tables before it writes the first file, and a cell
+that is not finite exits 3 naming the file, row and column.
 A gradcheck whose estimate misses criterion 8's gate (every sign matching
 and cosine at least GRADCHECK_MIN_COSINE) writes its CSVs and exits 3.
 Diagnostics go to stderr; stdout carries only result summaries.
@@ -222,12 +225,8 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
 # --- simulate --------------------------------------------------------------
 
 
-def _dump_topology(topology, stem):
-    for label, M in (("Q", topology.Q), ("B", topology.B)):
-        _write_csv(f"{stem}_{label}.csv", topology.names, M.T)
-
-
-def _dump_action(circuit, traj, stem):
+def _action_table(circuit, traj, path) -> tuple:
+    """(path, header, columns, labels) of the action parts, their total and the EL residual rows."""
     bd = action_breakdown(circuit, traj)
     rows = {f"action_{key}": bd.parts[key] for key in sorted(bd.parts)} | {"action_total": bd.total}
     # max over interior samples of the EL residual's real part (the L, C, OC
@@ -236,25 +235,43 @@ def _dump_action(circuit, traj, stem):
         real, imag = (np.abs(part[1:-1]).max(initial=0.0) for part in (values.real, values.imag))
         rows[f"el_residual_max_{name}"] = complex(real, imag)
     values = np.array(list(rows.values()), dtype=complex)
-    _write_csv(f"{stem}_action.csv", ["quantity", "real", "imag"], [values.real, values.imag], labels=list(rows))
+    return path, ["quantity", "real", "imag"], [values.real, values.imag], list(rows)
+
+
+def _non_finite_cell(tables):
+    """Where the first cell that is not finite lies, as "<path>: row <row>,
+    column <column>", or None; a row is named by its label, or else by its
+    first cell."""
+    for path, header, columns, labels in tables:
+        names = header[1:] if labels is not None else header
+        for name, column in zip(names, columns):
+            finite = np.isfinite(column)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                row = labels[i] if labels is not None else f"{header[0]}={columns[0][i]:.17g}"
+                return f"{path}: row {row}, column {name}"
+    return None
 
 
 def cmd_simulate(args) -> int:
     circuit, digest = _read_netlist(args.netlist)
     stem = os.path.splitext(args.out)[0]
-    outputs = [args.out]
-    if args.dump_topology:
-        outputs += [f"{stem}_Q.csv", f"{stem}_B.csv"]
-    if args.dump_action:
-        outputs += [f"{stem}_action.csv"]
     params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(SampleGrid.from_span(0.0, args.t_end, args.dt)))
-    _write_csv(args.out, *_trajectory_table(traj))
+    # every table is built and checked before the first file is written
+    action = [_action_table(circuit, traj, f"{stem}_action.csv")] if args.dump_action else []
+    tables = [(args.out, *_trajectory_table(traj), None)]
     if args.dump_topology:
-        _dump_topology(traj.topology, stem)
-    if args.dump_action:
-        _dump_action(circuit, traj, stem)
-    _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, outputs)
+        topo = traj.topology
+        tables += [(f"{stem}_{label}.csv", topo.names, M.T, None) for label, M in (("Q", topo.Q), ("B", topo.B))]
+    tables += action
+    bad = _non_finite_cell(tables)
+    if bad:
+        print(f"simulation failure: {bad} is not finite", file=sys.stderr)
+        return EXIT_NUMERIC
+    for table in tables:
+        _write_csv(*table)
+    _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, [path for path, *_ in tables])
     print(f"wrote {args.out} ({traj.grid.n} samples)")
     return EXIT_OK
 
@@ -426,8 +443,7 @@ def cmd_fracbench(args) -> int:
     if args.signal is None:
         raise ValueError("frac-bench needs a signal CSV (or --self-test)")
     grid, values = _read_signal_csv(args.signal)
-    with np.errstate(all="ignore"):  # a non-finite result is refused below
-        result = _OPS[args.op](values, grid.dt, args.alpha)
+    result = _OPS[args.op](values, grid.dt, args.alpha)
     if not np.isfinite(result).all():
         t = grid.times()[np.argmin(np.isfinite(result))]
         raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}")
@@ -486,7 +502,10 @@ _FLAGS = {"b": "--t-end", "dt": "--dt", "beta": "--beta", "eps": "--eps", "alpha
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # no numpy warning reaches stderr: Newton treats a NaN residual as
+        # divergence, and simulate and frac-bench refuse a non-finite result
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NewtonDivergenceError as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

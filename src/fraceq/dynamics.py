@@ -8,11 +8,15 @@ memristors, evaluated exactly in two parts (a far part refreshed by FFT once
 per block of steps and a near part summed per step, after Hairer, Lubich and
 Schlichte 1985).  A circuit whose every law is linear steps as one affine
 recurrence, checked a block of steps at a time; Newton iteration runs only
-for nonlinear constitutive laws, and starts each step from the secant
-predictor z_(m-1) + (z_(m-1) - z_(m-2)), which saves about a third of the
-passes on the shipped memristive net.  Numpy dispatch bounds that loop, so
-the fixed Jacobian rows, row scales and law lookups are set up once per run,
-rows that form one run of indices are sliced, and z_(m-2) is carried along.
+for nonlinear constitutive laws.  It starts each step from the second-order
+predictor dz_1 + (dz_1 - dz_2) of the last two increments and corrects with
+an inverse Jacobian kept across steps, rebuilt only when a step's first
+correction fails (the simplified Newton, or chord, iteration of Hairer and
+Wanner, Solving ODEs II, IV.8): on the shipped memristive net that is 2.1
+passes and 0.055 inversions a step.  Numpy dispatch bounds that loop, so a
+pass is one stacked product that gives the scaled residual and the law
+arguments together, and all a pass or step keeps fixed is set up once per
+run or block of steps.
 
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
@@ -232,14 +236,22 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     the row scaling).  The c_m of a block of HISTORY_BLOCK steps are built
     together, and after the block one array pass checks every step of every
     member.  A circuit with a nonlinear law runs Newton with a convergence
-    mask per member, starting each step m >= 2 from the secant predictor
-    dz = z_(m-1) - z_(m-2) (the first step from dz = 0).  Newton stops at
-    NEWTON_TOL, about 1e-11 (relative) short of the converged step, so the
-    start is part of the result: on netlists/memnet.net (2e4 steps) the
-    predictor moves the voltages and currents by up to 2.3e-9 of their
-    largest value from where the dz = 0 start leaves them.
-    NEWTON_MAX_ITERS bounds the passes, and a singular Jacobian fails the
-    step.  A failed step, or a linear step that fails the check, raises
+    mask per member.  Each step starts from dz = dz_1 + (dz_1 - dz_2), the
+    last two solved increments (zero before the first step).  A pass
+    evaluates G = W dz + b, W = [J_lin; P_nl / x_div] built once per run and
+    b once per step, then the laws on G's last |NL| rows.  A correction
+    multiplies by the member's kept inverse Jacobian; a member refactors
+    (np.linalg.inv) at its current iterate only when it has no inverse yet
+    or this step's first correction left it unconverged, so its refreshes
+    follow its own residual alone.  On netlists/memnet.net to t_end 5 that
+    is 4.21 law evaluations (two memristors) and 0.055 inversions a step,
+    where the secant start with a solve per pass took 4.86 and 1.38.
+    Newton stops at NEWTON_TOL, about 1e-11 (relative) short of the
+    converged step, so the start and the correction are part of the result:
+    on memnet at dt 1e-3 to t_end 20 they move the voltages and currents by
+    up to 2.6e-9 of their largest value from where the secant start with
+    full Newton left them.  NEWTON_MAX_ITERS bounds the passes, and a
+    singular Jacobian fails the step.  A failed step, or a linear step that fails the check, raises
     NewtonDivergenceError at the earliest failing time, naming the first
     failing member there.
 
@@ -331,15 +343,28 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         # outputs drifted by 1.7e-12 relative over 10^4 steps)
         K = np.linalg.inv(J_lin) * row_scale[:, 0]
     else:
-        # nonlinear rows: x = (phi + x_off) / x_div is the law's argument
+        # nonlinear rows: x = (phi + x_off) / x_div is the law's argument, with
+        # x_off the last step's flux (none for a C, whose x is its voltage)
+        # plus, for an M, the flux history
         nl_kind = np.array([elements[b].kind for b in NL], dtype=str)
-        nl_C = _run(np.flatnonzero(nl_kind == "C"))
-        nl_M = _run(np.flatnonzero(nl_kind == "M"))
-        nl_mem = _run(np.searchsorted(M, NL[nl_kind == "M"]))  # their places among the memristors
-        # x_div, row scales and law parameters per member: the pass does not broadcast them
-        x_div = np.tile(np.where(nl_kind == "C", dt, np.where(nl_kind == "M", sqrt_dt, 1.0)), (k, 1))
-        P_nl = P_phi[NL]
-        nl_scale, scale = np.tile(row_scale[NL, 0], (k, 1)), np.tile(row_scale, (k, 1, 1))
+        nl_M = np.flatnonzero(nl_kind == "M")
+        x_div = np.where(nl_kind == "C", dt, np.where(nl_kind == "M", sqrt_dt, 1.0))
+        P_x = P_phi[NL] / x_div[:, None]
+        P_off = np.where((nl_kind == "C")[:, None], 0.0, P_x)
+        rows_x = nb + len(NL)
+        # G = W dz + b stacks the scaled residual Fs of every law taken as
+        # linear and the law arguments x; a pass then subtracts the scaled law
+        # from Fs's nonlinear rows.  Per step b = Wb z_(m-1) + the block's c_m
+        # part + H (memristor history)
+        W = np.concatenate([J_lin, np.broadcast_to(P_x, (k, len(NL), nc))], axis=1)
+        Wb = np.concatenate([row_scale * D, np.broadcast_to(P_off, (k, len(NL), nc))], axis=1)
+        if has_mem:
+            H = np.zeros((rows_x, 2 * len(M)))
+            H[M, np.arange(len(M))] = row_scale[M, 0] * dphi[0, M]
+            H[M, np.arange(len(M)) + len(M)] = row_scale[M, 0] * dq[0, M]
+            H[nb + nl_M, np.searchsorted(M, NL[nl_M])] = 1.0 / sqrt_dt
+            HT = H.T
+        nl_scale = np.tile(row_scale[NL, 0], (k, 1))  # per member: the pass does not broadcast it
         # one law call per group and Newton pass (compile sorted NL by group)
         nl_groups = []
         start = 0
@@ -350,9 +375,12 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         (_, law, params), *several = nl_groups
         y, dy = np.empty((2, k, len(NL)))  # law values and slopes, with several groups
         NL = _run(NL)
-        J, J_nl = J_lin.copy(), J_lin[:, NL]  # only the nonlinear rows change between Newton passes
+        J, J_nl = J_lin.copy(), J_lin[:, NL]  # only the nonlinear rows change between Jacobians
+        # each member's inverse Jacobian, kept across steps
+        J_inv, has_inv, all_inv = np.zeros((k, nc, nc)), np.zeros(k, dtype=bool), False
 
-    z = z_back = np.zeros((k, nc, 1))  # z_back: z_(m-2) for the secant predictor
+    z = np.zeros((k, nc, 1))
+    dz1 = dz2 = z  # the last two solved increments, zero before the first step
     Z = np.zeros((k, nc, n))
     block = HISTORY_BLOCK
     for m0 in range(0, n, block):
@@ -363,57 +391,70 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         if has_mem:
             # sum_{j<m} w_(m-j) x_j = far part (j < m0) + near part (m0 <= j < m)
             far = _far_history(mem[:, :, :m0], block, kernels) if m0 else np.zeros((k, 2 * len(M), block))
-        c_step = np.moveaxis(c, 2, 0)[..., None]  # c_step[m - lo] is c_m, a view of c
+        if linear:
+            c_step = np.moveaxis(c, 2, 0)[..., None]  # c_step[m - lo] is c_m, a view of c
+        else:
+            # b_m - Wb z_(m-1) - H (near history) for each step of the block
+            b_block = np.concatenate([row_scale * c, np.zeros((k, rows_x - nb, hi - lo))], axis=1)
+            if has_mem:
+                b_block += H @ far[:, :, lo - m0 : hi - m0]
+            b_step = np.moveaxis(b_block, 2, 0)[..., None]
         for m in range(lo, hi):
             j = m - lo
             if has_mem:
-                hist = far[:, :, m - m0] + mem[:, :, m0:m] @ w_rev[n - 1 - m + m0 : n - 1]
-                h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
-                c[:, M_rows, j] = dq_M * h_q + dphi_M * h_phi
+                near = mem[:, :, m0:m] @ w_rev[n - 1 - m + m0 : n - 1]
             if linear:
+                if has_mem:
+                    hist = far[:, :, m - m0] + near
+                    h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
+                    c[:, M_rows, j] = dq_M * h_q + dphi_M * h_phi
                 z = z - K @ (D @ z + c_step[j])
             else:
                 z_prev = z
-                r = D @ z_prev + c_step[j]
-                x_off = (P_nl @ z_prev)[:, :, 0]
-                x_off[:, nl_C] = 0.0
+                b = Wb @ z_prev + b_step[j]
                 if has_mem:
-                    x_off[:, nl_M] += h_phi[:, nl_mem]
-                # secant predictor: start from the last step's change
-                # (z_0 = 0, so the first step starts from dz = 0)
-                dz = z_prev - z_back
-                for _ in range(NEWTON_MAX_ITERS):
-                    F = A @ dz + r
-                    Fs = scale * F
-                    x = ((P_nl @ dz)[:, :, 0] + x_off) / x_div
+                    b += (near @ HT)[:, :, None]
+                # second-order start from the last two increments
+                dz = dz1 + (dz1 - dz2)
+                for it in range(NEWTON_MAX_ITERS):
+                    G = W @ dz + b
+                    Fs = G[:, :nb]
+                    x = G[:, nb:, 0]
                     if several:
                         for cols, group_law, group_params in nl_groups:
                             y[:, cols], dy[:, cols] = group_law(x[:, cols], group_params)
                     else:  # y and dy straight from the one law call, not copied
                         y, dy = law(x, params)
-                    Fs[:, NL, 0] = nl_scale * (F[:, NL, 0] - y)
+                    Fs[:, NL, 0] -= nl_scale * y
                     res = np.maximum.reduce(np.abs(Fs), axis=(1, 2))
                     if np.maximum.reduce(res) <= NEWTON_TOL:  # a NaN residual has not converged
                         break
-                    J[:, NL] = J_nl - (nl_scale * (dy / x_div))[:, :, None] * P_nl
-                    try:
-                        if np.fmin.reduce(res) <= NEWTON_TOL:
-                            # converged members stay put; a NaN one is active
-                            active = ~(res <= NEWTON_TOL)
-                            step = np.zeros_like(Fs)
-                            step[active] = np.linalg.solve(J[active], Fs[active])
-                        else:
-                            step = np.linalg.solve(J, Fs)
-                    except np.linalg.LinAlgError as exc:
-                        # a singular Jacobian ends Newton as divergence does,
-                        # naming the first active member whose Jacobian it is
-                        i = next(i for i in np.flatnonzero(~(res <= NEWTON_TOL)) if _singular(J[i]))
-                        raise NewtonDivergenceError(times[m], float(res[i]), members[i].label) from exc
-                    dz = dz - step
+                    # converged members stay put; a NaN one is active
+                    active = ~(res <= NEWTON_TOL) if k > 1 and np.fmin.reduce(res) <= NEWTON_TOL else None
+                    if it or not all_inv:
+                        # a member refactors at this iterate if it has no
+                        # inverse, or if this step's first correction failed
+                        renew = np.full(k, True) if it else ~has_inv
+                        if active is not None:
+                            renew &= active
+                        J[:, NL] = J_nl - (nl_scale * dy)[:, :, None] * P_x
+                        try:
+                            J_inv[renew] = np.linalg.inv(J[renew])
+                        except np.linalg.LinAlgError as exc:
+                            # a singular Jacobian ends Newton as divergence does,
+                            # naming the first member whose Jacobian it is
+                            i = next(i for i in np.flatnonzero(renew) if _singular(J[i]))
+                            raise NewtonDivergenceError(times[m], float(res[i]), members[i].label) from exc
+                        has_inv |= renew
+                        all_inv = has_inv.all()
+                    if active is None:
+                        dz -= J_inv @ Fs
+                    else:
+                        dz[active] -= J_inv[active] @ Fs[active]
                 else:
                     i = int(np.argmax(~(res <= NEWTON_TOL)))
                     raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
-                z, z_back = z_prev + dz, z_prev
+                z, dz1, dz2 = z_prev + dz, dz, dz1
             Z[:, :, m] = z[:, :, 0]
             if has_mem:
                 mem[:, :, m] = (P_mem @ z)[:, :, 0]
@@ -457,9 +498,9 @@ def _run(idx: np.ndarray):
 
 
 def _singular(J: np.ndarray) -> bool:
-    """Whether np.linalg.solve rejects J as singular."""
+    """Whether np.linalg.inv rejects J as singular."""
     try:
-        np.linalg.solve(J, np.zeros(len(J)))
+        np.linalg.inv(J)
     except np.linalg.LinAlgError:
         return True
     return False

@@ -2,13 +2,17 @@
 
 `simulate` below is the one-trajectory Newton loop, kept verbatim as the
 reference that the batched kernel in `fraceq.dynamics` is tested against,
-with one change: on a nonlinear circuit each step from the second on starts
-Newton from the secant predictor z_(m-1) + (z_(m-1) - z_(m-2)), as the
-package does.  The start is part of the stepping method: Newton stops at a
-residual of NEWTON_TOL, which leaves each step about 1e-11 (relative) from
-its converged limit, and where it stops depends on where it starts.  With
-`predictor=False` every step starts from the last step's z, the rule before
-the predictor.  It is not used by the package.
+with two changes on a nonlinear circuit, both as the package does.  Each step
+starts Newton from the second-order predictor dz = dz_1 + (dz_1 - dz_2),
+dz_1 and dz_2 the last two increments (zero before the first step).  And the
+inverse Jacobian is kept across steps (chord iteration): it is rebuilt at the
+current iterate only when there is none yet, or when a correction with the
+kept one has already failed in this step.  Both are part of the stepping
+method: Newton stops at a residual of NEWTON_TOL, which leaves each step
+about 1e-11 (relative) from its converged limit, and where it stops depends
+on where it starts and how it corrects.  With `predictor=False` every step
+starts from the last step's z and runs full Newton, the rule before either
+change.  It is not used by the package.
 """
 
 import math
@@ -106,7 +110,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
     z = np.zeros(nc)
     Z = np.zeros((nc, n))
 
-    cached_solve = None
+    cached_solve = None  # the kept inverse Jacobian
+    dz1 = dz2 = np.zeros(nc)  # the last two increments
 
     def spec_eval(mask_idx, x):
         y = np.zeros(len(x))
@@ -134,8 +139,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
         else:
             mem_phi_hist = mem_q_hist = None
 
-        if predictor and nonlinear and m >= 2:
-            z = Z[:, m - 1] + (Z[:, m - 1] - Z[:, m - 2])
+        if predictor and nonlinear:
+            z = Z[:, m - 1] + (dz1 + (dz1 - dz2))
         converged = False
         for it in range(NEWTON_MAX_ITERS):
             phi = P_phi @ z
@@ -187,20 +192,23 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
                 converged = True
                 break
 
-            if nonlinear or cached_solve is None:
+            if nonlinear and not predictor:
                 J = (row_scale * dF_dphi)[:, None] * P_phi + (row_scale * dF_dq)[:, None] * P_q
-                if not nonlinear:
-                    cached_solve = np.linalg.inv(J)
-                    step = cached_solve @ Fs
-                else:
-                    step = np.linalg.solve(J, Fs)
+                step = np.linalg.solve(J, Fs)
             else:
+                # a linear circuit builds its inverse once; a nonlinear one at
+                # the current iterate when it has none or this step's first
+                # correction failed
+                if cached_solve is None or (nonlinear and it > 0):
+                    J = (row_scale * dF_dphi)[:, None] * P_phi + (row_scale * dF_dq)[:, None] * P_q
+                    cached_solve = np.linalg.inv(J)
                 step = cached_solve @ Fs
             z = z - step
 
         if not converged:
             raise NewtonDivergenceError(t, res)
 
+        dz1, dz2 = z - Z[:, m - 1], dz1
         Z[:, m] = z
         phi_hist[:, m] = P_phi @ z
         q_hist[:, m] = P_q @ z

@@ -4,8 +4,9 @@
 used before the batched kernel; `linear_reference.simulate` solves each step
 of a linear circuit exactly, with one dense solve.  Every comparison requires
 agreement to 1e-12 relative to the largest value of each compared array,
-except the bound on how far the secant predictor moves a trajectory from the
-dz = 0 start, PREDICTOR_DRIFT, and the outputs of netlists/memnet.net, held
+except the bound on how far the second-order start with chord iteration
+moves a trajectory from the dz = 0 start with full Newton, PREDICTOR_DRIFT,
+and the outputs of netlists/memnet.net, held
 to the bound that the flux bar implies (test_memnet_matches_scalar_reference).
 """
 
@@ -296,7 +297,7 @@ def test_short_blocks_match_scalar_reference(monkeypatch):
     assert_free_nudged_match(parse_netlist(LATE_NONLINEAR), cfg(t_end=0.2))
 
 
-# --- the secant predictor ----------------------------------------------------
+# --- the second-order start and the kept inverse Jacobian -------------------
 
 # a sharp tanh memristor switched on by a step drive at t = 0.25
 SHARP_STEP = """\
@@ -305,9 +306,11 @@ R r1 in n1 g=1.0
 M m1 n1 0 f=tanh(1.0,0.05)
 OC oc1 n1 0 cap=1.0 w=const(0.3)
 """
-# how far the predictor start may move a trajectory from the dz = 0 start,
-# relative to the largest value of each field; the outputs moved most,
-# 1.9e-9 on memnet to t_end 5 and 3.5e-10 on SHARP_STEP
+# how far the second-order start with a kept inverse Jacobian may move a
+# trajectory from the dz = 0 start with full Newton, relative to the largest
+# value of each field; the outputs moved most, 2.3e-9 on memnet to t_end 5
+# and 4.7e-10 on SHARP_STEP (the secant start with full Newton: 1.9e-9 and
+# 3.5e-10)
 PREDICTOR_DRIFT = 1e-8
 
 
@@ -328,7 +331,7 @@ def test_predictor_drift_is_bounded(net, t_end):
 
 def test_memnet_matches_scalar_reference():
     # the simulate-memristive benchmark's net; measured at t_end 2: fluxes
-    # 1.95e-15, charges 4.65e-15 and outputs 6.5e-12 relative
+    # 2.1e-15, charges 6.7e-15 and outputs 7.3e-12 relative
     circuit = parse_netlist(MEMNET)
     config = cfg(t_end=2.0)
     ref = scalar_reference.simulate(circuit, DriveSet(), 0.0, config)
@@ -346,8 +349,9 @@ def test_memnet_matches_scalar_reference():
 
 
 def test_predictor_saves_law_evaluations(monkeypatch):
-    # per step on memnet to t_end 5, the dz = 0 start measured 6.71 tanh
-    # evaluations (3.35 Newton passes of 2 memristors), the predictor 4.76
+    # per step on memnet to t_end 5, the dz = 0 start with full Newton
+    # measured 6.71 tanh evaluations (3.35 Newton passes of 2 memristors),
+    # the second-order start with chord iteration 4.21
     tanh = LAW_FAMILIES["tanh"]
     evaluations = []
 
@@ -364,6 +368,28 @@ def test_predictor_saves_law_evaluations(monkeypatch):
     evaluations.clear()
     simulate(circuit, DriveSet(), 0.0, config)
     assert sum(evaluations) / steps <= 0.8 * at_rest
+
+
+def test_chord_newton_work_per_step(monkeypatch):
+    # per step on memnet to t_end 5, the second-order start with a kept
+    # inverse Jacobian measured 4.21 tanh evaluations (2.11 passes of 2
+    # memristors) and 0.055 inversions; the secant start with a solve per
+    # correction took 4.86 evaluations and 1.38 solves
+    tanh = LAW_FAMILIES["tanh"]
+    evaluations = []
+
+    def counting(x, params):
+        evaluations.append(np.size(x))
+        return tanh(x, params)
+
+    monkeypatch.setitem(LAW_FAMILIES, "tanh", counting)
+    inversions = _count_calls(monkeypatch, np.linalg, "inv")
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    config = cfg(t_end=5.0)
+    steps = config.grid.n - 1
+    simulate(parse_netlist(MEMNET), DriveSet(), 0.0, config)
+    assert sum(evaluations) / steps <= 4.4
+    assert inversions and (len(inversions) + len(solves)) / steps <= 0.1
 
 
 # --- compile once ------------------------------------------------------------

@@ -3,6 +3,8 @@ import itertools
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csv_compare import assert_same_csv, csv_text
+import fraceq
 from fraceq import circuit, cli, dynamics, eqprop
 from fraceq.cli import main, parse_train_config
 from fraceq.circuit import parse_netlist
@@ -113,6 +116,51 @@ class TestSimulate:
         assert code == 3
         assert "Newton iteration diverged at t=0.01, residual=nan" in capsys.readouterr().err
         assert not (tmp_path / "traj.manifest").exists()
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        # the cubic law overflows in Newton: unless main silences numpy, its
+        # RuntimeWarnings reach stderr before the diagnostic.  Run as a user
+        # runs it, since pytest turns warnings into errors
+        p = tmp_path / "poly.net"
+        p.write_text("V vin 1 0 w=step(1e200,0)\nR r1 1 2 g=1\nC c1 2 0 f=poly(0,1,0,1)\n")
+        src = os.path.dirname(os.path.dirname(fraceq.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "fraceq.cli", "simulate", str(p), "--dt", "1e-2", "--out", str(tmp_path / "p.csv")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == ["simulation failure: Newton iteration diverged at t=0.01, residual=nan"]
+        assert sorted(os.listdir(tmp_path)) == ["poly.net"]
+
+    def test_non_finite_action_exit_3_and_writes_nothing(self, tmp_path, capsys):
+        # the trajectory is finite, but phi^2 / 2L overflows in the inductive action
+        p = tmp_path / "sine.net"
+        p.write_text("V vin 1 0 w=sine(1e200,1e8,0)\nR r1 1 2 g=1\nL l1 2 0 f=linear(1e-300)\n")
+        argv = ["simulate", str(p), "--dump-action", "--dt", "1e-2", "--t-end", "0.5", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"simulation failure: {tmp_path / 's_action.csv'}: row action_inductive, column real is not finite"]
+        assert sorted(os.listdir(tmp_path)) == ["sine.net"]
+
+    def test_non_finite_trajectory_names_column_and_time(self, rc_net, tmp_path, capsys, monkeypatch):
+        # a trajectory cell is refused as an action row is, before any file is written
+        table = cli._trajectory_table
+
+        def with_inf(traj):
+            header, columns = table(traj)
+            k = header.index("coord_c1_v")
+            columns[k] = columns[k].copy()
+            columns[k][3] = np.inf
+            return header, columns
+
+        monkeypatch.setattr(cli, "_trajectory_table", with_inf)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", rc_net, "--t-end", "0.1", "--dump-action", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"simulation failure: {out}: row t=0.0030000000000000001, column coord_c1_v is not finite"]
+        assert sorted(os.listdir(tmp_path)) == ["rc.net"]
 
     def test_singular_jacobian_exit_3_with_time(self, tmp_path, capsys):
         p = tmp_path / "singular.net"
