@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,26 +27,30 @@ GROUND = "0"
 KINDS = ("R", "C", "L", "M", "V", "I", "OC")
 
 
-def _linear(x, p):
-    return p[0] * x, np.zeros_like(x) + p[0]
+def _polyval(x, p):
+    return np.polynomial.polynomial.polyval(x, p, tensor=False)
 
 
-def _poly(x, p):
-    P = np.polynomial.polynomial
-    return P.polyval(x, p, tensor=False), P.polyval(x, P.polyder(p), tensor=False)
+class Law(NamedTuple):
+    """A law family's formulas: value(x, p) = y and slope(x, p) = dy/dx."""
+
+    value: Callable
+    slope: Callable
+
+    def __call__(self, x, p):
+        return self.value(x, p), self.slope(x, p)
 
 
-def _tanh(x, p):
-    gain, scale = p
-    t = np.tanh(x / scale)
-    return gain * t, (gain / scale) * (1.0 - t**2)
-
-
-# y, dy/dx = LAW_FAMILIES[family](x, params).  The formulas broadcast: with
-# params of shape (count, k), column j of x is evaluated with the parameters
-# params[:, j], so laws of one family (and, for poly, one coefficient count)
-# are evaluated in one call.
-LAW_FAMILIES = {"linear": _linear, "poly": _poly, "tanh": _tanh}
+# y, dy/dx = LAW_FAMILIES[family](x, params); Newton evaluates the value alone
+# and the slope only where it rebuilds a Jacobian.  The formulas broadcast:
+# with params of shape (count, k), column j of x is evaluated with the
+# parameters params[:, j], so laws of one family (and, for poly, one
+# coefficient count) are evaluated in one call.
+LAW_FAMILIES = {
+    "linear": Law(lambda x, p: p[0] * x, lambda x, p: np.zeros_like(x) + p[0]),
+    "poly": Law(_polyval, lambda x, p: _polyval(x, np.polynomial.polynomial.polyder(p))),
+    "tanh": Law(lambda x, p: p[0] * np.tanh(x / p[1]), lambda x, p: (p[0] / p[1]) * (1.0 - np.tanh(x / p[1]) ** 2)),
+}
 # (parameter count, whether more are allowed) per family
 _LAW_ARITY = {"linear": (1, False), "poly": (1, True), "tanh": (2, False)}
 # the argument range on which every law is checked to be monotone; evaluation

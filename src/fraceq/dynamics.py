@@ -21,8 +21,11 @@ run or block of steps.
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
 the free and nudged phases or the finite-difference perturbations, in one
-loop.  `simulate` is a batch of one.  A Trajectory holds arrays and knows
-no file format; `cli` writes its CSV.
+loop.  The loop holds one block of steps of every run at a time; over the
+whole grid a run keeps its coordinates, or only its outputs (RunOutputs)
+where, like the finite-difference runs, it is read only through its loss.
+`simulate` is a batch of one.  A Trajectory holds arrays and knows no file
+format; `cli` writes its CSV.
 """
 
 from __future__ import annotations
@@ -71,7 +74,22 @@ class DriveSet:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class RunOutputs:
+    """Output/target pairs of a run: all its loss J reads.
+
+    An output-only batch member returns this alone; it keeps no coordinates,
+    so reading them raises AttributeError.
+    """
+
+    grid: SampleGrid
+    beta: float
+    output_names: tuple
+    outputs: np.ndarray  # |K| x N output voltages v_k
+    targets: np.ndarray  # |K| x N target voltages T_k
+
+
+@dataclass(frozen=True)
+class Trajectory(RunOutputs):
     """Simulated coordinate signals plus output/target pairs.
 
     Flux coordinates carry (phi, v, psi); charge coordinates carry (q, i, r).
@@ -79,14 +97,9 @@ class Trajectory:
     maps (`lagrangian.branch_quantities`).
     """
 
-    grid: SampleGrid
-    beta: float
     topology: Topology
     tree_flux: np.ndarray  # |tree| x N
     loop_charge: np.ndarray  # |links| x N
-    output_names: tuple
-    outputs: np.ndarray  # |K| x N output voltages v_k
-    targets: np.ndarray  # |K| x N target voltages T_k
     _halves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -214,16 +227,21 @@ class Member(NamedTuple):
     label: Optional[str]  # names the run in a NewtonDivergenceError
     beta: float
     g: np.ndarray  # per-branch conductances, as StepSystem.g
+    outputs_only: bool = False  # return RunOutputs, keeping no coordinates
 
 
 def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members) -> list:
-    """Advance every member over the grid in one step loop; one Trajectory each.
+    """Advance every member over the grid in one step loop; one Trajectory each,
+    or RunOutputs for an output-only member.
 
     Members share the topology and the drive and differ in conductances and
-    beta.  Initial conditions are zero fluxes and charges at t = a, matching
-    the lower terminal of every Caputo operator.  With beta = 0 the output
-    capacitors carry exactly zero current, so targets cannot influence the
-    free phase.
+    beta.  A member marked outputs_only returns RunOutputs (grid, beta,
+    outputs and targets, all `trajectory_loss` reads) and keeps no
+    coordinates; it steps exactly as a full member does, so its outputs are
+    bitwise those of the same member stepped in full.  Initial conditions
+    are zero fluxes and charges at t = a, matching the lower terminal of
+    every Caputo operator.  With beta = 0 the output capacitors carry
+    exactly zero current, so targets cannot influence the free phase.
 
     Each step solves the branch residual F = A dz + D z_prev + c_m = 0 for
     dz = z - z_prev, per member, to a row-scaled residual max|Fs| <=
@@ -239,13 +257,15 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     mask per member.  Each step starts from dz = dz_1 + (dz_1 - dz_2), the
     last two solved increments (zero before the first step).  A pass
     evaluates G = W dz + b, W = [J_lin; P_nl / x_div] built once per run and
-    b once per step, then the laws on G's last |NL| rows.  A correction
-    multiplies by the member's kept inverse Jacobian; a member refactors
-    (np.linalg.inv) at its current iterate only when it has no inverse yet
-    or this step's first correction left it unconverged, so its refreshes
-    follow its own residual alone.  On netlists/memnet.net to t_end 5 that
-    is 4.21 law evaluations (two memristors) and 0.055 inversions a step,
-    where the secant start with a solve per pass took 4.86 and 1.38.
+    b once per step, then the laws' values on G's last |NL| rows.  A
+    correction multiplies by the member's kept inverse Jacobian; a member
+    refactors (np.linalg.inv) at its current iterate only when it has no
+    inverse yet or this step's first correction left it unconverged, so its
+    refreshes follow its own residual alone.  The laws' slopes are
+    evaluated only there, for the refactoring members.  On
+    netlists/memnet.net to t_end 5 that is 4.21 law evaluations (two
+    memristors) and 0.055 inversions a step, where the secant start with a
+    solve per pass took 4.86 and 1.38.
     Newton stops at NEWTON_TOL, about 1e-11 (relative) short of the
     converged step, so the start and the correction are part of the result:
     on memnet at dt 1e-3 to t_end 20 they move the voltages and currents by
@@ -254,6 +274,16 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     singular Jacobian fails the step.  A failed step, or a linear step that fails the check, raises
     NewtonDivergenceError at the earliest failing time, naming the first
     failing member there.
+
+    Storage follows the blocks of HISTORY_BLOCK steps that the memristor
+    history already uses.  Every member's coordinates go to one buffer of
+    HISTORY_BLOCK + 1 columns, whose first column keeps the step before the
+    block.  The source drives and their running integral are built per
+    block, the integral's sum carried from one block to the next.  After a
+    block, the full members copy their coordinates out and every member's
+    output voltages for the block are formed.  Over the whole grid a batch
+    holds the full members' coordinates, every member's outputs, the
+    targets and, with memristors, every member's memristor history.
 
     Every beta must be finite and non-negative (ParameterError "beta").
     Conductances are not checked: a NaN one fails as a divergence.
@@ -313,17 +343,18 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     D = A + B
     J_lin = row_scale * A  # Jacobian of the scaled residual Fs = row_scale F
 
-    drives = np.zeros((nb, n))
-    for b, e in enumerate(elements):
-        if e.kind in ("V", "I", "OC"):
-            drives[b] = drive.waveform_for(e)(times)
+    waves = {b: drive.waveform_for(e) for b, e in enumerate(elements) if e.kind in ("V", "I", "OC")}
+    targets = np.zeros((len(OC), n))
+    for i, b in enumerate(OC):
+        targets[i] = waves[b](times)
     # driven source coordinates: backward-rectangle integral of the waveform,
     # consistent with the backward-difference velocity.  This part of c_m is
-    # the same for every member; the output-capacitor part beta C T is added
-    # per member and the memristor history per step.
+    # the same for every member and built a block of steps at a time, the
+    # sum carried from block to block (-0.0 adds nothing, not even to -0.0);
+    # the output-capacitor part beta C T is added per member and the
+    # memristor history per step.
     S = np.concatenate([rows["V"], rows["I"]])
-    src = np.zeros((nb, n))
-    src[S, 1:] = -dt * np.cumsum(drives[S, 1:], axis=1)
+    src_sum = np.full((len(S), 1), -0.0)
 
     # GL half-derivative history of the memristor branch fluxes and charges
     M = rows["M"]
@@ -373,21 +404,36 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
             nl_groups.append((slice(start, start + params.shape[2]), LAW_FAMILIES[family], params))
             start += params.shape[2]
         (_, law, params), *several = nl_groups
-        y, dy = np.empty((2, k, len(NL)))  # law values and slopes, with several groups
+        value = law.value
+        y = np.empty((k, len(NL)))  # law values, with several groups
         NL = _run(NL)
-        J, J_nl = J_lin.copy(), J_lin[:, NL]  # only the nonlinear rows change between Jacobians
+        J_nl = J_lin[:, NL]  # only the nonlinear rows change between Jacobians
         # each member's inverse Jacobian, kept across steps
         J_inv, has_inv, all_inv = np.zeros((k, nc, nc)), np.zeros(k, dtype=bool), False
 
     z = np.zeros((k, nc, 1))
     dz1 = dz2 = z  # the last two solved increments, zero before the first step
-    Z = np.zeros((k, nc, n))
     block = HISTORY_BLOCK
+    # step m of the block from m0 goes to column m - m0 + 1 of buf; column 0
+    # holds the step before the block, which the linear check reads
+    buf = np.zeros((k, nc, block + 1))
+    kept = np.flatnonzero([not mb.outputs_only for mb in members])
+    Z = np.zeros((len(kept), nc, n))  # coordinates of the members that keep them
+    kept = _run(kept)
+    P_out = P_phi[OC]
+    outputs = np.zeros((k, len(OC), n))
     for m0 in range(0, n, block):
         lo, hi = max(m0, 1), min(m0 + block, n)
+        width = hi - m0
         # c_m of each step in [lo, hi); memristor rows get their history per step
-        c = np.repeat(src[None, :, lo:hi], k, axis=0)
-        c[:, OC] += weight[:, :, None] * drives[OC, lo:hi]
+        level = np.zeros((len(S), hi - lo))
+        for i, b in enumerate(S):
+            level[i] = waves[b](times[lo:hi])
+        running = np.cumsum(np.concatenate([src_sum, level], axis=1), axis=1)
+        src_sum = running[:, -1:]
+        c = np.zeros((k, nb, hi - lo))
+        c[:, S] = -dt * running[:, 1:]
+        c[:, OC] += weight[:, :, None] * targets[:, lo:hi]
         if has_mem:
             # sum_{j<m} w_(m-j) x_j = far part (j < m0) + near part (m0 <= j < m)
             far = _far_history(mem[:, :, :m0], block, kernels) if m0 else np.zeros((k, 2 * len(M), block))
@@ -422,9 +468,9 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                     x = G[:, nb:, 0]
                     if several:
                         for cols, group_law, group_params in nl_groups:
-                            y[:, cols], dy[:, cols] = group_law(x[:, cols], group_params)
-                    else:  # y and dy straight from the one law call, not copied
-                        y, dy = law(x, params)
+                            y[:, cols] = group_law.value(x[:, cols], group_params)
+                    else:  # y straight from the one law call, not copied
+                        y = value(x, params)
                     Fs[:, NL, 0] -= nl_scale * y
                     res = np.maximum.reduce(np.abs(Fs), axis=(1, 2))
                     if np.maximum.reduce(res) <= NEWTON_TOL:  # a NaN residual has not converged
@@ -437,13 +483,19 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                         renew = np.full(k, True) if it else ~has_inv
                         if active is not None:
                             renew &= active
-                        J[:, NL] = J_nl - (nl_scale * dy)[:, :, None] * P_x
+                        # the law's slope at this iterate, for those members only
+                        x_renew = x[renew]
+                        dy = np.empty_like(x_renew)
+                        for cols, group_law, group_params in nl_groups:
+                            dy[:, cols] = group_law.slope(x_renew[:, cols], group_params[:, renew])
+                        J = J_lin[renew]
+                        J[:, NL] = J_nl[renew] - (nl_scale[renew] * dy)[:, :, None] * P_x
                         try:
-                            J_inv[renew] = np.linalg.inv(J[renew])
+                            J_inv[renew] = np.linalg.inv(J)
                         except np.linalg.LinAlgError as exc:
                             # a singular Jacobian ends Newton as divergence does,
                             # naming the first member whose Jacobian it is
-                            i = next(i for i in np.flatnonzero(renew) if _singular(J[i]))
+                            i = next(i for i, J_i in zip(np.flatnonzero(renew), J) if _singular(J_i))
                             raise NewtonDivergenceError(times[m], float(res[i]), members[i].label) from exc
                         has_inv |= renew
                         all_inv = has_inv.all()
@@ -455,14 +507,14 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                     i = int(np.argmax(~(res <= NEWTON_TOL)))
                     raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
                 z, dz1, dz2 = z_prev + dz, dz, dz1
-            Z[:, :, m] = z[:, :, 0]
+            buf[:, :, m - m0 + 1] = z[:, :, 0]
             if has_mem:
                 mem[:, :, m] = (P_mem @ z)[:, :, 0]
         if linear:
             # every step's residual in the block, at the increment dz = -K r it
             # solved for: the difference of the stored z would carry their
             # rounding into a C row's residual divided by dt^2
-            r = D @ Z[:, :, lo - 1 : hi - 1] + c
+            r = D @ buf[:, :, lo - m0 : hi - m0] + c
             res = np.abs(row_scale * (r - A @ (K @ r))).max(axis=1)
             failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
             if failed.any():
@@ -470,25 +522,29 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                 i = int(np.argmax(failed[:, j]))
                 failure = "step residual check failed"
                 raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label, failure)
+        Z[:, :, m0:hi] = buf[kept, :, 1 : width + 1]
+        # the output voltages v_m = (phi_m - phi_(m-1)) / dt of the block.  A
+        # one-column product goes through numpy's dot, which rounds apart from
+        # the matrix product of a whole grid, so a last block of one step
+        # takes the step before it along
+        flux = (P_out @ buf[:, :, min(1, width - 1) : width + 1])[..., -width:]
+        outputs[:, :, m0:hi] = np.diff(flux, prepend=flux_prev if m0 else flux[..., :1]) / dt
+        flux_prev = flux[..., -1:]
+        buf[:, :, 0] = buf[:, :, width]
 
     output_names = tuple(elements[b].name for b in OC)
-    outputs = _backward_diff(P_phi[OC] @ Z, dt)
-    targets = drives[OC]
     for shared_by_members in (Z, outputs, targets):
         shared_by_members.flags.writeable = False
-    return [
-        Trajectory(
-            grid=grid,
-            beta=float(mb.beta),
-            topology=system.topology,
-            tree_flux=Z[i, :nt],
-            loop_charge=Z[i, nt:],
-            output_names=output_names,
-            outputs=outputs[i],
-            targets=targets,
-        )
-        for i, mb in enumerate(members)
-    ]
+    runs = []
+    coordinates = iter(Z)
+    for i, mb in enumerate(members):
+        run = dict(grid=grid, beta=float(mb.beta), output_names=output_names, outputs=outputs[i], targets=targets)
+        if mb.outputs_only:
+            runs.append(RunOutputs(**run))
+        else:
+            z_i = next(coordinates)
+            runs.append(Trajectory(**run, topology=system.topology, tree_flux=z_i[:nt], loop_charge=z_i[nt:]))
+    return runs
 
 
 def _run(idx: np.ndarray):
@@ -513,9 +569,9 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
     return traj
 
 
-def trajectory_loss(traj: Trajectory) -> float:
-    """Integrated squared output-target mismatch J over the window."""
-    if not len(traj.outputs):
+def trajectory_loss(run: RunOutputs) -> float:
+    """Integrated squared output-target mismatch J over the window, of a Trajectory or RunOutputs."""
+    if not len(run.outputs):
         raise MissingOutputError("trajectory has no output capacitors")
-    sq = np.sum((traj.outputs - traj.targets) ** 2, axis=0)
-    return float(np.trapezoid(sq, dx=traj.grid.dt))
+    sq = np.sum((run.outputs - run.targets) ** 2, axis=0)
+    return float(np.trapezoid(sq, dx=run.grid.dt))

@@ -135,7 +135,8 @@ def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory) -> Gra
 
 def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
     """The oracle's runs at beta = 0: per trainable synapse, in synapse
-    order, its conductance in `g` moved by +eps, then by -eps.
+    order, its conductance in `g` moved by +eps, then by -eps.  Only their
+    loss is read, so they are output-only members.
 
     eps is checked here, against the synapse conductances in `g` too, so a
     bad eps fails before any run is stepped.
@@ -152,13 +153,13 @@ def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
         for sign, tag in ((1, "+"), (-1, "-")):
             perturbed = g.copy()
             perturbed[l] += sign * eps
-            members.append(Member(f"fd {name}{tag}", 0.0, perturbed))
+            members.append(Member(f"fd {name}{tag}", 0.0, perturbed, outputs_only=True))
     return members
 
 
-def fd_differences(trajectories, eps: float) -> tuple:
-    """Central differences dJ/dg of the trajectories of `fd_members`, in their order."""
-    losses = [trajectory_loss(traj) for traj in trajectories]
+def fd_differences(runs, eps: float) -> tuple:
+    """Central differences dJ/dg of the runs of `fd_members`, in their order."""
+    losses = [trajectory_loss(run) for run in runs]
     return tuple((losses[k] - losses[k + 1]) / (2.0 * eps) for k in range(0, len(losses), 2))
 
 

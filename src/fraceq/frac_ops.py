@@ -98,11 +98,12 @@ def _causal_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     n is the length of x's last axis; each row of a 2-D x is convolved on
     its own.  w has at least n entries (the rest is not read).  Zero padding
     to a power of two at least 2n - 1 long keeps the circular convolution
-    from wrapping.
+    from wrapping; the result is a compact copy, so no caller keeps the
+    padded buffer alive.
     """
     n = x.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[..., :n]
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[..., :n].copy()
 
 
 def caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:

@@ -21,9 +21,19 @@ import linear_reference
 import scalar_reference
 from fraceq import dynamics
 from fraceq.circuit import LAW_FAMILIES, Circuit, ConstitutiveSpec, Element, Waveform, parse_netlist
-from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
-from fraceq.eqprop import TrainConfig, fd_members, train
-from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError
+from fraceq.dynamics import (
+    DriveSet,
+    Member,
+    RunOutputs,
+    SimConfig,
+    Trajectory,
+    compile,
+    simulate,
+    simulate_batch,
+    trajectory_loss,
+)
+from fraceq.eqprop import TrainConfig, estimates_and_oracle, fd_differences, fd_members, train
+from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, ValidationError
 from fraceq.frac_ops import SampleGrid
 
 RTOL = 1e-12
@@ -51,6 +61,7 @@ OC oc1 out 0 cap=1.0 w=sine(0.5,2,0)
 """
 # the benchmark's memristive net: two tanh memristors on adjacent rows
 MEMNET = (Path(__file__).parent.parent / "netlists" / "memnet.net").read_text()
+TANHNET = (Path(__file__).parent.parent / "netlists" / "tanhnet.net").read_text()
 
 
 def cfg(dt=1e-3, t_end=1.0):
@@ -297,6 +308,108 @@ def test_short_blocks_match_scalar_reference(monkeypatch):
     assert_free_nudged_match(parse_netlist(LATE_NONLINEAR), cfg(t_end=0.2))
 
 
+# --- output-only members -----------------------------------------------------
+
+# the output capacitor closes a loop of three capacitors, so its flux sums
+# three coordinates and its rounding depends on how the product is formed
+OC_LINK = """\
+V v1 in 0 w=sine(1,2,0)
+R r1 in out g=1.0
+C c1 out n1 c=1.0
+C c2 n1 n2 c=2.0
+C c3 n2 0 c=0.5
+OC oc1 out 0 cap=1.0 w=const(0.4)
+"""
+
+
+def assert_outputs_only_match_full(circuit, config):
+    """Output-only members beside full ones give bitwise the outputs and loss
+    of the same members stepped in full, or fail where they fail.
+
+    A full member's outputs are also bitwise the backward difference of its
+    output flux taken over the whole grid at once: forming them a block of
+    steps at a time must not move a bit.
+    """
+    try:
+        system = compile(circuit)
+    except (DegenerateTopologyError, ValidationError):
+        assume(False)
+    g = system.g
+    batch = [
+        Member("free", 0.0, g),
+        Member("nudged", 1e-2, g, outputs_only=True),
+        Member("scaled", 0.0, 1.5 * g, outputs_only=True),
+        Member("nudged in full", 1e-2, g),
+    ]
+    try:
+        in_full = simulate_batch(system, DriveSet(), config, [mb._replace(outputs_only=False) for mb in batch])
+    except NewtonDivergenceError as exc:
+        with pytest.raises(NewtonDivergenceError) as got:
+            simulate_batch(system, DriveSet(), config, batch)
+        assert str(got.value) == str(exc)
+        return
+    out_flux = system.P_phi[system.rows["OC"]]
+    for mb, got, want in zip(batch, simulate_batch(system, DriveSet(), config, batch), in_full):
+        assert np.array_equal(got.outputs, want.outputs) and np.array_equal(got.targets, want.targets)
+        if len(got.outputs):
+            assert trajectory_loss(got) == trajectory_loss(want)
+        if mb.outputs_only:
+            assert type(got) is RunOutputs
+            continue
+        assert np.array_equal(got.tree_flux, want.tree_flux) and np.array_equal(got.loop_charge, want.loop_charge)
+        coordinates = np.concatenate([got.tree_flux, got.loop_charge])
+        assert np.array_equal(got.outputs, dynamics._backward_diff(out_flux @ coordinates, config.grid.dt))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [100, dynamics.HISTORY_BLOCK, dynamics.HISTORY_BLOCK + 1, 4 * dynamics.HISTORY_BLOCK + 3],
+    ids=["short", "one-block", "one-block-and-a-step", "several-blocks"],
+)
+@pytest.mark.parametrize(
+    "net",
+    [LINNET, TANHNET, LATE_NONLINEAR, MEMNET, OC_LINK],
+    ids=["linnet", "tanhnet", "late-nonlinear", "memnet", "oc-link"],
+)
+def test_outputs_only_members_match_full_members(net, samples):
+    assert_outputs_only_match_full(parse_netlist(net), SimConfig(SampleGrid(0.0, 2e-3, samples)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=random_circuits())
+def test_generated_outputs_only_members_match_full_members(circuit):
+    assert_outputs_only_match_full(circuit, cfg(dt=1e-2, t_end=0.5))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=random_circuits(memristors=1))
+def test_generated_long_outputs_only_members_match_full_members(circuit):
+    assert_outputs_only_match_full(circuit, long_cfg(dt=1e-2))
+
+
+def test_outputs_only_member_keeps_no_coordinates():
+    system = compile(parse_netlist(LINNET))
+    (run,) = simulate_batch(system, DriveSet(), cfg(), [Member("fd", 0.0, system.g, outputs_only=True)])
+    assert not isinstance(run, Trajectory)
+    for name in ("topology", "tree_flux", "loop_charge", "tree_voltage", "tree_half_velocity"):
+        with pytest.raises(AttributeError):
+            getattr(run, name)
+    assert trajectory_loss(run) > 0
+
+
+@pytest.mark.parametrize("net", [LINNET, TANHNET], ids=["linnet", "tanhnet"])
+def test_oracle_is_bitwise_what_full_members_give(net):
+    circuit = parse_netlist(net)
+    config = cfg(t_end=0.5)
+    _, oracle = estimates_and_oracle(circuit, DriveSet(), [("nudged", 1e-3)], 1e-4, config)
+    system = compile(circuit)
+    members = fd_members(circuit, 1e-4, system.g)
+    assert all(mb.outputs_only for mb in members)
+    in_full = simulate_batch(system, DriveSet(), config, [mb._replace(outputs_only=False) for mb in members])
+    assert all(isinstance(run, Trajectory) for run in in_full)
+    assert oracle == fd_differences(in_full, 1e-4)
+
+
 # --- the second-order start and the kept inverse Jacobian -------------------
 
 # a sharp tanh memristor switched on by a step drive at t = 0.25
@@ -348,26 +461,32 @@ def test_memnet_matches_scalar_reference():
     assert np.max(np.abs(ref.outputs - got.outputs)) <= bound
 
 
+def _count_tanh(monkeypatch, part):
+    """The shapes of the x arrays on which the tanh law's `part` ("value" or "slope") is evaluated."""
+    law = LAW_FAMILIES["tanh"]
+    shapes = []
+
+    def counting(x, params):
+        shapes.append(np.shape(x))
+        return getattr(law, part)(x, params)
+
+    monkeypatch.setitem(LAW_FAMILIES, "tanh", law._replace(**{part: counting}))
+    return shapes
+
+
 def test_predictor_saves_law_evaluations(monkeypatch):
     # per step on memnet to t_end 5, the dz = 0 start with full Newton
     # measured 6.71 tanh evaluations (3.35 Newton passes of 2 memristors),
     # the second-order start with chord iteration 4.21
-    tanh = LAW_FAMILIES["tanh"]
-    evaluations = []
-
-    def counting(x, params):
-        evaluations.append(np.size(x))
-        return tanh(x, params)
-
-    monkeypatch.setitem(LAW_FAMILIES, "tanh", counting)
+    evaluations = _count_tanh(monkeypatch, "value")
     circuit = parse_netlist(MEMNET)
     config = cfg(t_end=5.0)
     steps = config.grid.n - 1
     scalar_reference.simulate(circuit, DriveSet(), 0.0, config, predictor=False)
-    at_rest = sum(evaluations) / steps
+    at_rest = sum(map(np.prod, evaluations)) / steps
     evaluations.clear()
     simulate(circuit, DriveSet(), 0.0, config)
-    assert sum(evaluations) / steps <= 0.8 * at_rest
+    assert sum(map(np.prod, evaluations)) / steps <= 0.8 * at_rest
 
 
 def test_chord_newton_work_per_step(monkeypatch):
@@ -375,21 +494,35 @@ def test_chord_newton_work_per_step(monkeypatch):
     # inverse Jacobian measured 4.21 tanh evaluations (2.11 passes of 2
     # memristors) and 0.055 inversions; the secant start with a solve per
     # correction took 4.86 evaluations and 1.38 solves
-    tanh = LAW_FAMILIES["tanh"]
-    evaluations = []
-
-    def counting(x, params):
-        evaluations.append(np.size(x))
-        return tanh(x, params)
-
-    monkeypatch.setitem(LAW_FAMILIES, "tanh", counting)
+    evaluations = _count_tanh(monkeypatch, "value")
     inversions = _count_calls(monkeypatch, np.linalg, "inv")
     solves = _count_calls(monkeypatch, np.linalg, "solve")
     config = cfg(t_end=5.0)
     steps = config.grid.n - 1
     simulate(parse_netlist(MEMNET), DriveSet(), 0.0, config)
-    assert sum(evaluations) / steps <= 4.4
+    assert sum(map(np.prod, evaluations)) / steps <= 4.4
     assert inversions and (len(inversions) + len(solves)) / steps <= 0.1
+
+
+def test_slope_is_evaluated_only_for_refactors(monkeypatch):
+    # a pass evaluates the law's value alone; a member's slope is evaluated
+    # only where that member refactors its Jacobian.  On memnet to t_end 5,
+    # three members refactor 0.18 times a step between them
+    system = compile(parse_netlist(MEMNET))
+    g = system.g
+    slopes = _count_tanh(monkeypatch, "slope")
+    refactors = []
+    inv = np.linalg.inv
+
+    def counting(J):
+        refactors.append(len(J))
+        return inv(J)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    batch = [Member("free", 0.0, g), Member("nudged", 1e-2, g), Member("scaled", 0.0, 1.5 * g)]
+    simulate_batch(system, DriveSet(), cfg(t_end=5.0), batch)
+    assert sum(refactors) > len(batch)
+    assert [shape[0] for shape in slopes] == refactors
 
 
 # --- compile once ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,23 @@ class TestEstimatesAndOracle:
         system = compile(ckt)
         alone = simulate_batch(system, DriveSet(), sim_cfg(), fd_members(ckt, 1e-4, system.g))
         assert oracle == fd_differences(alone, 1e-4)
+
+    def test_memory_per_sample_at_fine_dt(self, linnet):
+        # gradcheck's batch at N = 1e5.  numpy reports its buffers to
+        # tracemalloc, so the bound is free of base RSS and bytecode.  The
+        # peak read 94.3 float64 words a sample when every member kept its
+        # coordinates and the drives were whole-grid arrays, and 56.4 with
+        # output-only oracle runs and block-sized buffers
+        nudges = [("nudged", 1e-3), ("nudged beta/2", 5e-4)]
+        estimates_and_oracle(linnet, DriveSet(), nudges, 1e-4, sim_cfg(dt=0.1))  # lazy imports and caches
+        config = sim_cfg(dt=1e-5)
+        tracemalloc.start()
+        try:
+            estimates_and_oracle(linnet, DriveSet(), nudges, 1e-4, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 8 / config.grid.n <= 64
 
     @pytest.mark.parametrize("beta, eps", [(0.0, 1e-4), (1e-3, 0.0), (1e-3, 0.25)])
     def test_bad_beta_or_eps_fails_before_any_run(self, linnet, monkeypatch, beta, eps):
