@@ -227,12 +227,14 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
 
 def _action_table(circuit, traj, path) -> tuple:
     """(path, header, columns, labels) of the action parts, their total and the EL residual rows."""
-    bd = action_breakdown(circuit, traj)
-    rows = {f"action_{key}": bd.parts[key] for key in sorted(bd.parts)} | {"action_total": bd.total}
-    # max over interior samples of the EL residual's real part (the L, C, OC
-    # and I terms) and of its imaginary part (the dissipative R and M terms)
+    parts = action_breakdown(circuit, traj)
+    rows = {f"action_{key}": parts[key] for key in sorted(parts)} | {"action_total": complex(sum(parts.values()))}
+    # max of the EL residual's real part (the L, C, OC and I terms) and of its
+    # imaginary part (the dissipative R and M terms) over the inner 80% of the
+    # span, clear of the t^(-1/2) layer the right-sided operator leaves at t = b
+    cut = math.ceil((traj.grid.n - 1) / 10)
     for name, values in el_residual(circuit, traj).items():
-        real, imag = (np.abs(part[1:-1]).max(initial=0.0) for part in (values.real, values.imag))
+        real, imag = (np.abs(part[cut : len(part) - cut]).max(initial=0.0) for part in (values.real, values.imag))
         rows[f"el_residual_max_{name}"] = complex(real, imag)
     values = np.array(list(rows.values()), dtype=complex)
     return path, ["quantity", "real", "imag"], [values.real, values.imag], list(rows)

@@ -4,11 +4,10 @@ Unknowns are the tree-branch fluxes and cotree loop charges; both Kirchhoff
 laws hold identically through the coordinate map, so each time step solves one
 constitutive balance equation per branch.  Stepping is first-order implicit
 (backward difference) with full-history GL convolutions for the fractional
-memristors, evaluated exactly in two parts (a far part refreshed by FFT once
-per block of steps and a near part summed per step, after Hairer, Lubich and
-Schlichte 1985).  A circuit whose every law is linear steps as one affine
-recurrence, checked a block of steps at a time; Newton iteration runs only
-for nonlinear constitutive laws.  It starts each step from the second-order
+memristors, which `frac_ops.GLHistory` evaluates exactly: a far part by FFT
+once per block of steps and a near part per step.  A circuit whose every
+law is linear steps as one affine recurrence, checked a block of steps at a
+time; Newton iteration runs only for nonlinear constitutive laws.  It starts each step from the second-order
 predictor dz_1 + (dz_1 - dz_2) of the last two increments and corrects with
 an inverse Jacobian kept across steps, rebuilt only when a step's first
 correction fails (the simplified Newton, or chord, iteration of Hairer and
@@ -39,7 +38,7 @@ import numpy as np
 
 from .circuit import KINDS, LAW_FAMILIES, Circuit, Element, Waveform, validate
 from .errors import MissingOutputError, NewtonDivergenceError, ParameterError, ValidationError
-from .frac_ops import SampleGrid, caputo_left, gl_weights
+from .frac_ops import GLHistory, SampleGrid, caputo_left
 from .topology import Topology, build_topology
 
 # every step of every run ends with its row-scaled residual max|Fs| at or below this
@@ -198,27 +197,10 @@ def _law_group(law) -> tuple:
     return law.family, len(law.params)
 
 
-# Steps per refresh of the far part of the memristor history.  One FFT over
-# the whole past every HISTORY_BLOCK steps plus at most HISTORY_BLOCK near
-# terms per step keep the cost per step nearly flat in N.  Of 128-4096, 512
-# gave the lowest history cost at N = 2e4 with two memristors (7 us/step);
-# at N = 1e5 it costs 18 us/step, 2048 would cost 9.
+# Steps per block: per refresh of the memristor history's far part, and per
+# stored block of coordinates.  Of 128-4096, 512 gave the lowest history cost
+# at N = 2e4 with two memristors (7 us/step); at N = 1e5 it costs 18 us/step.
 HISTORY_BLOCK = 512
-
-
-def _far_history(past: np.ndarray, block: int, kernels: dict) -> np.ndarray:
-    """sum_{j<m0} w_(t-j) past_j for t in [m0, m0 + block), m0 = len(past).
-
-    The GL half-order weights w are exact; the sum is one circular
-    convolution of length L > m0 + block.  Every lag t - j lies in [1, L),
-    so no term wraps around.  Spectra are kept in `kernels` by length.
-    """
-    m0 = past.shape[-1]
-    size = 1 << (m0 + block).bit_length()
-    if size not in kernels:
-        kernels[size] = np.fft.rfft(gl_weights(0.5, size - 1))
-    full = np.fft.irfft(np.fft.rfft(past, size) * kernels[size], size)
-    return full[..., m0 : m0 + block]
 
 
 class Member(NamedTuple):
@@ -246,7 +228,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     Each step solves the branch residual F = A dz + D z_prev + c_m = 0 for
     dz = z - z_prev, per member, to a row-scaled residual max|Fs| <=
     NEWTON_TOL.  Nonlinear C/L/M rows subtract their law, and memristor rows
-    add the GL history sum to c_m.
+    add to c_m the GL history of their fluxes and charges (`frac_ops.GLHistory`).
 
     On a circuit whose laws are all linear, Newton does not run: each step
     is the affine recurrence z_m = T z_(m-1) + u_m with T = I - K D and
@@ -264,16 +246,12 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     refreshes follow its own residual alone.  The laws' slopes are
     evaluated only there, for the refactoring members.  On
     netlists/memnet.net to t_end 5 that is 4.21 law evaluations (two
-    memristors) and 0.055 inversions a step, where the secant start with a
-    solve per pass took 4.86 and 1.38.
-    Newton stops at NEWTON_TOL, about 1e-11 (relative) short of the
-    converged step, so the start and the correction are part of the result:
-    on memnet at dt 1e-3 to t_end 20 they move the voltages and currents by
-    up to 2.6e-9 of their largest value from where the secant start with
-    full Newton left them.  NEWTON_MAX_ITERS bounds the passes, and a
-    singular Jacobian fails the step.  A failed step, or a linear step that fails the check, raises
-    NewtonDivergenceError at the earliest failing time, naming the first
-    failing member there.
+    memristors) and 0.055 inversions a step.  Newton stops at NEWTON_TOL,
+    about 1e-11 (relative) short of the converged step, so the start and
+    the correction are part of the result.  NEWTON_MAX_ITERS bounds the
+    passes, and a singular Jacobian fails the step.  A failed step, or a
+    linear step that fails the check, raises NewtonDivergenceError at the
+    earliest failing time, naming the first failing member there.
 
     Storage follows the blocks of HISTORY_BLOCK steps that the memristor
     history already uses.  Every member's coordinates go to one buffer of
@@ -360,10 +338,8 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     M = rows["M"]
     has_mem = len(M) > 0
     if has_mem:
-        w_rev = gl_weights(0.5, n - 1)[::-1]  # w_rev[n - 1 - j] = w_j
         P_mem = np.concatenate([P_phi[M], P_q[M]])
-        mem = np.zeros((k, 2 * len(M), n))
-        kernels = {}  # FFT length -> spectrum of w_0..w_(length-1)
+        history = GLHistory((k, 2 * len(M)), n)
         M_rows, dq_M, dphi_M = _run(M), dq[:, M], dphi[:, M]
     NL = system.nonlinear
     linear = not len(NL)
@@ -435,8 +411,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         c[:, S] = -dt * running[:, 1:]
         c[:, OC] += weight[:, :, None] * targets[:, lo:hi]
         if has_mem:
-            # sum_{j<m} w_(m-j) x_j = far part (j < m0) + near part (m0 <= j < m)
-            far = _far_history(mem[:, :, :m0], block, kernels) if m0 else np.zeros((k, 2 * len(M), block))
+            far = history.far(m0, block)
         if linear:
             c_step = np.moveaxis(c, 2, 0)[..., None]  # c_step[m - lo] is c_m, a view of c
         else:
@@ -448,7 +423,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         for m in range(lo, hi):
             j = m - lo
             if has_mem:
-                near = mem[:, :, m0:m] @ w_rev[n - 1 - m + m0 : n - 1]
+                near = history.near(m0, m)
             if linear:
                 if has_mem:
                     hist = far[:, :, m - m0] + near
@@ -509,7 +484,7 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                 z, dz1, dz2 = z_prev + dz, dz, dz1
             buf[:, :, m - m0 + 1] = z[:, :, 0]
             if has_mem:
-                mem[:, :, m] = (P_mem @ z)[:, :, 0]
+                history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
         if linear:
             # every step's residual in the block, at the increment dz = -K r it
             # solved for: the difference of the stored z would carry their

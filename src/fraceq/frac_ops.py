@@ -7,9 +7,9 @@ input only.  All operators use the Grunwald-Letnikov (GL) convolution scheme
 on a uniform grid.  Caputo variants subtract the initial value first, which
 makes GL and Caputo coincide for orders below one.  Right-sided operators are
 evaluated by time reversal around the midpoint of the grid.  Every
-convolution sum (the GL sums and the product-integration weights of
-`rl_integral_left`) is evaluated by zero-padded FFT, O(N log N) in the number
-of samples.
+convolution sum (the GL sums, the product-integration weights of
+`rl_integral_left` and the far part of `GLHistory`, the simulator's memristor
+history of samples stored one step at a time) is evaluated by zero-padded FFT.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import GridTooSmallError, InvalidOrderError, ParameterError
 __all__ = [
     "SampleGrid",
     "gl_weights",
+    "GLHistory",
     "caputo_left",
     "caputo_right",
     "rl_derivative_left",
@@ -104,6 +105,39 @@ def _causal_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[..., :n].copy()
+
+
+class GLHistory:
+    """Half-order GL history sum_{j<m} w_(m-j) x_j of samples stored one step at a time.
+
+    `samples` holds x, shape + (n,); step m writes x_m to samples[..., m].
+    The sum splits exactly into a far part (j < m0), one FFT per block of
+    steps from m0, and a near part (m0 <= j < m) summed per step (Hairer,
+    Lubich and Schlichte 1985).  Both read only samples before m0 and m.
+    """
+
+    def __init__(self, shape: tuple, n: int):
+        self.samples = np.zeros((*shape, n))
+        self._w = gl_weights(0.5, n - 1)
+        self._spectra = {}  # FFT length -> spectrum of w_0..w_(length-1)
+
+    def far(self, m0: int, count: int) -> np.ndarray:
+        """sum_{j<m0} w_(m-j) x_j for m in [m0, m0 + count); zeros when m0 is 0.
+
+        One circular convolution of length L > m0 + count: every lag m - j
+        lies in [1, L), so no term wraps around.
+        """
+        if not m0:
+            return np.zeros((*self.samples.shape[:-1], count))
+        size = 1 << (m0 + count).bit_length()
+        if size not in self._spectra:
+            self._spectra[size] = np.fft.rfft(gl_weights(0.5, size - 1))
+        full = np.fft.irfft(np.fft.rfft(self.samples[..., :m0], size) * self._spectra[size], size)
+        return full[..., m0 : m0 + count]
+
+    def near(self, m0: int, m: int) -> np.ndarray:
+        """sum_{m0<=j<m} w_(m-j) x_j."""
+        return self.samples[..., m0:m] @ self._w[m - m0 : 0 : -1]
 
 
 def caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:

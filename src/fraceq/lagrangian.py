@@ -10,7 +10,6 @@ derivative and therefore never participates in forward simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,17 +80,6 @@ def half_energies(circuit: Circuit, traj: Trajectory, branches) -> np.ndarray:
     return np.trapezoid(psi**2, dx=traj.grid.dt, axis=-1)
 
 
-@dataclass(frozen=True)
-class LagrangianValue:
-    """Total Lagrangian with its disjoint parts breakdown; total = sum."""
-
-    parts: dict
-
-    @property
-    def total(self) -> complex:
-        return complex(sum(self.parts.values()))
-
-
 def element_term(element: Element, x: BranchQuantities, beta: float = 0.0) -> np.ndarray:
     """Lagrangian contribution of one element, sample by sample.
 
@@ -145,16 +133,16 @@ def lagrangian_series(circuit: Circuit, traj: Trajectory) -> dict:
     return lagrangian_parts(circuit, branch_quantities(circuit, traj), traj.beta)
 
 
-def action_breakdown(circuit: Circuit, traj: Trajectory) -> LagrangianValue:
-    """Trapezoidal time integral of each Lagrangian part, at traj.beta."""
+def action_breakdown(circuit: Circuit, traj: Trajectory) -> dict:
+    """Trapezoidal time integral of each Lagrangian part, at traj.beta: part -> complex."""
     series = lagrangian_series(circuit, traj)
     dt = traj.grid.dt
-    return LagrangianValue({k: complex(np.trapezoid(v, dx=dt)) for k, v in series.items()})
+    return {k: complex(np.trapezoid(v, dx=dt)) for k, v in series.items()}
 
 
 def action(circuit: Circuit, traj: Trajectory) -> complex:
-    """Trapezoidal time integral of the total Lagrangian along a trajectory."""
-    return action_breakdown(circuit, traj).total
+    """Trapezoidal time integral of the total Lagrangian along a trajectory: the sum of its parts."""
+    return complex(sum(action_breakdown(circuit, traj).values()))
 
 
 def action_beta_partial(circuit: Circuit, traj: Trajectory) -> float:

@@ -565,12 +565,13 @@ class TestCsvFormat:
         argv = ["simulate", str(p), "--beta", repr(beta), "--t-end", "0.5", "--out", str(tmp_path / "traj.csv")]
         assert main(argv + ["--dump-action"]) == 0
         ckt = parse_netlist(net)
-        bd = action_breakdown(ckt, run(net, beta=beta, t_end=0.5))
+        parts = action_breakdown(ckt, run(net, beta=beta, t_end=0.5))
+        total = complex(sum(parts.values()))
         # the formatter the action rows had before: one "%" per row
         lines = ["quantity,real,imag"]
-        for key in sorted(bd.parts):
-            lines.append(f"action_{key},%.17g,%.17g" % (bd.parts[key].real, bd.parts[key].imag))
-        lines.append("action_total,%.17g,%.17g" % (bd.total.real, bd.total.imag))
+        for key in sorted(parts):
+            lines.append(f"action_{key},%.17g,%.17g" % (parts[key].real, parts[key].imag))
+        lines.append("action_total,%.17g,%.17g" % (total.real, total.imag))
         written = (tmp_path / "traj_action.csv").read_text().splitlines()
         assert written[: len(lines)] == lines
 
@@ -586,10 +587,32 @@ class TestCsvFormat:
         res = el_residual(parse_netlist(net), run(net, t_end=0.5))
         assert res
         for name, values in res.items():
+            # the maxima are over the inner 80% of the span: samples 50..450 of 0..500
             real, imag = written[f"el_residual_max_{name}"]
-            assert float(real) == np.abs(values[1:-1].real).max() > 0
-            assert float(imag) == np.abs(values[1:-1].imag).max()
+            assert float(real) == np.abs(values[50:451].real).max() > 0
+            assert float(imag) == np.abs(values[50:451].imag).max()
             assert (imag == "0") == (net == LC_NET)
+
+    def test_el_residual_rows_leave_out_the_endpoint_layer(self, tmp_path):
+        # over the inner 80% of the span, rc's dissipative residual does not
+        # move with dt, and lc's lossless one halves with each halving of dt;
+        # over every interior sample both would grow at t = b as dt shrinks
+        def c1_row(net, dt):
+            p = tmp_path / "net.net"
+            p.write_text(net)
+            argv = ["simulate", str(p), "--dt", dt, "--t-end", "5", "--dump-action", "--out", str(tmp_path / "traj.csv")]
+            assert main(argv) == 0
+            rows = [line.split(",") for line in (tmp_path / "traj_action.csv").read_text().splitlines()]
+            return next(complex(float(real), float(imag)) for name, real, imag in rows if name == "el_residual_max_c1")
+
+        dts = ("2e-3", "1e-3", "5e-4", "2.5e-4")
+        rc = [c1_row(RC_NET, dt) for dt in dts]
+        for part in ("real", "imag"):
+            values = [getattr(row, part) for row in rc]
+            assert max(values) <= 1.01 * min(values), (part, values)
+        lc = [c1_row(LC_NET, dt).real for dt in dts]
+        ratios = [coarse / fine for coarse, fine in zip(lc, lc[1:])]
+        assert all(1.9 <= ratio <= 2.1 for ratio in ratios), ratios
 
     @pytest.mark.parametrize("net", [RC_NET, LC_NET, LINNET, TANH_M])
     def test_topology_matches_per_row_formatter(self, tmp_path, net):

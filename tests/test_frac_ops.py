@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraceq import frac_ops
 from fraceq.errors import GridTooSmallError, InvalidOrderError, ParameterError
 from fraceq.frac_ops import (
+    GLHistory,
     SampleGrid,
     caputo_left,
     caputo_right,
@@ -372,3 +373,37 @@ class TestFftAgainstDirect:
         samples = np.unique(np.concatenate([np.arange(0, n, 173), [n - 2, n - 1]]))
         direct = np.array([np.dot(w[m::-1], convolved[: m + 1]) for m in samples]) * dt**-0.5
         assert np.max(np.abs(fast[samples] - direct)) <= gl_bound(convolved, 0.5, dt)
+
+
+@st.composite
+def history_cases(draw):
+    """Rows, a block of count steps from m0, with m0 + count at or next to a
+    power of two (where the far part's FFT length doubles), and n."""
+    count = draw(st.sampled_from([1, 4, 5, 512]))
+    end = 2 ** draw(st.integers(0, 12)) + draw(st.sampled_from([-1, 0, 1]))
+    assume(end >= count)
+    # the grid may end inside the block, as the step loop's last block does
+    n = end - count + draw(st.integers(1, count + 2))
+    rows = draw(st.integers(1, 3))
+    return rows, end - count, count, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGLHistory:
+    @given(history_cases())
+    @example((2, 0, 4, 6, 0))  # the first block, whose far part is zero
+    @example((1, 0, 5, 3, 1))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_far_and_near_parts_are_the_whole_grid_convolution(self, case):
+        rows, m0, count, n, seed = case
+        x = np.random.default_rng(seed).standard_normal((rows, n))
+        whole = frac_ops._causal_convolve(x, gl_weights(0.5, n - 1))
+        history = GLHistory((rows,), n)
+        # a sample not yet stepped is NaN, so a read of the future shows
+        history.samples[:] = np.nan
+        history.samples[:, :m0] = x[:, :m0]
+        far = history.far(m0, count)
+        assert far.shape == (rows, count)
+        for m in range(m0, min(m0 + count, n)):
+            stepped = far[:, m - m0] + history.near(m0, m) + x[:, m]  # w_0 = 1
+            assert np.max(np.abs(stepped - whole[:, m])) <= 1e-12 * np.max(np.abs(x))
+            history.samples[:, m] = x[:, m]

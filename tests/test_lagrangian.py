@@ -161,8 +161,8 @@ class TestAction:
     def test_breakdown_parts_integrate_to_total(self):
         ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=1e-3)
-        bd = action_breakdown(ckt, traj)
-        assert bd.total == pytest.approx(sum(bd.parts.values()))
+        parts = action_breakdown(ckt, traj)
+        assert action(ckt, traj) == pytest.approx(sum(parts.values()))
 
 
 class TestActionBetaPartial:
@@ -190,7 +190,7 @@ class TestActionBetaPartial:
         # a parsed circuit carries no beta: the output term is the run's own
         ckt = parse_netlist(LINNET)
         nudged = run(LINNET, beta=0.3)
-        output = action_breakdown(ckt, nudged).parts["output"]
+        output = action_breakdown(ckt, nudged)["output"]
         assert output.imag == 0.0
         assert output.real == pytest.approx(nudged.beta * action_beta_partial(ckt, nudged), rel=1e-9)
 

@@ -39,7 +39,7 @@ def assert_same_bits(circuit, traj):
         assert series[k].dtype == ref_series[k].dtype, k
         assert series[k].tobytes() == ref_series[k].tobytes(), k
     ref_parts = lagrangian_reference.action_breakdown(circuit, traj).parts
-    parts = action_breakdown(circuit, traj).parts
+    parts = action_breakdown(circuit, traj)
     for k in PART_KEYS:
         assert np.complex128(parts[k]).tobytes() == np.complex128(ref_parts[k]).tobytes(), k
 
