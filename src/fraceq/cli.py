@@ -13,7 +13,9 @@ manifest.  Exit codes: 0 success, 2 input or configuration error, 3
 numerical or simulation failure.  Every command runs under
 np.errstate(all="ignore"), so no numpy warning reaches stderr; `simulate`
 checks every cell of its tables before it writes the first file, and a cell
-that is not finite exits 3 naming the file, row and column.
+that is not finite exits 3 naming the file, row and column.  A fractional
+operator that turns finite input non-finite exits 3 naming the operator
+and sample (2 in frac-bench, naming the signal CSV and time).
 A gradcheck whose estimate misses criterion 8's gate (every sign matching
 and cosine at least GRADCHECK_MIN_COSINE) writes its CSVs and exits 3.
 Diagnostics go to stderr; stdout carries only result summaries.
@@ -33,7 +35,7 @@ from . import __version__
 from .circuit import parse_netlist, parse_waveform, serialize
 from .dynamics import DriveSet, SimConfig, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
-from .errors import FraceqError, NetlistError, NewtonDivergenceError, ParameterError
+from .errors import FraceqError, NetlistError, NewtonDivergenceError, NonFiniteResultError, ParameterError
 from .frac_ops import (
     SampleGrid,
     caputo_left,
@@ -444,11 +446,12 @@ def cmd_fracbench(args) -> int:
         return _run_self_test()
     if args.signal is None:
         raise ValueError("frac-bench needs a signal CSV (or --self-test)")
-    grid, values = _read_signal_csv(args.signal)
-    result = _OPS[args.op](values, grid.dt, args.alpha)
-    if not np.isfinite(result).all():
-        t = grid.times()[np.argmin(np.isfinite(result))]
-        raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}")
+    grid, values = _read_signal_csv(args.signal)  # every value finite
+    try:
+        result = _OPS[args.op](values, grid.dt, args.alpha)
+    except NonFiniteResultError as exc:
+        t = grid.times()[exc.sample]
+        raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}") from None
     _write_csv(args.out, ["t", "value"], [grid.times(), result])
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -505,10 +508,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # no numpy warning reaches stderr: Newton treats a NaN residual as
-        # divergence, and simulate and frac-bench refuse a non-finite result
+        # divergence, a fractional operator raises on a non-finite result of
+        # finite input, and simulate refuses a non-finite cell
         with np.errstate(all="ignore"):
             return args.func(args)
-    except NewtonDivergenceError as exc:
+    except (NewtonDivergenceError, NonFiniteResultError) as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ParameterError as exc:

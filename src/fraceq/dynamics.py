@@ -21,8 +21,10 @@ run or block of steps.
 then steps any number of runs that differ in conductances and beta, such as
 the free and nudged phases or the finite-difference perturbations, in one
 loop.  The loop holds one block of steps of every run at a time; over the
-whole grid a run keeps its coordinates, or only its outputs (RunOutputs)
-where, like the finite-difference runs, it is read only through its loss.
+whole grid a run keeps only the record its member names: every coordinate
+(Trajectory, for `simulate`), the tree fluxes (TreeFluxRun, all the
+estimator's free and nudged runs read) or the outputs alone (RunOutputs,
+the finite-difference runs, read only through their loss).
 `simulate` is a batch of one.  A Trajectory holds arrays and knows no file
 format; `cli` writes its CSV.
 """
@@ -76,8 +78,8 @@ class DriveSet:
 class RunOutputs:
     """Output/target pairs of a run: all its loss J reads.
 
-    An output-only batch member returns this alone; it keeps no coordinates,
-    so reading them raises AttributeError.
+    A member whose record is RunOutputs returns this alone; it keeps no
+    coordinates, so reading them raises AttributeError.
     """
 
     grid: SampleGrid
@@ -88,17 +90,15 @@ class RunOutputs:
 
 
 @dataclass(frozen=True)
-class Trajectory(RunOutputs):
-    """Simulated coordinate signals plus output/target pairs.
+class TreeFluxRun(RunOutputs):
+    """Outputs plus the tree-branch flux coordinates: all the estimator reads.
 
-    Flux coordinates carry (phi, v, psi); charge coordinates carry (q, i, r).
-    Branch quantities are reconstructed through the topology's coordinate
-    maps (`lagrangian.branch_quantities`).
+    Flux coordinates carry (phi, v, psi).  Reading loop charges raises
+    AttributeError.
     """
 
     topology: Topology
     tree_flux: np.ndarray  # |tree| x N
-    loop_charge: np.ndarray  # |links| x N
     _halves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -106,30 +106,39 @@ class Trajectory(RunOutputs):
         return _backward_diff(self.tree_flux, self.grid.dt)
 
     @property
-    def loop_current(self) -> np.ndarray:
-        return _backward_diff(self.loop_charge, self.grid.dt)
-
-    @property
     def tree_half_velocity(self) -> np.ndarray:
         """Psi per flux coordinate: left Caputo half-derivative of the flux."""
         return self._half("psi", self.tree_flux)
 
-    @property
-    def loop_half_charge_rate(self) -> np.ndarray:
-        """r per charge coordinate: left Caputo half-derivative of the charge."""
-        return self._half("r", self.loop_charge)
-
     def _half(self, key, rows) -> np.ndarray:
-        """Half-derivative rows, computed on the first read and kept (read-only).
-
-        All rows go through one `caputo_left` call.
-        """
+        """Half-derivative rows, computed on the first read and kept (read-only)."""
         if key not in self._halves:
             if len(rows):
                 rows = caputo_left(rows, self.grid.dt, 0.5)
                 rows.flags.writeable = False
             self._halves[key] = rows
         return self._halves[key]
+
+
+@dataclass(frozen=True)
+class Trajectory(TreeFluxRun):
+    """Simulated coordinate signals plus output/target pairs.
+
+    Charge coordinates carry (q, i, r).  Branch quantities are
+    reconstructed through the topology's coordinate maps
+    (`lagrangian.branch_quantities`).
+    """
+
+    loop_charge: np.ndarray  # |links| x N
+
+    @property
+    def loop_current(self) -> np.ndarray:
+        return _backward_diff(self.loop_charge, self.grid.dt)
+
+    @property
+    def loop_half_charge_rate(self) -> np.ndarray:
+        """r per charge coordinate: left Caputo half-derivative of the charge."""
+        return self._half("r", self.loop_charge)
 
 
 def _backward_diff(x: np.ndarray, dt: float) -> np.ndarray:
@@ -209,18 +218,18 @@ class Member(NamedTuple):
     label: Optional[str]  # names the run in a NewtonDivergenceError
     beta: float
     g: np.ndarray  # per-branch conductances, as StepSystem.g
-    outputs_only: bool = False  # return RunOutputs, keeping no coordinates
+    record: type = Trajectory  # what the run returns: RunOutputs, TreeFluxRun or Trajectory
 
 
 def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members) -> list:
-    """Advance every member over the grid in one step loop; one Trajectory each,
-    or RunOutputs for an output-only member.
+    """Advance every member over the grid in one step loop; one record each,
+    of the type its member names.
 
     Members share the topology and the drive and differ in conductances and
-    beta.  A member marked outputs_only returns RunOutputs (grid, beta,
-    outputs and targets, all `trajectory_loss` reads) and keeps no
-    coordinates; it steps exactly as a full member does, so its outputs are
-    bitwise those of the same member stepped in full.  Initial conditions
+    beta.  A RunOutputs member keeps its grid, beta, outputs and targets (all
+    `trajectory_loss` reads), a TreeFluxRun member its tree fluxes too, and
+    a Trajectory member every coordinate; each steps exactly as a full
+    member does, so what it keeps is bitwise the same.  Initial conditions
     are zero fluxes and charges at t = a, matching the lower terminal of
     every Caputo operator.  With beta = 0 the output capacitors carry
     exactly zero current, so targets cannot influence the free phase.
@@ -234,8 +243,8 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     is the affine recurrence z_m = T z_(m-1) + u_m with T = I - K D and
     u_m = -K c_m, K = J^-1 s built once per member (J the Jacobian of Fs, s
     the row scaling).  The c_m of a block of HISTORY_BLOCK steps are built
-    together, and after the block one array pass checks every step of every
-    member.  A circuit with a nonlinear law runs Newton with a convergence
+    together, the block's steps run in a loop of their own, and after the
+    block one array pass checks every step of every member.  A circuit with a nonlinear law runs Newton with a convergence
     mask per member.  Each step starts from dz = dz_1 + (dz_1 - dz_2), the
     last two solved increments (zero before the first step).  A pass
     evaluates G = W dz + b, W = [J_lin; P_nl / x_div] built once per run and
@@ -258,10 +267,10 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     HISTORY_BLOCK + 1 columns, whose first column keeps the step before the
     block.  The source drives and their running integral are built per
     block, the integral's sum carried from one block to the next.  After a
-    block, the full members copy their coordinates out and every member's
-    output voltages for the block are formed.  Over the whole grid a batch
-    holds the full members' coordinates, every member's outputs, the
-    targets and, with memristors, every member's memristor history.
+    block, the members copy out the coordinates they keep and every
+    member's output voltages for the block are formed.  Over the whole grid
+    a batch holds those coordinates, every member's outputs, the targets
+    and, with memristors, every member's memristor history.
 
     Every beta must be finite and non-negative (ParameterError "beta").
     Conductances are not checked: a NaN one fails as a divergence.
@@ -393,9 +402,11 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     # step m of the block from m0 goes to column m - m0 + 1 of buf; column 0
     # holds the step before the block, which the linear check reads
     buf = np.zeros((k, nc, block + 1))
-    kept = np.flatnonzero([not mb.outputs_only for mb in members])
-    Z = np.zeros((len(kept), nc, n))  # coordinates of the members that keep them
-    kept = _run(kept)
+    # tree fluxes of the members that keep them, and loop charges of the full ones
+    trees = np.flatnonzero([issubclass(mb.record, TreeFluxRun) for mb in members])
+    loops = np.flatnonzero([issubclass(mb.record, Trajectory) for mb in members])
+    tree_flux, loop_charge = np.zeros((len(trees), nt, n)), np.zeros((len(loops), nc - nt, n))
+    trees, loops = _run(trees), _run(loops)
     P_out = P_phi[OC]
     outputs = np.zeros((k, len(OC), n))
     for m0 in range(0, n, block):
@@ -413,26 +424,40 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         if has_mem:
             far = history.far(m0, block)
         if linear:
-            c_step = np.moveaxis(c, 2, 0)[..., None]  # c_step[m - lo] is c_m, a view of c
+            steps = []
+            # c_m is a view of c, so the memristor rows written here reach it
+            for m, c_m in zip(range(lo, hi), np.moveaxis(c, 2, 0)[..., None]):
+                if has_mem:
+                    hist = far[:, :, m - m0] + history.near(m0, m)
+                    h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
+                    c[:, M_rows, m - lo] = dq_M * h_q + dphi_M * h_phi
+                z = z - K @ (D @ z + c_m)
+                steps.append(z)
+                if has_mem:
+                    history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
+            buf[:, :, lo - m0 + 1 : width + 1] = np.concatenate(steps, axis=2)
+            # every step's residual in the block, at the increment dz = -K r it
+            # solved for: the difference of the stored z would carry their
+            # rounding into a C row's residual divided by dt^2
+            r = D @ buf[:, :, lo - m0 : hi - m0] + c
+            res = np.abs(row_scale * (r - A @ (K @ r))).max(axis=1)
+            failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
+            if failed.any():
+                j = int(np.argmax(failed.any(axis=0)))
+                i = int(np.argmax(failed[:, j]))
+                failure = "step residual check failed"
+                raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label, failure)
         else:
             # b_m - Wb z_(m-1) - H (near history) for each step of the block
             b_block = np.concatenate([row_scale * c, np.zeros((k, rows_x - nb, hi - lo))], axis=1)
             if has_mem:
                 b_block += H @ far[:, :, lo - m0 : hi - m0]
             b_step = np.moveaxis(b_block, 2, 0)[..., None]
-        for m in range(lo, hi):
-            j = m - lo
-            if has_mem:
-                near = history.near(m0, m)
-            if linear:
+            for m, b_m in zip(range(lo, hi), b_step):
                 if has_mem:
-                    hist = far[:, :, m - m0] + near
-                    h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
-                    c[:, M_rows, j] = dq_M * h_q + dphi_M * h_phi
-                z = z - K @ (D @ z + c_step[j])
-            else:
+                    near = history.near(m0, m)
                 z_prev = z
-                b = Wb @ z_prev + b_step[j]
+                b = Wb @ z_prev + b_m
                 if has_mem:
                     b += (near @ HT)[:, :, None]
                 # second-order start from the last two increments
@@ -482,22 +507,11 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
                     i = int(np.argmax(~(res <= NEWTON_TOL)))
                     raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
                 z, dz1, dz2 = z_prev + dz, dz, dz1
-            buf[:, :, m - m0 + 1] = z[:, :, 0]
-            if has_mem:
-                history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
-        if linear:
-            # every step's residual in the block, at the increment dz = -K r it
-            # solved for: the difference of the stored z would carry their
-            # rounding into a C row's residual divided by dt^2
-            r = D @ buf[:, :, lo - m0 : hi - m0] + c
-            res = np.abs(row_scale * (r - A @ (K @ r))).max(axis=1)
-            failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
-            if failed.any():
-                j = int(np.argmax(failed.any(axis=0)))
-                i = int(np.argmax(failed[:, j]))
-                failure = "step residual check failed"
-                raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label, failure)
-        Z[:, :, m0:hi] = buf[kept, :, 1 : width + 1]
+                buf[:, :, m - m0 + 1] = z[:, :, 0]
+                if has_mem:
+                    history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
+        tree_flux[:, :, m0:hi] = buf[trees, :nt, 1 : width + 1]
+        loop_charge[:, :, m0:hi] = buf[loops, nt:, 1 : width + 1]
         # the output voltages v_m = (phi_m - phi_(m-1)) / dt of the block.  A
         # one-column product goes through numpy's dot, which rounds apart from
         # the matrix product of a whole grid, so a last block of one step
@@ -508,17 +522,17 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         buf[:, :, 0] = buf[:, :, width]
 
     output_names = tuple(elements[b].name for b in OC)
-    for shared_by_members in (Z, outputs, targets):
+    for shared_by_members in (tree_flux, loop_charge, outputs, targets):
         shared_by_members.flags.writeable = False
     runs = []
-    coordinates = iter(Z)
+    tree_rows, loop_rows = iter(tree_flux), iter(loop_charge)
     for i, mb in enumerate(members):
         run = dict(grid=grid, beta=float(mb.beta), output_names=output_names, outputs=outputs[i], targets=targets)
-        if mb.outputs_only:
-            runs.append(RunOutputs(**run))
-        else:
-            z_i = next(coordinates)
-            runs.append(Trajectory(**run, topology=system.topology, tree_flux=z_i[:nt], loop_charge=z_i[nt:]))
+        if issubclass(mb.record, TreeFluxRun):
+            run.update(topology=system.topology, tree_flux=next(tree_rows))
+        if issubclass(mb.record, Trajectory):
+            run.update(loop_charge=next(loop_rows))
+        runs.append(mb.record(**run))
     return runs
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .dynamics import DriveSet, Member, SimConfig, StepSystem, Trajectory, compile, simulate_batch, trajectory_loss
+from .dynamics import (DriveSet, Member, RunOutputs, SimConfig, StepSystem, TreeFluxRun, compile,
+                       simulate_batch, trajectory_loss)
 from .errors import FraceqError, ParameterError
 from .lagrangian import half_energies
 
@@ -106,15 +107,17 @@ def estimate_gradient(system: StepSystem, g: np.ndarray, drive: DriveSet, beta: 
     """Two-trajectory gradient estimate for every trainable synapse, with
     per-branch conductances `g` (as `StepSystem.g`).
 
-    The free and nudged runs step together as one batch of two.  Only the
-    structure of `system.circuit` is read, not its conductances.
+    The free and nudged runs step together as one batch of two and keep
+    only their tree fluxes.  Only the structure of `system.circuit` is read,
+    not its conductances.
     """
     _check_nudge(beta)
-    free, nudged = simulate_batch(system, drive, cfg, [Member("free", 0.0, g), Member("nudged", beta, g)])
+    members = [Member("free", 0.0, g, TreeFluxRun), Member("nudged", beta, g, TreeFluxRun)]
+    free, nudged = simulate_batch(system, drive, cfg, members)
     return estimate_from(system.circuit, free, nudged)
 
 
-def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory) -> GradientEstimate:
+def estimate_from(circuit: Circuit, free: TreeFluxRun, nudged: TreeFluxRun) -> GradientEstimate:
     """The gradient estimate of a free run (beta = 0) and a nudged run (beta > 0) of `circuit`.
 
     Only structure is read from `circuit`: synapse indices, names and the
@@ -136,7 +139,7 @@ def estimate_from(circuit: Circuit, free: Trajectory, nudged: Trajectory) -> Gra
 def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
     """The oracle's runs at beta = 0: per trainable synapse, in synapse
     order, its conductance in `g` moved by +eps, then by -eps.  Only their
-    loss is read, so they are output-only members.
+    loss is read, so they return RunOutputs.
 
     eps is checked here, against the synapse conductances in `g` too, so a
     bad eps fails before any run is stepped.
@@ -153,7 +156,7 @@ def fd_members(circuit: Circuit, eps: float, g: np.ndarray) -> list:
         for sign, tag in ((1, "+"), (-1, "-")):
             perturbed = g.copy()
             perturbed[l] += sign * eps
-            members.append(Member(f"fd {name}{tag}", 0.0, perturbed, outputs_only=True))
+            members.append(Member(f"fd {name}{tag}", 0.0, perturbed, RunOutputs))
     return members
 
 
@@ -166,11 +169,12 @@ def fd_differences(runs, eps: float) -> tuple:
 def estimates_and_oracle(circuit: Circuit, drive: DriveSet, nudges, eps: float, cfg: SimConfig) -> tuple:
     """(one GradientEstimate per nudge, the FD oracle), from one batch.
 
-    `nudges` holds (label, beta) pairs.  The batch is the free run, one
-    nudged run per pair, then the runs of `fd_members`; every beta and eps
-    is checked before it steps.  Each estimate contrasts its nudged run with
-    the one free run and is bitwise what `estimate_gradient` returns; the
-    oracle is bitwise what the runs of `fd_members` give stepped alone.
+    `nudges` holds (label, beta) pairs.  The batch is the free run and one
+    nudged run per pair, which keep only their tree fluxes, then the runs of
+    `fd_members`; every beta and eps is checked before it steps.  Each
+    estimate contrasts its nudged run with the one free run and is bitwise
+    what `estimate_gradient` returns; the oracle is bitwise what the runs of
+    `fd_members` give stepped alone.
     """
     for _, beta in nudges:
         _check_nudge(beta)
@@ -178,7 +182,7 @@ def estimates_and_oracle(circuit: Circuit, drive: DriveSet, nudges, eps: float, 
     system = compile(circuit)
     g = system.g
     oracle_members = fd_members(circuit, eps, g)
-    members = [Member("free", 0.0, g)] + [Member(label, beta, g) for label, beta in nudges] + oracle_members
+    members = [Member(label, beta, g, TreeFluxRun) for label, beta in [("free", 0.0), *nudges]] + oracle_members
     free, *runs = simulate_batch(system, drive, cfg, members)
     estimates = [estimate_from(circuit, free, nudged) for nudged in runs[: len(nudges)]]
     return estimates, fd_differences(runs[len(nudges) :], eps)

@@ -67,5 +67,14 @@ class NewtonDivergenceError(FraceqError, RuntimeError):
         super().__init__(f"{failure} at t={t:.6g}{tag}, residual={residual:.3e}")
 
 
+class NonFiniteResultError(FraceqError, ArithmeticError):
+    """A fractional operator turned finite input non-finite; `operator` and `sample`, its first bad one, locate it."""
+
+    def __init__(self, operator, sample):
+        self.operator = operator
+        self.sample = sample
+        super().__init__(f"{operator} gives a non-finite result from finite input, first at sample {sample}")
+
+
 class MissingOutputError(FraceqError, ValueError):
     """Operation requires at least one output capacitor."""

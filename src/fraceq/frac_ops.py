@@ -9,17 +9,21 @@ makes GL and Caputo coincide for orders below one.  Right-sided operators are
 evaluated by time reversal around the midpoint of the grid.  Every
 convolution sum (the GL sums, the product-integration weights of
 `rl_integral_left` and the far part of `GLHistory`, the simulator's memristor
-history of samples stored one step at a time) is evaluated by zero-padded FFT.
+history of samples stored one step at a time) is evaluated by zero-padded
+FFT, one row at a time, so only one row's padded buffers exist at once; GL
+weight spectra come from one cache, `_gl_spectrum`.  An operator whose
+finite input gives a non-finite result raises NonFiniteResultError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, InvalidOrderError, ParameterError
+from .errors import GridTooSmallError, InvalidOrderError, NonFiniteResultError, ParameterError
 
 __all__ = [
     "SampleGrid",
@@ -93,33 +97,45 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((k - 1 - alpha) / k)))
 
 
-def _causal_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _gl_spectrum(alpha: float, count: int, size: int) -> np.ndarray:
+    """rfft of the GL weights w_0..w_(count-1) zero-padded to FFT length size (cached, read-only)."""
+    spectrum = np.fft.rfft(gl_weights(alpha, count - 1), size)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _causal_convolve(x: np.ndarray, w=None, order=None) -> np.ndarray:
     """y_m = sum_{j<=m} w_(m-j) x_j for m < n, by FFT along the last axis.
 
-    n is the length of x's last axis; each row of a 2-D x is convolved on
-    its own.  w has at least n entries (the rest is not read).  Zero padding
-    to a power of two at least 2n - 1 long keeps the circular convolution
-    from wrapping; the result is a compact copy, so no caller keeps the
-    padded buffer alive.
+    n is the length of x's last axis; each row of x is convolved on its own.
+    The weights are w, with at least n entries (the rest is not read), or
+    the GL weights of `order`.  Zero padding to a power of two at least
+    2n - 1 long keeps the circular convolution from wrapping.
     """
     n = x.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w[:n], size), size)[..., :n].copy()
+    w_hat = _gl_spectrum(order, n, size) if w is None else np.fft.rfft(w[:n], size)
+    y = np.empty(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # the operators check their results
+        for row in np.ndindex(x.shape[:-1]):
+            y[row] = np.fft.irfft(np.fft.rfft(x[row], size) * w_hat, size)[:n]
+    return y
 
 
 class GLHistory:
     """Half-order GL history sum_{j<m} w_(m-j) x_j of samples stored one step at a time.
 
     `samples` holds x, shape + (n,); step m writes x_m to samples[..., m].
-    The sum splits exactly into a far part (j < m0), one FFT per block of
-    steps from m0, and a near part (m0 <= j < m) summed per step (Hairer,
-    Lubich and Schlichte 1985).  Both read only samples before m0 and m.
+    The sum splits exactly into a far part (j < m0), one FFT per row and
+    block of steps from m0, and a near part (m0 <= j < m) summed per step
+    (Hairer, Lubich and Schlichte 1985).  Both read only samples before m0
+    and m.
     """
 
     def __init__(self, shape: tuple, n: int):
         self.samples = np.zeros((*shape, n))
         self._w = gl_weights(0.5, n - 1)
-        self._spectra = {}  # FFT length -> spectrum of w_0..w_(length-1)
 
     def far(self, m0: int, count: int) -> np.ndarray:
         """sum_{j<m0} w_(m-j) x_j for m in [m0, m0 + count); zeros when m0 is 0.
@@ -127,17 +143,25 @@ class GLHistory:
         One circular convolution of length L > m0 + count: every lag m - j
         lies in [1, L), so no term wraps around.
         """
-        if not m0:
-            return np.zeros((*self.samples.shape[:-1], count))
-        size = 1 << (m0 + count).bit_length()
-        if size not in self._spectra:
-            self._spectra[size] = np.fft.rfft(gl_weights(0.5, size - 1))
-        full = np.fft.irfft(np.fft.rfft(self.samples[..., :m0], size) * self._spectra[size], size)
-        return full[..., m0 : m0 + count]
+        far = np.zeros((*self.samples.shape[:-1], count))
+        if m0:
+            size = 1 << (m0 + count).bit_length()
+            w_hat = _gl_spectrum(0.5, size, size)
+            for row in np.ndindex(far.shape[:-1]):
+                far[row] = np.fft.irfft(np.fft.rfft(self.samples[row][:m0], size) * w_hat, size)[m0 : m0 + count]
+        return far
 
     def near(self, m0: int, m: int) -> np.ndarray:
         """sum_{m0<=j<m} w_(m-j) x_j."""
         return self.samples[..., m0:m] @ self._w[m - m0 : 0 : -1]
+
+
+def _finite(op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y, unless x is finite and y is not: then NonFiniteResultError names op and y's first bad sample."""
+    bad = ~np.isfinite(y)
+    if bad.any() and np.isfinite(x).all():
+        raise NonFiniteResultError(op, int(np.argmax(bad.reshape(-1, y.shape[-1]).any(axis=0))))
+    return y
 
 
 def caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
@@ -146,9 +170,7 @@ def caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     GL convolution of x - x(a); the initial-value subtraction makes the GL
     result coincide with the Caputo derivative for orders below one.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
-    return rl_derivative_left(x - x[..., :1], dt, alpha)
+    return _finite("caputo_left", x, _caputo_left(x, dt, alpha))
 
 
 def caputo_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
@@ -156,14 +178,18 @@ def caputo_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
 
     Subtracts x(b) so the weights see a terminal value of zero.
     """
-    return caputo_left(x[..., ::-1], dt, alpha)[..., ::-1]
+    return _finite("caputo_right", x, _caputo_left(x[..., ::-1], dt, alpha)[..., ::-1])
+
+
+def _caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
+    return _rl_left(x - x[..., :1], dt, alpha)
 
 
 def rl_derivative_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     """Left Riemann-Liouville derivative via plain GL (no subtraction)."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
-    return _causal_convolve(x, gl_weights(alpha, x.shape[-1] - 1)) * dt ** (-alpha)
+    return _finite("rl_derivative_left", x, _rl_left(x, dt, alpha))
 
 
 def rl_derivative_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
@@ -174,7 +200,15 @@ def rl_derivative_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     the final sample is reported as computed from the one-sided stencil, not
     clamped.
     """
-    return rl_derivative_left(x[..., ::-1], dt, alpha)[..., ::-1]
+    return _finite("rl_derivative_right", x, _rl_left(x[..., ::-1], dt, alpha)[..., ::-1])
+
+
+def _rl_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
+    y = _causal_convolve(x, order=alpha)
+    y *= dt ** (-alpha)
+    return y
 
 
 def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
@@ -208,4 +242,4 @@ def rl_integral_left(x: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     # convolution attributes weight a_m to x[0]; the correct weight is c_m
     out = scale * (conv + (c - a) * x[0])
     out[0] = 0.0
-    return out
+    return _finite("rl_integral_left", x, out)

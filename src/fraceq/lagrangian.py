@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Element
-from .dynamics import Trajectory, trajectory_loss
+from .dynamics import Trajectory, TreeFluxRun, trajectory_loss
 from .frac_ops import rl_derivative_right
 
 PART_KEYS = ("inductive", "capacitive", "memristive", "synaptic", "output", "source")
@@ -63,12 +63,12 @@ def branch_quantities(circuit: Circuit, traj: Trajectory) -> BranchQuantities:
     )
 
 
-def _check_circuit(circuit: Circuit, traj: Trajectory) -> None:
+def _check_circuit(circuit: Circuit, traj: TreeFluxRun) -> None:
     if traj.topology.names != tuple(e.name for e in circuit.elements):
         raise ValueError("trajectory was produced for a different circuit")
 
 
-def half_energies(circuit: Circuit, traj: Trajectory, branches) -> np.ndarray:
+def half_energies(circuit: Circuit, traj: TreeFluxRun, branches) -> np.ndarray:
     """Integral of the squared flux half-derivative psi of each listed branch.
 
     psi comes from the trajectory's tree half-velocities through the flux

@@ -27,12 +27,13 @@ from fraceq.dynamics import (
     RunOutputs,
     SimConfig,
     Trajectory,
+    TreeFluxRun,
     compile,
     simulate,
     simulate_batch,
     trajectory_loss,
 )
-from fraceq.eqprop import TrainConfig, estimates_and_oracle, fd_differences, fd_members, train
+from fraceq.eqprop import TrainConfig, estimate_from, estimates_and_oracle, fd_differences, fd_members, train
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, ValidationError
 from fraceq.frac_ops import SampleGrid
 
@@ -322,9 +323,10 @@ OC oc1 out 0 cap=1.0 w=const(0.4)
 """
 
 
-def assert_outputs_only_match_full(circuit, config):
-    """Output-only members beside full ones give bitwise the outputs and loss
-    of the same members stepped in full, or fail where they fail.
+def assert_kept_records_match_full(circuit, config, record=RunOutputs):
+    """Members that return `record` beside full ones give bitwise the outputs
+    and loss of the same members stepped in full, or fail where they fail;
+    tree-flux members give the same tree fluxes and gradient estimates too.
 
     A full member's outputs are also bitwise the backward difference of its
     output flux taken over the whole grid at once: forming them a block of
@@ -337,64 +339,111 @@ def assert_outputs_only_match_full(circuit, config):
     g = system.g
     batch = [
         Member("free", 0.0, g),
-        Member("nudged", 1e-2, g, outputs_only=True),
-        Member("scaled", 0.0, 1.5 * g, outputs_only=True),
+        Member("nudged", 1e-2, g, record),
+        Member("scaled", 0.0, 1.5 * g, record),
         Member("nudged in full", 1e-2, g),
+        Member("free kept", 0.0, g, record),
     ]
     try:
-        in_full = simulate_batch(system, DriveSet(), config, [mb._replace(outputs_only=False) for mb in batch])
+        in_full = simulate_batch(system, DriveSet(), config, [mb._replace(record=Trajectory) for mb in batch])
     except NewtonDivergenceError as exc:
         with pytest.raises(NewtonDivergenceError) as got:
             simulate_batch(system, DriveSet(), config, batch)
         assert str(got.value) == str(exc)
         return
     out_flux = system.P_phi[system.rows["OC"]]
-    for mb, got, want in zip(batch, simulate_batch(system, DriveSet(), config, batch), in_full):
+    runs = simulate_batch(system, DriveSet(), config, batch)
+    for mb, got, want in zip(batch, runs, in_full):
+        assert type(got) is mb.record
         assert np.array_equal(got.outputs, want.outputs) and np.array_equal(got.targets, want.targets)
         if len(got.outputs):
             assert trajectory_loss(got) == trajectory_loss(want)
-        if mb.outputs_only:
-            assert type(got) is RunOutputs
+        if mb.record is RunOutputs:
             continue
-        assert np.array_equal(got.tree_flux, want.tree_flux) and np.array_equal(got.loop_charge, want.loop_charge)
+        assert np.array_equal(got.tree_flux, want.tree_flux)
+        assert np.array_equal(got.tree_half_velocity, want.tree_half_velocity)
+        if mb.record is TreeFluxRun:
+            continue
+        assert np.array_equal(got.loop_charge, want.loop_charge)
         coordinates = np.concatenate([got.tree_flux, got.loop_charge])
         assert np.array_equal(got.outputs, dynamics._backward_diff(out_flux @ coordinates, config.grid.dt))
+    if record is TreeFluxRun:
+        assert _estimate_or_error(circuit, runs[4], runs[1]) == _estimate_or_error(circuit, in_full[4], in_full[1])
 
 
-@pytest.mark.parametrize(
-    "samples",
-    [100, dynamics.HISTORY_BLOCK, dynamics.HISTORY_BLOCK + 1, 4 * dynamics.HISTORY_BLOCK + 3],
-    ids=["short", "one-block", "one-block-and-a-step", "several-blocks"],
-)
-@pytest.mark.parametrize(
+def _estimate_or_error(circuit, free, nudged):
+    try:
+        return estimate_from(circuit, free, nudged)
+    except ValueError as exc:  # no synapse, or no output cap of one value
+        return str(exc)
+
+
+NAMED_NETS = pytest.mark.parametrize(
     "net",
     [LINNET, TANHNET, LATE_NONLINEAR, MEMNET, OC_LINK],
     ids=["linnet", "tanhnet", "late-nonlinear", "memnet", "oc-link"],
 )
+SAMPLES = pytest.mark.parametrize(
+    "samples",
+    [100, dynamics.HISTORY_BLOCK, dynamics.HISTORY_BLOCK + 1, 4 * dynamics.HISTORY_BLOCK + 3],
+    ids=["short", "one-block", "one-block-and-a-step", "several-blocks"],
+)
+
+
+@SAMPLES
+@NAMED_NETS
 def test_outputs_only_members_match_full_members(net, samples):
-    assert_outputs_only_match_full(parse_netlist(net), SimConfig(SampleGrid(0.0, 2e-3, samples)))
+    assert_kept_records_match_full(parse_netlist(net), SimConfig(SampleGrid(0.0, 2e-3, samples)))
+
+
+@SAMPLES
+@NAMED_NETS
+def test_tree_flux_members_match_full_members(net, samples):
+    assert_kept_records_match_full(parse_netlist(net), SimConfig(SampleGrid(0.0, 2e-3, samples)), TreeFluxRun)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(circuit=random_circuits())
 def test_generated_outputs_only_members_match_full_members(circuit):
-    assert_outputs_only_match_full(circuit, cfg(dt=1e-2, t_end=0.5))
+    assert_kept_records_match_full(circuit, cfg(dt=1e-2, t_end=0.5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=random_circuits())
+def test_generated_tree_flux_members_match_full_members(circuit):
+    assert_kept_records_match_full(circuit, cfg(dt=1e-2, t_end=0.5), TreeFluxRun)
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(circuit=random_circuits(memristors=1))
 def test_generated_long_outputs_only_members_match_full_members(circuit):
-    assert_outputs_only_match_full(circuit, long_cfg(dt=1e-2))
+    assert_kept_records_match_full(circuit, long_cfg(dt=1e-2))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=random_circuits(memristors=1))
+def test_generated_long_tree_flux_members_match_full_members(circuit):
+    assert_kept_records_match_full(circuit, long_cfg(dt=1e-2), TreeFluxRun)
 
 
 def test_outputs_only_member_keeps_no_coordinates():
     system = compile(parse_netlist(LINNET))
-    (run,) = simulate_batch(system, DriveSet(), cfg(), [Member("fd", 0.0, system.g, outputs_only=True)])
+    (run,) = simulate_batch(system, DriveSet(), cfg(), [Member("fd", 0.0, system.g, RunOutputs)])
     assert not isinstance(run, Trajectory)
     for name in ("topology", "tree_flux", "loop_charge", "tree_voltage", "tree_half_velocity"):
         with pytest.raises(AttributeError):
             getattr(run, name)
     assert trajectory_loss(run) > 0
+
+
+def test_tree_flux_member_keeps_no_loop_charges():
+    system = compile(parse_netlist(LC))
+    (run,) = simulate_batch(system, DriveSet(), cfg(), [Member("free", 0.0, system.g, TreeFluxRun)])
+    assert not isinstance(run, Trajectory) and len(system.topology.links)
+    assert run.tree_flux.shape == (len(system.topology.tree), cfg().grid.n)
+    for name in ("loop_charge", "loop_current", "loop_half_charge_rate"):
+        with pytest.raises(AttributeError):
+            getattr(run, name)
 
 
 @pytest.mark.parametrize("net", [LINNET, TANHNET], ids=["linnet", "tanhnet"])
@@ -404,8 +453,8 @@ def test_oracle_is_bitwise_what_full_members_give(net):
     _, oracle = estimates_and_oracle(circuit, DriveSet(), [("nudged", 1e-3)], 1e-4, config)
     system = compile(circuit)
     members = fd_members(circuit, 1e-4, system.g)
-    assert all(mb.outputs_only for mb in members)
-    in_full = simulate_batch(system, DriveSet(), config, [mb._replace(outputs_only=False) for mb in members])
+    assert all(mb.record is RunOutputs for mb in members)
+    in_full = simulate_batch(system, DriveSet(), config, [mb._replace(record=Trajectory) for mb in members])
     assert all(isinstance(run, Trajectory) for run in in_full)
     assert oracle == fd_differences(in_full, 1e-4)
 

@@ -144,6 +144,15 @@ class TestSimulate:
         assert err == [f"simulation failure: {tmp_path / 's_action.csv'}: row action_inductive, column real is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["sine.net"]
 
+    def test_overflowing_half_rate_names_the_operator(self, tmp_path, capsys):
+        # the flux reaches 1e306: finite, but its half-derivative's FFT overflows
+        p = tmp_path / "big.net"
+        p.write_text("I isrc 0 1 w=step(1,0)\nR r1 1 0 g=1e-306\n")
+        assert main(["simulate", str(p), "--out", str(tmp_path / "big.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["simulation failure: caputo_left gives a non-finite result from finite input, first at sample 0"]
+        assert sorted(os.listdir(tmp_path)) == ["big.net"]
+
     def test_non_finite_trajectory_names_column_and_time(self, rc_net, tmp_path, capsys, monkeypatch):
         # a trajectory cell is refused as an action row is, before any file is written
         table = cli._trajectory_table

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraceq import frac_ops
-from fraceq.errors import GridTooSmallError, InvalidOrderError, ParameterError
+from fraceq.errors import GridTooSmallError, InvalidOrderError, NonFiniteResultError, ParameterError
 from fraceq.frac_ops import (
     GLHistory,
     SampleGrid,
@@ -248,6 +248,40 @@ class TestRowsAlongLastAxis:
             assert np.array_equal(got, op(row, 1e-3, alpha))
 
 
+class TestNonFiniteResults:
+    def test_overflow_of_finite_input_is_located(self):
+        # the FFT product overflows; the result's sample 0 is defined as 0
+        with pytest.raises(NonFiniteResultError) as got:
+            rl_integral_left(np.full(1000, 1e300), 1e-3, 2)
+        assert (got.value.operator, got.value.sample) == ("rl_integral_left", 1)
+
+    @pytest.mark.parametrize("op", [caputo_left, caputo_right, rl_derivative_left, rl_derivative_right])
+    def test_each_operator_names_itself(self, op):
+        rows = np.zeros((2, 3000))
+        rows[1, 1:] = 1e306
+        with pytest.raises(NonFiniteResultError, match=f"^{op.__name__} gives") as got:
+            op(rows, 1e-3, 0.5)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(frac_ops, "_finite", lambda name, x, y: y)
+            unchecked = op(rows, 1e-3, 0.5)
+        assert np.isfinite(unchecked[0]).all()  # the other row is unharmed
+        assert got.value.sample == np.argmax(~np.isfinite(unchecked).any(axis=0))
+
+    def test_non_finite_input_passes_through(self):
+        x = np.linspace(0.0, 1.0, 50)
+        x[10] = np.nan
+        assert np.isnan(caputo_left(x, 1e-3, 0.5)[10:]).all()
+
+
+class TestSpectrumCache:
+    @pytest.mark.parametrize("alpha, count, size", [(0.5, 3, 4), (0.5, 1001, 2048), (1.0, 512, 1024), (0.3, 1024, 1024)])
+    def test_cached_spectrum_is_a_fresh_one(self, alpha, count, size):
+        cached = frac_ops._gl_spectrum(alpha, count, size)
+        assert np.array_equal(cached, np.fft.rfft(gl_weights(alpha, count - 1), size))
+        assert frac_ops._gl_spectrum(alpha, count, size) is cached
+        assert not cached.flags.writeable
+
+
 # --- FFT convolution against direct summation --------------------------------
 
 
@@ -284,8 +318,9 @@ class TestHalfEnergyIntegral:
         assert abs(e0) < 1e-12
 
 
-def direct_convolve(x, w):
-    """The reference: first len(x) samples of np.convolve, no FFT."""
+def direct_convolve(x, w=None, order=None):
+    """The reference: first len(x) samples of np.convolve, no FFT, with w or the GL weights of order."""
+    w = gl_weights(order, len(x) - 1) if w is None else w
     return np.convolve(x, w[: len(x)])[: len(x)]
 
 
