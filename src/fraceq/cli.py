@@ -97,18 +97,49 @@ def _write_csv(path, header, columns, labels=None) -> None:
     _atomic_write(path, _csv_chunks(header, columns, labels))
 
 
+class _NonFiniteCell(ArithmeticError):
+    """An output cell that is not finite; the message locates it as
+    "<path>: row <row>, column <column>".  `main` exits 3 on it."""
+
+
+def _check_finite(tables) -> None:
+    """Raise _NonFiniteCell at the first cell of the tables (path, header,
+    columns, labels) that is not finite; a row is named by its label, or
+    else by its first cell.  Callers check every table before writing one."""
+    for path, header, columns, labels in tables:
+        names = header[1:] if labels is not None else header
+        for name, column in zip(names, columns):
+            finite = np.isfinite(column)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                row = labels[i] if labels is not None else f"{header[0]}={columns[0][i]:.17g}"
+                raise _NonFiniteCell(f"{path}: row {row}, column {name}")
+
+
 def _trajectory_table(traj) -> tuple:
     """(header, columns) of a trajectory: t, then (phi, v, psi) per flux
-    coordinate, (q, i, r) per charge coordinate and (v, T) per output."""
+    coordinate, (q, i, r) per charge coordinate and (v, T) per output.
+
+    A half-rate that finite coordinates turn non-finite raises
+    _NonFiniteCell naming its column and time (the caller adds the path).
+    """
     header, columns = ["t"], [traj.grid.times()]
     topo = traj.topology
-    for prefix, names, parts, signals in (
-        ("coord", topo.flux_coord_names, "phi v psi", (traj.tree_flux, traj.tree_voltage, traj.tree_half_velocity)),
-        ("coord", topo.charge_coord_names, "q i r", (traj.loop_charge, traj.loop_current, traj.loop_half_charge_rate)),
-        ("out", traj.output_names, "v T", (traj.outputs, traj.targets)),
+    for prefix, names, parts, fields in (
+        ("coord", topo.flux_coord_names, "phi v psi", ("tree_flux", "tree_voltage", "tree_half_velocity")),
+        ("coord", topo.charge_coord_names, "q i r", ("loop_charge", "loop_current", "loop_half_charge_rate")),
+        ("out", traj.output_names, "v T", ("outputs", "targets")),
     ):
+        parts = parts.split()
+        signals = []
+        for part, field in zip(parts, fields):
+            try:
+                signals.append(getattr(traj, field))
+            except NonFiniteResultError as exc:
+                t = traj.grid.times()[exc.sample]
+                raise _NonFiniteCell(f"row t={t:.17g}, column {prefix}_{names[exc.row]}_{part}") from None
         for name, values in zip(names, zip(*signals)):
-            header += [f"{prefix}_{name}_{part}" for part in parts.split()]
+            header += [f"{prefix}_{name}_{part}" for part in parts]
             columns += values
     return header, columns
 
@@ -242,21 +273,6 @@ def _action_table(circuit, traj, path) -> tuple:
     return path, ["quantity", "real", "imag"], [values.real, values.imag], list(rows)
 
 
-def _non_finite_cell(tables):
-    """Where the first cell that is not finite lies, as "<path>: row <row>,
-    column <column>", or None; a row is named by its label, or else by its
-    first cell."""
-    for path, header, columns, labels in tables:
-        names = header[1:] if labels is not None else header
-        for name, column in zip(names, columns):
-            finite = np.isfinite(column)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                row = labels[i] if labels is not None else f"{header[0]}={columns[0][i]:.17g}"
-                return f"{path}: row {row}, column {name}"
-    return None
-
-
 def cmd_simulate(args) -> int:
     circuit, digest = _read_netlist(args.netlist)
     stem = os.path.splitext(args.out)[0]
@@ -264,15 +280,15 @@ def cmd_simulate(args) -> int:
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(SampleGrid.from_span(0.0, args.t_end, args.dt)))
     # every table is built and checked before the first file is written
     action = [_action_table(circuit, traj, f"{stem}_action.csv")] if args.dump_action else []
-    tables = [(args.out, *_trajectory_table(traj), None)]
+    try:
+        tables = [(args.out, *_trajectory_table(traj), None)]
+    except _NonFiniteCell as exc:
+        raise _NonFiniteCell(f"{args.out}: {exc}") from None
     if args.dump_topology:
         topo = traj.topology
         tables += [(f"{stem}_{label}.csv", topo.names, M.T, None) for label, M in (("Q", topo.Q), ("B", topo.B))]
     tables += action
-    bad = _non_finite_cell(tables)
-    if bad:
-        print(f"simulation failure: {bad} is not finite", file=sys.stderr)
-        return EXIT_NUMERIC
+    _check_finite(tables)
     for table in tables:
         _write_csv(*table)
     _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, [path for path, *_ in tables])
@@ -281,6 +297,14 @@ def cmd_simulate(args) -> int:
 
 
 # --- gradcheck -------------------------------------------------------------
+
+
+def _gradcheck_table(est, oracle) -> tuple:
+    """(header, columns, labels) of the per-synapse estimate against the oracle."""
+    ratios = [value / ref if ref != 0 else math.inf for value, ref in zip(est.values, oracle)]
+    matches = np.sign(est.values) == np.sign(oracle)
+    header = ["synapse", "estimate", "oracle", "ratio", "sign_match", "e_nudged", "e_free"]
+    return header, [est.values, oracle, ratios, matches, *zip(*est.raw_half_energies)], est.synapse_names
 
 
 def cmd_gradcheck(args) -> int:
@@ -296,13 +320,8 @@ def cmd_gradcheck(args) -> int:
     metrics = agreement_metrics(est, oracle)
     metrics_half = agreement_metrics(est_half, oracle)
 
-    ratios = [value / ref if ref != 0 else math.inf for value, ref in zip(est.values, oracle)]
     matches = np.sign(est.values) == np.sign(oracle)
     mismatched = [name for name, match in zip(est.synapse_names, matches) if not match]
-    header = ["synapse", "estimate", "oracle", "ratio", "sign_match", "e_nudged", "e_free"]
-    columns = [est.values, oracle, ratios, matches, *zip(*est.raw_half_energies)]
-    _write_csv(args.out, header, columns, labels=est.synapse_names)
-
     summary = {
         "cosine_similarity": metrics["cosine_similarity"],
         "cosine_similarity_half_beta": metrics_half["cosine_similarity"],
@@ -311,7 +330,13 @@ def cmd_gradcheck(args) -> int:
         "beta": args.beta,
         "dt": args.dt,
     }
-    _write_csv(summary_path, ["metric", "value"], [list(summary.values())], labels=list(summary))
+    tables = [
+        (args.out, *_gradcheck_table(est, oracle)),
+        (summary_path, ["metric", "value"], [list(summary.values())], list(summary)),
+    ]
+    _check_finite(tables)
+    for table in tables:
+        _write_csv(*table)
     _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
@@ -352,13 +377,24 @@ def cmd_train(args) -> int:
         final, log = train(circuit, config)
     except FraceqError as exc:
         if hasattr(exc, "partial_log"):
-            os.makedirs(args.out_dir, exist_ok=True)
             # the exception itself names the epoch and example
-            _write_csv(log_path, *_log_table(exc.partial_log))
-            print(f"partial log flushed to {log_path}", file=sys.stderr)
+            table = (log_path, *_log_table(exc.partial_log), None)
+            try:
+                _check_finite([table])
+            except _NonFiniteCell as bad:
+                print(f"partial log not written: {bad} is not finite", file=sys.stderr)
+            else:
+                os.makedirs(args.out_dir, exist_ok=True)
+                _write_csv(*table)
+                print(f"partial log flushed to {log_path}", file=sys.stderr)
         raise
+    log_table = (log_path, *_log_table(log), None)
+    # trained.net is checked as a table of its synapse conductances
+    synapses = list(log.synapse_names)
+    conductances = [final.element(name).g for name in synapses]
+    _check_finite([log_table, (net_path, ["synapse", "g"], [conductances], synapses)])
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(log_path, *_log_table(log))
+    _write_csv(*log_table)
     _atomic_write(net_path, [serialize(final)])
     manifest_path = os.path.join(args.out_dir, "train.manifest")
     _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
@@ -514,6 +550,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (NewtonDivergenceError, NonFiniteResultError) as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except _NonFiniteCell as exc:
+        print(f"simulation failure: {exc} is not finite", file=sys.stderr)
         return EXIT_NUMERIC
     except ParameterError as exc:
         print(f"error: {_FLAGS.get(exc.name, exc.name)}: {exc}", file=sys.stderr)

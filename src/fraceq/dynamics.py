@@ -6,11 +6,12 @@ constitutive balance equation per branch.  Stepping is first-order implicit
 (backward difference) with full-history GL convolutions for the fractional
 memristors, which `frac_ops.GLHistory` evaluates exactly: a far part by FFT
 once per block of steps and a near part per step.  A circuit whose every
-law is linear steps as one affine recurrence, checked a block of steps at a
-time; Newton iteration runs only for nonlinear constitutive laws.  It starts each step from the second-order
-predictor dz_1 + (dz_1 - dz_2) of the last two increments and corrects with
-an inverse Jacobian kept across steps, rebuilt only when a step's first
-correction fails (the simplified Newton, or chord, iteration of Hairer and
+law is linear takes each step as one stacked product, [z_m; D z_m] from
+[z_(m-1); r_m], checked a block of steps at a time; Newton iteration runs
+only for nonlinear constitutive laws.  It starts each step from the
+second-order predictor dz_1 + (dz_1 - dz_2) of the last two increments and
+corrects with an inverse Jacobian kept across steps, rebuilt only when a
+step's first correction fails (the simplified Newton, or chord, iteration of Hairer and
 Wanner, Solving ODEs II, IV.8): on the shipped memristive net that is 2.1
 passes and 0.055 inversions a step.  Numpy dispatch bounds that loop, so a
 pass is one stacked product that gives the scaled residual and the law
@@ -46,7 +47,7 @@ from .topology import Topology, build_topology
 # every step of every run ends with its row-scaled residual max|Fs| at or below this
 NEWTON_TOL = 1e-9
 # Newton passes per step on a circuit with a nonlinear law; a linear circuit
-# solves each step in one affine update and runs none
+# solves each step in one stacked product and runs none
 NEWTON_MAX_ITERS = 50
 
 
@@ -240,16 +241,21 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     add to c_m the GL history of their fluxes and charges (`frac_ops.GLHistory`).
 
     On a circuit whose laws are all linear, Newton does not run: each step
-    is the affine recurrence z_m = T z_(m-1) + u_m with T = I - K D and
-    u_m = -K c_m, K = J^-1 s built once per member (J the Jacobian of Fs, s
-    the row scaling).  The c_m of a block of HISTORY_BLOCK steps are built
-    together, the block's steps run in a loop of their own, and after the
-    block one array pass checks every step of every member.  A circuit with a nonlinear law runs Newton with a convergence
-    mask per member.  Each step starts from dz = dz_1 + (dz_1 - dz_2), the
-    last two solved increments (zero before the first step).  A pass
-    evaluates G = W dz + b, W = [J_lin; P_nl / x_div] built once per run and
-    b once per step, then the laws' values on G's last |NL| rows.  A
-    correction multiplies by the member's kept inverse Jacobian; a member
+    is the exact pass z_m = z_(m-1) - K r_m on r_m = D z_(m-1) + c_m, with
+    K = J^-1 s built once per member (J the Jacobian of Fs, s the row
+    scaling).  A step is one product and one add: the per-member matrix
+    S = [[I, -K], [D, -D K]] maps v = [z_(m-1); r_m] to [z_m; D z_m], and
+    adding the next forcing column [0; c_(m+1)] gives v for the next step.
+    The forcing columns of a block of HISTORY_BLOCK steps are built
+    together (with memristors, each column's M rows get their history just
+    before it is added), v is rebuilt from the stored z at each block's
+    start, and after the block one array pass checks every step of every
+    member at the increment it solved for.  A circuit with a nonlinear law
+    runs Newton with a convergence mask per member.  Each step starts from
+    dz = dz_1 + (dz_1 - dz_2), the last two solved increments (zero before
+    the first step).  A pass evaluates G = W dz + b, W = [J_lin; P_nl /
+    x_div] built once per run and b once per step, then the laws' values on
+    G's last |NL| rows.  A correction multiplies by the member's kept inverse Jacobian; a member
     refactors (np.linalg.inv) at its current iterate only when it has no
     inverse yet or this step's first correction left it unconverged, so its
     refreshes follow its own residual alone.  The laws' slopes are
@@ -340,8 +346,8 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     # sum carried from block to block (-0.0 adds nothing, not even to -0.0);
     # the output-capacitor part beta C T is added per member and the
     # memristor history per step.
-    S = np.concatenate([rows["V"], rows["I"]])
-    src_sum = np.full((len(S), 1), -0.0)
+    src = np.concatenate([rows["V"], rows["I"]])
+    src_sum = np.full((len(src), 1), -0.0)
 
     # GL half-derivative history of the memristor branch fluxes and charges
     M = rows["M"]
@@ -349,15 +355,20 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     if has_mem:
         P_mem = np.concatenate([P_phi[M], P_q[M]])
         history = GLHistory((k, 2 * len(M)), n)
-        M_rows, dq_M, dphi_M = _run(M), dq[:, M], dphi[:, M]
+        dq_M, dphi_M = dq[:, M], dphi[:, M]
     NL = system.nonlinear
     linear = not len(NL)
     if linear:
-        # z_m = z_(m-1) - K (D z_(m-1) + c_m), one exact Newton pass.  Summing
-        # D z_(m-1) + c_m first keeps the cancellation of the integrated
+        # z_m = z_(m-1) - K r_m with r_m = D z_(m-1) + c_m, one exact Newton
+        # pass.  Forming r as D z + c keeps the cancellation of the integrated
         # source terms exact; forming T z and K c apart loses it (linnet's
-        # outputs drifted by 1.7e-12 relative over 10^4 steps)
+        # outputs drifted by 1.7e-12 relative over 10^4 steps).  So a step
+        # maps v = [z_(m-1); r_m] to [z_m; D z_m] by one product with
+        # S = [[I, -K], [D, -D K]], and the next forcing column [0; c_(m+1)]
+        # completes r_(m+1)
         K = np.linalg.inv(J_lin) * row_scale[:, 0]
+        S = np.block([[np.broadcast_to(np.eye(nc), (k, nc, nc)), -K], [D, -D @ K]])
+        M_rows = _run(nc + M)  # the memristor rows of a forcing column
     else:
         # nonlinear rows: x = (phi + x_off) / x_div is the law's argument, with
         # x_off the last step's flux (none for a C, whose x is its voltage)
@@ -413,29 +424,38 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         lo, hi = max(m0, 1), min(m0 + block, n)
         width = hi - m0
         # c_m of each step in [lo, hi); memristor rows get their history per step
-        level = np.zeros((len(S), hi - lo))
-        for i, b in enumerate(S):
+        level = np.zeros((len(src), hi - lo))
+        for i, b in enumerate(src):
             level[i] = waves[b](times[lo:hi])
         running = np.cumsum(np.concatenate([src_sum, level], axis=1), axis=1)
         src_sum = running[:, -1:]
-        c = np.zeros((k, nb, hi - lo))
-        c[:, S] = -dt * running[:, 1:]
-        c[:, OC] += weight[:, :, None] * targets[:, lo:hi]
+        # the linear loop's forcing columns [0; c_m], one per step (time first);
+        # the nonlinear one reads c alone
+        forcing = np.zeros((hi - lo, k, nc + nb) if linear else (hi - lo, k, nb))
+        c = forcing[:, :, -nb:]
+        c[:, :, src] = -dt * running[:, 1:].T[:, None]
+        c[:, :, OC] += (weight[:, :, None] * targets[:, lo:hi]).transpose(2, 0, 1)
+        c = c.transpose(1, 2, 0)  # members, branches, steps
         if has_mem:
             far = history.far(m0, block)
         if linear:
-            steps = []
-            # c_m is a view of c, so the memristor rows written here reach it
-            for m, c_m in zip(range(lo, hi), np.moveaxis(c, 2, 0)[..., None]):
+            # [z_(lo-1); D z_(lo-1)] from the stored z, then per step one
+            # product (written straight into the block's steps) and one add;
+            # the memristor rows of a forcing column get their history just
+            # before it is added
+            z = buf[:, :, lo - m0 : lo - m0 + 1]
+            zDz = np.concatenate([z, D @ z], axis=1)
+            steps = np.empty((hi - lo, k, nc + nb, 1))
+            for m, f_m, out in zip(range(lo, hi), forcing[..., None], steps):
                 if has_mem:
                     hist = far[:, :, m - m0] + history.near(m0, m)
                     h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
-                    c[:, M_rows, m - lo] = dq_M * h_q + dphi_M * h_phi
-                z = z - K @ (D @ z + c_m)
-                steps.append(z)
+                    f_m[:, M_rows, 0] = dq_M * h_q + dphi_M * h_phi
+                zDz = np.matmul(S, zDz + f_m, out=out)
                 if has_mem:
-                    history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
-            buf[:, :, lo - m0 + 1 : width + 1] = np.concatenate(steps, axis=2)
+                    history.samples[:, :, m] = (P_mem @ zDz[:, :nc])[:, :, 0]
+            buf[:, :, lo - m0 + 1 : width + 1] = steps[:, :, :nc, 0].transpose(1, 2, 0)
+            del steps, zDz, out  # the steps are in buf; no view of them is held through the check
             # every step's residual in the block, at the increment dz = -K r it
             # solved for: the difference of the stored z would carry their
             # rounding into a C row's residual divided by dt^2

@@ -68,11 +68,14 @@ class NewtonDivergenceError(FraceqError, RuntimeError):
 
 
 class NonFiniteResultError(FraceqError, ArithmeticError):
-    """A fractional operator turned finite input non-finite; `operator` and `sample`, its first bad one, locate it."""
+    """A fractional operator turned finite input non-finite; `operator`, `sample`
+    (its first bad one) and `row` (the first bad there, counted over the leading
+    axes flattened) locate it."""
 
-    def __init__(self, operator, sample):
+    def __init__(self, operator, sample, row):
         self.operator = operator
         self.sample = sample
+        self.row = row
         super().__init__(f"{operator} gives a non-finite result from finite input, first at sample {sample}")
 
 

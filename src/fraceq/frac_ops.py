@@ -140,12 +140,12 @@ class GLHistory:
     def far(self, m0: int, count: int) -> np.ndarray:
         """sum_{j<m0} w_(m-j) x_j for m in [m0, m0 + count); zeros when m0 is 0.
 
-        One circular convolution of length L > m0 + count: every lag m - j
-        lies in [1, L), so no term wraps around.
+        One circular convolution of length L >= m0 + count, the least power
+        of two: every lag m - j lies in [1, L), so no term wraps around.
         """
         far = np.zeros((*self.samples.shape[:-1], count))
         if m0:
-            size = 1 << (m0 + count).bit_length()
+            size = 1 << (m0 + count - 1).bit_length()
             w_hat = _gl_spectrum(0.5, size, size)
             for row in np.ndindex(far.shape[:-1]):
                 far[row] = np.fft.irfft(np.fft.rfft(self.samples[row][:m0], size) * w_hat, size)[m0 : m0 + count]
@@ -157,10 +157,13 @@ class GLHistory:
 
 
 def _finite(op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y, unless x is finite and y is not: then NonFiniteResultError names op and y's first bad sample."""
+    """y, unless x is finite and y is not: then NonFiniteResultError names op,
+    y's first bad sample and the first row bad there."""
     bad = ~np.isfinite(y)
     if bad.any() and np.isfinite(x).all():
-        raise NonFiniteResultError(op, int(np.argmax(bad.reshape(-1, y.shape[-1]).any(axis=0))))
+        rows = bad.reshape(-1, y.shape[-1])
+        sample = int(np.argmax(rows.any(axis=0)))
+        raise NonFiniteResultError(op, sample, int(np.argmax(rows[:, sample])))
     return y
 
 

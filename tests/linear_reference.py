@@ -5,8 +5,11 @@ convergence shortcut: it solves every step, even one whose residual at the
 previous coordinates is already below the tolerance.  The residual is built
 element by element from the branch laws, as in `scalar_reference`; on a
 linear circuit it is affine in the new coordinates, so one Newton pass from
-the previous step solves it exactly.  The row-scaled residual of the result
-is then checked against NEWTON_TOL.  It is not used by the package.
+the previous step solves it exactly.  The row-scaled residual at the
+increment solved for, r + J dz with r the residual at the previous step, is
+then checked against NEWTON_TOL: formed from the difference of the stored
+coordinates, it would carry their rounding into a C row divided by dt^2.
+It is not used by the package.
 """
 
 import math
@@ -106,8 +109,10 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
         # GL history sum_{k=1..m} w_k x_(m-k), per branch
         h_phi = phi_hist[:, :m] @ w[m:0:-1]
         h_q = q_hist[:, :m] @ w[m:0:-1]
-        z = z - np.linalg.solve(J, scaled_residual(z, m, h_phi, h_q))
-        res = float(np.max(np.abs(scaled_residual(z, m, h_phi, h_q))))
+        r = scaled_residual(z, m, h_phi, h_q)
+        dz = -np.linalg.solve(J, r)
+        res = float(np.max(np.abs(r + J @ dz)))
+        z = z + dz
         if not res <= NEWTON_TOL:
             raise NewtonDivergenceError(times[m], res)
         Z[:, m] = z

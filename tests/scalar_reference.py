@@ -12,7 +12,10 @@ method: Newton stops at a residual of NEWTON_TOL, which leaves each step
 about 1e-11 (relative) from its converged limit, and where it stops depends
 on where it starts and how it corrects.  With `predictor=False` every step
 starts from the last step's z and runs full Newton, the rule before either
-change.  It is not used by the package.
+change.  The residual is evaluated at the increment dz = z - z_prev being
+solved for, as the package evaluates it: the difference of the stored
+coordinates would carry their rounding into a C row's residual divided by
+dt^2, which at dt 1e-4 exceeds NEWTON_TOL.  It is not used by the package.
 """
 
 import math
@@ -107,7 +110,6 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
 
     phi_hist = np.zeros((nb, n))  # branch fluxes over time
     q_hist = np.zeros((nb, n))  # branch charges over time
-    z = np.zeros(nc)
     Z = np.zeros((nc, n))
 
     cached_solve = None  # the kept inverse Jacobian
@@ -139,19 +141,20 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
         else:
             mem_phi_hist = mem_q_hist = None
 
-        if predictor and nonlinear:
-            z = Z[:, m - 1] + (dz1 + (dz1 - dz2))
+        # the increment over the last step's z
+        dz = dz1 + (dz1 - dz2) if predictor and nonlinear else np.zeros(nc)
         converged = False
         for it in range(NEWTON_MAX_ITERS):
-            phi = P_phi @ z
-            q = P_q @ z
-            v = (phi - phi_prev) / dt
+            phi = phi_prev + P_phi @ dz
+            q = q_prev + P_q @ dz
+            v = (P_phi @ dz) / dt
+            i = (P_q @ dz) / dt
             F = np.zeros(nb)
             dF_dphi = np.zeros(nb)
             dF_dq = np.zeros(nb)
 
             # R: current balance i = g v
-            F[is_R] = (q[is_R] - q_prev[is_R]) / dt - g_vec[is_R] * v[is_R]
+            F[is_R] = i[is_R] - g_vec[is_R] * v[is_R]
             dF_dq[is_R] = 1.0 / dt
             dF_dphi[is_R] = -g_vec[is_R] / dt
             # C: q = qhat(v)
@@ -163,7 +166,7 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
             # L: i = ihat(phi)
             if len(L_idx):
                 y, dy = spec_eval(L_idx, phi[L_idx])
-                F[L_idx] = (q[L_idx] - q_prev[L_idx]) / dt - y
+                F[L_idx] = i[L_idx] - y
                 dF_dq[L_idx] = 1.0 / dt
                 dF_dphi[L_idx] = -dy
             # M: D^(1/2) q = rhat(D^(1/2) phi), GL truncation at this step
@@ -203,12 +206,13 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, pre
                     J = (row_scale * dF_dphi)[:, None] * P_phi + (row_scale * dF_dq)[:, None] * P_q
                     cached_solve = np.linalg.inv(J)
                 step = cached_solve @ Fs
-            z = z - step
+            dz = dz - step
 
         if not converged:
             raise NewtonDivergenceError(t, res)
 
-        dz1, dz2 = z - Z[:, m - 1], dz1
+        z = Z[:, m - 1] + dz
+        dz1, dz2 = dz, dz1
         Z[:, m] = z
         phi_hist[:, m] = P_phi @ z
         q_hist[:, m] = P_q @ z

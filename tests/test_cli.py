@@ -144,13 +144,14 @@ class TestSimulate:
         assert err == [f"simulation failure: {tmp_path / 's_action.csv'}: row action_inductive, column real is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["sine.net"]
 
-    def test_overflowing_half_rate_names_the_operator(self, tmp_path, capsys):
+    def test_overflowing_half_rate_names_its_column_and_time(self, tmp_path, capsys):
         # the flux reaches 1e306: finite, but its half-derivative's FFT overflows
         p = tmp_path / "big.net"
         p.write_text("I isrc 0 1 w=step(1,0)\nR r1 1 0 g=1e-306\n")
-        assert main(["simulate", str(p), "--out", str(tmp_path / "big.csv")]) == 3
+        out = tmp_path / "big.csv"
+        assert main(["simulate", str(p), "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == ["simulation failure: caputo_left gives a non-finite result from finite input, first at sample 0"]
+        assert err == [f"simulation failure: {out}: row t=0, column coord_r1_psi is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["big.net"]
 
     def test_non_finite_trajectory_names_column_and_time(self, rc_net, tmp_path, capsys, monkeypatch):
@@ -318,6 +319,24 @@ class TestGradcheck:
         assert "Newton iteration diverged at t=0.002 (free phase)" in capsys.readouterr().err
         assert not (tmp_path / "gc.manifest").exists()
 
+    def test_non_finite_cell_names_file_row_and_column(self, linnet_path, tmp_path, capsys, monkeypatch):
+        # both CSVs are checked before either is written
+        table = cli._gradcheck_table
+
+        def with_inf(est, oracle):
+            header, columns, labels = table(est, oracle)
+            k = header.index("ratio") - 1  # the label column has no values
+            columns[k] = list(columns[k])
+            columns[k][1] = math.inf
+            return header, columns, labels
+
+        monkeypatch.setattr(cli, "_gradcheck_table", with_inf)
+        out = tmp_path / "gc.csv"
+        assert main(["gradcheck", linnet_path, "--dt", "4e-3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"simulation failure: {out}: row s2, column ratio is not finite"]
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
+
     def test_unequal_output_caps_exit_2(self, tmp_path, capsys):
         net = tmp_path / "two.net"
         net.write_text(LINNET + "R s4 out out2 g=0.5 trainable\nOC oc2 out2 0 cap=5.0 w=const(0.2)\n")
@@ -399,6 +418,63 @@ class TestTrain:
         code, _ = self._run(linnet_path, tmp_path, cfg_text, "runF")
         assert code == 2
         assert "config line 8, col 9: v1: non-finite argument in 'const(inf)'" in capsys.readouterr().err
+
+    def test_non_finite_log_cell_names_file_row_and_column(self, linnet_path, tmp_path, capsys, monkeypatch):
+        table = cli._log_table
+
+        def with_nan(log):
+            header, columns = table(log)
+            columns = columns.copy()
+            columns[header.index("J"), 2] = np.nan  # epoch 1, the first of its two records
+            return header, columns
+
+        monkeypatch.setattr(cli, "_log_table", with_nan)
+        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runI")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"simulation failure: {os.path.join(out_dir, 'train_log.csv')}: row epoch=1, column J is not finite"]
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
+
+    def test_non_finite_conductance_names_the_trained_net(self, linnet_path, tmp_path, capsys, monkeypatch):
+        def nan_s2(circuit, config):
+            trained, log = eqprop.train(circuit, config)
+            return trained.with_conductances({"s2": math.nan}), log
+
+        monkeypatch.setattr(cli, "train", nan_s2)
+        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runG")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"simulation failure: {os.path.join(out_dir, 'trained.net')}: row s2, column g is not finite"]
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
+
+    def test_non_finite_partial_log_is_not_written(self, linnet_path, tmp_path, capsys, monkeypatch):
+        # the third estimate (epoch 1) fails; the two records of epoch 0 hold an inf
+        estimate = eqprop.estimate_gradient
+        calls = []
+
+        def third_fails(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise dynamics.NewtonDivergenceError(0.5, 1.0, "free")
+            return estimate(*args)
+
+        table = cli._log_table
+
+        def with_inf(log):
+            header, columns = table(log)
+            columns = columns.copy()
+            columns[header.index("grad_norm"), 1] = np.inf
+            return header, columns
+
+        monkeypatch.setattr(eqprop, "estimate_gradient", third_fails)
+        monkeypatch.setattr(cli, "_log_table", with_inf)
+        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runP")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        log_path = os.path.join(out_dir, "train_log.csv")
+        assert err[0] == f"partial log not written: {log_path}: row epoch=0, column grad_norm is not finite"
+        assert err[1].startswith("simulation failure: epoch 1, example ")
+        assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
 
     def test_newton_divergence_exit_3_names_phase_and_example(self, tmp_path, capsys, monkeypatch):
         # a linear circuit runs no Newton pass; one pass cannot solve a tanh law
