@@ -102,17 +102,18 @@ class _NonFiniteCell(ArithmeticError):
     "<path>: row <row>, column <column>".  `main` exits 3 on it."""
 
 
-def _check_finite(tables) -> None:
+def _check_finite(tables, keys=1) -> None:
     """Raise _NonFiniteCell at the first cell of the tables (path, header,
     columns, labels) that is not finite; a row is named by its label, or
-    else by its first cell.  Callers check every table before writing one."""
+    else by its first `keys` cells.  Callers check every table before writing one."""
     for path, header, columns, labels in tables:
         names = header[1:] if labels is not None else header
         for name, column in zip(names, columns):
             finite = np.isfinite(column)
             if not finite.all():
                 i = int(np.argmin(finite))
-                row = labels[i] if labels is not None else f"{header[0]}={columns[0][i]:.17g}"
+                cells = zip(header[:keys], columns)
+                row = labels[i] if labels is not None else " ".join(f"{h}={c[i]:.17g}" for h, c in cells)
                 raise _NonFiniteCell(f"{path}: row {row}, column {name}")
 
 
@@ -380,7 +381,7 @@ def cmd_train(args) -> int:
             # the exception itself names the epoch and example
             table = (log_path, *_log_table(exc.partial_log), None)
             try:
-                _check_finite([table])
+                _check_finite([table], keys=2)
             except _NonFiniteCell as bad:
                 print(f"partial log not written: {bad} is not finite", file=sys.stderr)
             else:
@@ -392,7 +393,7 @@ def cmd_train(args) -> int:
     # trained.net is checked as a table of its synapse conductances
     synapses = list(log.synapse_names)
     conductances = [final.element(name).g for name in synapses]
-    _check_finite([log_table, (net_path, ["synapse", "g"], [conductances], synapses)])
+    _check_finite([log_table, (net_path, ["synapse", "g"], [conductances], synapses)], keys=2)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(*log_table)
     _atomic_write(net_path, [serialize(final)])

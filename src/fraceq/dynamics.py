@@ -8,15 +8,12 @@ memristors, which `frac_ops.GLHistory` evaluates exactly: a far part by FFT
 once per block of steps and a near part per step.  A circuit whose every
 law is linear takes each step as one stacked product, [z_m; D z_m] from
 [z_(m-1); r_m], checked a block of steps at a time; Newton iteration runs
-only for nonlinear constitutive laws.  It starts each step from the
-second-order predictor dz_1 + (dz_1 - dz_2) of the last two increments and
-corrects with an inverse Jacobian kept across steps, rebuilt only when a
-step's first correction fails (the simplified Newton, or chord, iteration of Hairer and
-Wanner, Solving ODEs II, IV.8): on the shipped memristive net that is 2.1
-passes and 0.055 inversions a step.  Numpy dispatch bounds that loop, so a
-pass is one stacked product that gives the scaled residual and the law
-arguments together, and all a pass or step keeps fixed is set up once per
-run or block of steps.
+only for nonlinear constitutive laws, from a second-order predictor and
+with an inverse Jacobian kept across steps.  Numpy dispatch bounds the step
+loops, so a pass is one stacked product and all a pass or step keeps fixed
+is set up once per run or block of steps: `_residual` assembles the step
+residual, and `_linear_steps` and `_newton_steps` each set up their kernel
+and return the function that steps one block.
 
 `compile` validates a circuit and builds its topology once; `simulate_batch`
 then steps any number of runs that differ in conductances and beta, such as
@@ -61,7 +58,7 @@ class DriveSet:
     """Overrides for source inputs and output targets, by element name.
 
     Elements not named here fall back to the waveform embedded in the
-    netlist; an element with neither is a validation error.
+    netlist, which `validate` requires of every source and output capacitor.
     """
 
     inputs: dict = field(default_factory=dict)
@@ -69,10 +66,7 @@ class DriveSet:
 
     def waveform_for(self, element: Element) -> Waveform:
         table = self.targets if element.kind == "OC" else self.inputs
-        wf = table.get(element.name, element.waveform)
-        if wf is None:
-            raise ValidationError([f"{element.name}: no waveform in drive set or netlist"])
-        return wf
+        return table.get(element.name, element.waveform)
 
 
 @dataclass(frozen=True)
@@ -235,48 +229,21 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     every Caputo operator.  With beta = 0 the output capacitors carry
     exactly zero current, so targets cannot influence the free phase.
 
-    Each step solves the branch residual F = A dz + D z_prev + c_m = 0 for
-    dz = z - z_prev, per member, to a row-scaled residual max|Fs| <=
-    NEWTON_TOL.  Nonlinear C/L/M rows subtract their law, and memristor rows
-    add to c_m the GL history of their fluxes and charges (`frac_ops.GLHistory`).
-
-    On a circuit whose laws are all linear, Newton does not run: each step
-    is the exact pass z_m = z_(m-1) - K r_m on r_m = D z_(m-1) + c_m, with
-    K = J^-1 s built once per member (J the Jacobian of Fs, s the row
-    scaling).  A step is one product and one add: the per-member matrix
-    S = [[I, -K], [D, -D K]] maps v = [z_(m-1); r_m] to [z_m; D z_m], and
-    adding the next forcing column [0; c_(m+1)] gives v for the next step.
-    The forcing columns of a block of HISTORY_BLOCK steps are built
-    together (with memristors, each column's M rows get their history just
-    before it is added), v is rebuilt from the stored z at each block's
-    start, and after the block one array pass checks every step of every
-    member at the increment it solved for.  A circuit with a nonlinear law
-    runs Newton with a convergence mask per member.  Each step starts from
-    dz = dz_1 + (dz_1 - dz_2), the last two solved increments (zero before
-    the first step).  A pass evaluates G = W dz + b, W = [J_lin; P_nl /
-    x_div] built once per run and b once per step, then the laws' values on
-    G's last |NL| rows.  A correction multiplies by the member's kept inverse Jacobian; a member
-    refactors (np.linalg.inv) at its current iterate only when it has no
-    inverse yet or this step's first correction left it unconverged, so its
-    refreshes follow its own residual alone.  The laws' slopes are
-    evaluated only there, for the refactoring members.  On
-    netlists/memnet.net to t_end 5 that is 4.21 law evaluations (two
-    memristors) and 0.055 inversions a step.  Newton stops at NEWTON_TOL,
-    about 1e-11 (relative) short of the converged step, so the start and
-    the correction are part of the result.  NEWTON_MAX_ITERS bounds the
-    passes, and a singular Jacobian fails the step.  A failed step, or a
-    linear step that fails the check, raises NewtonDivergenceError at the
+    Each step solves the residual of `_residual` for its increment, per
+    member, to a row-scaled residual max|Fs| <= NEWTON_TOL: by one stacked
+    product when every law is linear (`_linear_steps`), by Newton otherwise
+    (`_newton_steps`).  A failed step raises NewtonDivergenceError at the
     earliest failing time, naming the first failing member there.
 
-    Storage follows the blocks of HISTORY_BLOCK steps that the memristor
-    history already uses.  Every member's coordinates go to one buffer of
-    HISTORY_BLOCK + 1 columns, whose first column keeps the step before the
-    block.  The source drives and their running integral are built per
-    block, the integral's sum carried from one block to the next.  After a
-    block, the members copy out the coordinates they keep and every
-    member's output voltages for the block are formed.  Over the whole grid
-    a batch holds those coordinates, every member's outputs, the targets
-    and, with memristors, every member's memristor history.
+    The grid is stepped in blocks of HISTORY_BLOCK steps, the blocks at which
+    the memristor history's far part is refreshed.  Per block, the loop
+    builds the source drives, their running integral (its sum carried from
+    block to block) and each step's forcing c_m; the kernel writes the
+    block's coordinates to one buffer of HISTORY_BLOCK + 1 columns, the
+    first keeping the step before the block; then the members copy out the
+    coordinates they keep, and every member's output voltages are formed.
+    Over the whole grid a batch holds those coordinates, every member's
+    outputs, the targets and, with memristors, every member's history.
 
     Every beta must be finite and non-negative (ParameterError "beta").
     Conductances are not checked: a NaN one fails as a divergence.
@@ -287,54 +254,17 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     bad = ~(np.isfinite(betas) & (betas >= 0))
     if bad.any():
         raise ParameterError("beta", f"beta must be finite and non-negative, got {betas[bad][0]}")
-    g = np.array([mb.g for mb in members], dtype=float)
     k = len(members)
     elements = system.circuit.elements
     rows = system.rows
-    P_phi, P_q = system.P_phi, system.P_q
-    nb, nc = P_phi.shape
+    nb, nc = system.P_phi.shape
     nt = len(system.topology.tree)
     grid = cfg.grid
-    dt = grid.dt
-    n = grid.n
+    dt, n = grid.dt, grid.n
     times = grid.times()
-    sqrt_dt = math.sqrt(dt)
-
-    # row scaling to bring every residual to current-like units
-    row_scale = np.ones((nb, 1))
-    row_scale[np.concatenate([rows["C"], rows["V"], rows["I"], rows["OC"]])] = 1.0 / dt
-    row_scale[rows["M"]] = 1.0 / sqrt_dt
-
-    # F = dphi phi + dq q + dphi_prev phi_prev + dq_prev q_prev + c_m
-    dphi, dq, dphi_prev, dq_prev = (np.zeros((k, nb)) for _ in range(4))
-    R = rows["R"]
-    dq[:, R], dq_prev[:, R] = 1.0 / dt, -1.0 / dt  # R: i = g v
-    dphi[:, R], dphi_prev[:, R] = -g[:, R] / dt, g[:, R] / dt
-    dq[:, rows["C"]] = 1.0  # C: q = qhat(v)
-    dq[:, rows["L"]], dq_prev[:, rows["L"]] = 1.0 / dt, -1.0 / dt  # L: i = ihat(phi)
-    dq[:, rows["M"]] = 1.0 / sqrt_dt  # M: D^(1/2) q = rhat(D^(1/2) phi)
-    for b in set(np.concatenate([rows["C"], rows["L"], rows["M"]])) - set(system.nonlinear):
-        slope = system.laws[b].params[0]
-        if elements[b].kind == "C":
-            dphi[:, b], dphi_prev[:, b] = -slope / dt, slope / dt
-        elif elements[b].kind == "L":
-            dphi[:, b] = -slope
-        else:
-            dphi[:, b] = -slope / sqrt_dt
-    dphi[:, rows["V"]] = 1.0  # V: flux pinned to the integrated source voltage
-    dq[:, rows["I"]] = 1.0  # I: charge pinned to the integrated source current
-    OC = rows["OC"]  # OC: q = beta C (v - T)
+    OC = rows["OC"]
     weight = betas[:, None] * np.array([elements[b].cap_scale for b in OC])
-    dq[:, OC] = 1.0
-    dphi[:, OC], dphi_prev[:, OC] = -weight / dt, weight / dt
-
-    A = dphi[:, :, None] * P_phi + dq[:, :, None] * P_q
-    B = dphi_prev[:, :, None] * P_phi + dq_prev[:, :, None] * P_q
-    # with dz = z - z_prev, F = A dz + D z_prev + c_m.  Where a row differences
-    # a branch quantity, D = A + B cancels exactly, so the residual at dz = 0
-    # is computed as the scalar loop did
-    D = A + B
-    J_lin = row_scale * A  # Jacobian of the scaled residual Fs = row_scale F
+    F = _residual(system, np.array([mb.g for mb in members], dtype=float), weight, dt)
 
     waves = {b: drive.waveform_for(e) for b, e in enumerate(elements) if e.kind in ("V", "I", "OC")}
     targets = np.zeros((len(OC), n))
@@ -348,188 +278,34 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
     # memristor history per step.
     src = np.concatenate([rows["V"], rows["I"]])
     src_sum = np.full((len(src), 1), -0.0)
-
     # GL half-derivative history of the memristor branch fluxes and charges
-    M = rows["M"]
-    has_mem = len(M) > 0
-    if has_mem:
-        P_mem = np.concatenate([P_phi[M], P_q[M]])
-        history = GLHistory((k, 2 * len(M)), n)
-        dq_M, dphi_M = dq[:, M], dphi[:, M]
-    NL = system.nonlinear
-    linear = not len(NL)
-    if linear:
-        # z_m = z_(m-1) - K r_m with r_m = D z_(m-1) + c_m, one exact Newton
-        # pass.  Forming r as D z + c keeps the cancellation of the integrated
-        # source terms exact; forming T z and K c apart loses it (linnet's
-        # outputs drifted by 1.7e-12 relative over 10^4 steps).  So a step
-        # maps v = [z_(m-1); r_m] to [z_m; D z_m] by one product with
-        # S = [[I, -K], [D, -D K]], and the next forcing column [0; c_(m+1)]
-        # completes r_(m+1)
-        K = np.linalg.inv(J_lin) * row_scale[:, 0]
-        S = np.block([[np.broadcast_to(np.eye(nc), (k, nc, nc)), -K], [D, -D @ K]])
-        M_rows = _run(nc + M)  # the memristor rows of a forcing column
-    else:
-        # nonlinear rows: x = (phi + x_off) / x_div is the law's argument, with
-        # x_off the last step's flux (none for a C, whose x is its voltage)
-        # plus, for an M, the flux history
-        nl_kind = np.array([elements[b].kind for b in NL], dtype=str)
-        nl_M = np.flatnonzero(nl_kind == "M")
-        x_div = np.where(nl_kind == "C", dt, np.where(nl_kind == "M", sqrt_dt, 1.0))
-        P_x = P_phi[NL] / x_div[:, None]
-        P_off = np.where((nl_kind == "C")[:, None], 0.0, P_x)
-        rows_x = nb + len(NL)
-        # G = W dz + b stacks the scaled residual Fs of every law taken as
-        # linear and the law arguments x; a pass then subtracts the scaled law
-        # from Fs's nonlinear rows.  Per step b = Wb z_(m-1) + the block's c_m
-        # part + H (memristor history)
-        W = np.concatenate([J_lin, np.broadcast_to(P_x, (k, len(NL), nc))], axis=1)
-        Wb = np.concatenate([row_scale * D, np.broadcast_to(P_off, (k, len(NL), nc))], axis=1)
-        if has_mem:
-            H = np.zeros((rows_x, 2 * len(M)))
-            H[M, np.arange(len(M))] = row_scale[M, 0] * dphi[0, M]
-            H[M, np.arange(len(M)) + len(M)] = row_scale[M, 0] * dq[0, M]
-            H[nb + nl_M, np.searchsorted(M, NL[nl_M])] = 1.0 / sqrt_dt
-            HT = H.T
-        nl_scale = np.tile(row_scale[NL, 0], (k, 1))  # per member: the pass does not broadcast it
-        # one law call per group and Newton pass (compile sorted NL by group)
-        nl_groups = []
-        start = 0
-        for (family, _), group in itertools.groupby(NL, lambda b: _law_group(system.laws[b])):
-            params = np.array([system.laws[b].params for b in group], dtype=float).T[:, None].repeat(k, 1)
-            nl_groups.append((slice(start, start + params.shape[2]), LAW_FAMILIES[family], params))
-            start += params.shape[2]
-        (_, law, params), *several = nl_groups
-        value = law.value
-        y = np.empty((k, len(NL)))  # law values, with several groups
-        NL = _run(NL)
-        J_nl = J_lin[:, NL]  # only the nonlinear rows change between Jacobians
-        # each member's inverse Jacobian, kept across steps
-        J_inv, has_inv, all_inv = np.zeros((k, nc, nc)), np.zeros(k, dtype=bool), False
+    history = GLHistory((k, 2 * len(rows["M"])), n) if len(rows["M"]) else None
 
-    z = np.zeros((k, nc, 1))
-    dz1 = dz2 = z  # the last two solved increments, zero before the first step
     block = HISTORY_BLOCK
     # step m of the block from m0 goes to column m - m0 + 1 of buf; column 0
-    # holds the step before the block, which the linear check reads
+    # holds the step before the block
     buf = np.zeros((k, nc, block + 1))
+    step_block = (_newton_steps if len(system.nonlinear) else _linear_steps)(system, F, members, grid, buf, history)
     # tree fluxes of the members that keep them, and loop charges of the full ones
     trees = np.flatnonzero([issubclass(mb.record, TreeFluxRun) for mb in members])
     loops = np.flatnonzero([issubclass(mb.record, Trajectory) for mb in members])
     tree_flux, loop_charge = np.zeros((len(trees), nt, n)), np.zeros((len(loops), nc - nt, n))
-    trees, loops = _run(trees), _run(loops)
-    P_out = P_phi[OC]
+    P_out = system.P_phi[OC]
     outputs = np.zeros((k, len(OC), n))
     for m0 in range(0, n, block):
         lo, hi = max(m0, 1), min(m0 + block, n)
         width = hi - m0
-        # c_m of each step in [lo, hi); memristor rows get their history per step
         level = np.zeros((len(src), hi - lo))
         for i, b in enumerate(src):
             level[i] = waves[b](times[lo:hi])
         running = np.cumsum(np.concatenate([src_sum, level], axis=1), axis=1)
         src_sum = running[:, -1:]
-        # the linear loop's forcing columns [0; c_m], one per step (time first);
-        # the nonlinear one reads c alone
-        forcing = np.zeros((hi - lo, k, nc + nb) if linear else (hi - lo, k, nb))
-        c = forcing[:, :, -nb:]
+        # c_m of each step in [lo, hi), time first; the kernel adds the
+        # memristor history
+        c = np.zeros((hi - lo, k, nb))
         c[:, :, src] = -dt * running[:, 1:].T[:, None]
         c[:, :, OC] += (weight[:, :, None] * targets[:, lo:hi]).transpose(2, 0, 1)
-        c = c.transpose(1, 2, 0)  # members, branches, steps
-        if has_mem:
-            far = history.far(m0, block)
-        if linear:
-            # [z_(lo-1); D z_(lo-1)] from the stored z, then per step one
-            # product (written straight into the block's steps) and one add;
-            # the memristor rows of a forcing column get their history just
-            # before it is added
-            z = buf[:, :, lo - m0 : lo - m0 + 1]
-            zDz = np.concatenate([z, D @ z], axis=1)
-            steps = np.empty((hi - lo, k, nc + nb, 1))
-            for m, f_m, out in zip(range(lo, hi), forcing[..., None], steps):
-                if has_mem:
-                    hist = far[:, :, m - m0] + history.near(m0, m)
-                    h_phi, h_q = hist[:, : len(M)], hist[:, len(M) :]
-                    f_m[:, M_rows, 0] = dq_M * h_q + dphi_M * h_phi
-                zDz = np.matmul(S, zDz + f_m, out=out)
-                if has_mem:
-                    history.samples[:, :, m] = (P_mem @ zDz[:, :nc])[:, :, 0]
-            buf[:, :, lo - m0 + 1 : width + 1] = steps[:, :, :nc, 0].transpose(1, 2, 0)
-            del steps, zDz, out  # the steps are in buf; no view of them is held through the check
-            # every step's residual in the block, at the increment dz = -K r it
-            # solved for: the difference of the stored z would carry their
-            # rounding into a C row's residual divided by dt^2
-            r = D @ buf[:, :, lo - m0 : hi - m0] + c
-            res = np.abs(row_scale * (r - A @ (K @ r))).max(axis=1)
-            failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
-            if failed.any():
-                j = int(np.argmax(failed.any(axis=0)))
-                i = int(np.argmax(failed[:, j]))
-                failure = "step residual check failed"
-                raise NewtonDivergenceError(times[lo + j], float(res[i, j]), members[i].label, failure)
-        else:
-            # b_m - Wb z_(m-1) - H (near history) for each step of the block
-            b_block = np.concatenate([row_scale * c, np.zeros((k, rows_x - nb, hi - lo))], axis=1)
-            if has_mem:
-                b_block += H @ far[:, :, lo - m0 : hi - m0]
-            b_step = np.moveaxis(b_block, 2, 0)[..., None]
-            for m, b_m in zip(range(lo, hi), b_step):
-                if has_mem:
-                    near = history.near(m0, m)
-                z_prev = z
-                b = Wb @ z_prev + b_m
-                if has_mem:
-                    b += (near @ HT)[:, :, None]
-                # second-order start from the last two increments
-                dz = dz1 + (dz1 - dz2)
-                for it in range(NEWTON_MAX_ITERS):
-                    G = W @ dz + b
-                    Fs = G[:, :nb]
-                    x = G[:, nb:, 0]
-                    if several:
-                        for cols, group_law, group_params in nl_groups:
-                            y[:, cols] = group_law.value(x[:, cols], group_params)
-                    else:  # y straight from the one law call, not copied
-                        y = value(x, params)
-                    Fs[:, NL, 0] -= nl_scale * y
-                    res = np.maximum.reduce(np.abs(Fs), axis=(1, 2))
-                    if np.maximum.reduce(res) <= NEWTON_TOL:  # a NaN residual has not converged
-                        break
-                    # converged members stay put; a NaN one is active
-                    active = ~(res <= NEWTON_TOL) if k > 1 and np.fmin.reduce(res) <= NEWTON_TOL else None
-                    if it or not all_inv:
-                        # a member refactors at this iterate if it has no
-                        # inverse, or if this step's first correction failed
-                        renew = np.full(k, True) if it else ~has_inv
-                        if active is not None:
-                            renew &= active
-                        # the law's slope at this iterate, for those members only
-                        x_renew = x[renew]
-                        dy = np.empty_like(x_renew)
-                        for cols, group_law, group_params in nl_groups:
-                            dy[:, cols] = group_law.slope(x_renew[:, cols], group_params[:, renew])
-                        J = J_lin[renew]
-                        J[:, NL] = J_nl[renew] - (nl_scale[renew] * dy)[:, :, None] * P_x
-                        try:
-                            J_inv[renew] = np.linalg.inv(J)
-                        except np.linalg.LinAlgError as exc:
-                            # a singular Jacobian ends Newton as divergence does,
-                            # naming the first member whose Jacobian it is
-                            i = next(i for i, J_i in zip(np.flatnonzero(renew), J) if _singular(J_i))
-                            raise NewtonDivergenceError(times[m], float(res[i]), members[i].label) from exc
-                        has_inv |= renew
-                        all_inv = has_inv.all()
-                    if active is None:
-                        dz -= J_inv @ Fs
-                    else:
-                        dz[active] -= J_inv[active] @ Fs[active]
-                else:
-                    i = int(np.argmax(~(res <= NEWTON_TOL)))
-                    raise NewtonDivergenceError(times[m], float(res[i]), members[i].label)
-                z, dz1, dz2 = z_prev + dz, dz, dz1
-                buf[:, :, m - m0 + 1] = z[:, :, 0]
-                if has_mem:
-                    history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
+        step_block(m0, lo, hi, c, None if history is None else history.far(m0, block))
         tree_flux[:, :, m0:hi] = buf[trees, :nt, 1 : width + 1]
         loop_charge[:, :, m0:hi] = buf[loops, nt:, 1 : width + 1]
         # the output voltages v_m = (phi_m - phi_(m-1)) / dt of the block.  A
@@ -554,6 +330,231 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
             run.update(loop_charge=next(loop_rows))
         runs.append(mb.record(**run))
     return runs
+
+
+def _residual(system: StepSystem, g: np.ndarray, weight: np.ndarray, dt: float) -> tuple:
+    """(row_scale, dphi, dq, A, D, J) of every member's step residual.
+
+    Per branch row, F = dphi phi + dq q + dphi_prev phi_prev + dq_prev q_prev
+    + c_m, which with dz = z - z_prev is F = A dz + D z_prev + c_m.  g holds
+    each member's conductances and weight its output capacitors' beta C, the
+    weight of their targets in c_m.  A nonlinear C/L/M row has slope 0 here;
+    Newton subtracts its law.  A memristor row adds to c_m the GL history of
+    its flux and charge, weighted by dphi and dq.  row_scale brings every row
+    to current-like units, and J = row_scale A is the Jacobian of the scaled
+    residual Fs = row_scale F.
+    """
+    elements, rows = system.circuit.elements, system.rows
+    P_phi, P_q = system.P_phi, system.P_q
+    k, nb = g.shape
+    sqrt_dt = math.sqrt(dt)
+    row_scale = np.ones((nb, 1))
+    row_scale[np.concatenate([rows["C"], rows["V"], rows["I"], rows["OC"]])] = 1.0 / dt
+    row_scale[rows["M"]] = 1.0 / sqrt_dt
+
+    dphi, dq, dphi_prev, dq_prev = (np.zeros((k, nb)) for _ in range(4))
+    R = rows["R"]
+    dq[:, R], dq_prev[:, R] = 1.0 / dt, -1.0 / dt  # R: i = g v
+    dphi[:, R], dphi_prev[:, R] = -g[:, R] / dt, g[:, R] / dt
+    dq[:, rows["C"]] = 1.0  # C: q = qhat(v)
+    dq[:, rows["L"]], dq_prev[:, rows["L"]] = 1.0 / dt, -1.0 / dt  # L: i = ihat(phi)
+    dq[:, rows["M"]] = 1.0 / sqrt_dt  # M: D^(1/2) q = rhat(D^(1/2) phi)
+    for b in set(np.concatenate([rows["C"], rows["L"], rows["M"]])) - set(system.nonlinear):
+        slope = system.laws[b].params[0]
+        if elements[b].kind == "C":
+            dphi[:, b], dphi_prev[:, b] = -slope / dt, slope / dt
+        elif elements[b].kind == "L":
+            dphi[:, b] = -slope
+        else:
+            dphi[:, b] = -slope / sqrt_dt
+    dphi[:, rows["V"]] = 1.0  # V: flux pinned to the integrated source voltage
+    dq[:, rows["I"]] = 1.0  # I: charge pinned to the integrated source current
+    OC = rows["OC"]  # OC: q = beta C (v - T)
+    dq[:, OC] = 1.0
+    dphi[:, OC], dphi_prev[:, OC] = -weight / dt, weight / dt
+
+    A = dphi[:, :, None] * P_phi + dq[:, :, None] * P_q
+    B = dphi_prev[:, :, None] * P_phi + dq_prev[:, :, None] * P_q
+    # where a row differences a branch quantity, D = A + B cancels exactly,
+    # so the residual at dz = 0 is exact
+    D = A + B
+    return row_scale, dphi, dq, A, D, row_scale * A
+
+
+def _linear_steps(system: StepSystem, F: tuple, members, grid: SampleGrid, buf: np.ndarray, history):
+    """Stacked steps for a circuit whose every law is linear, set up once per
+    run; step(m0, lo, hi, c, far) writes the steps [lo, hi) of block m0 to buf.
+
+    Each step is the exact pass z_m = z_(m-1) - K r_m on r_m = D z_(m-1) +
+    c_m, with K = J^-1 s built once per member (s the row scaling).  Forming
+    r as D z + c keeps the cancellation of the integrated source terms exact;
+    forming T z and K c apart loses it (linnet's outputs drifted by 1.7e-12
+    relative over 10^4 steps).  So a step is one product and one add: the
+    per-member matrix S = [[I, -K], [D, -D K]] maps v = [z_(m-1); r_m] to
+    [z_m; D z_m], and adding the next forcing column [0; c_(m+1)] gives v
+    for the next step.  v is rebuilt from the stored z at each block's
+    start, and with memristors each forcing column's M rows get their
+    history just before it is added.  After the block one array pass checks
+    every step of every member at the increment dz = -K r it solved for:
+    the difference of the stored z would carry their rounding into a C row's
+    residual divided by dt^2.  A step that fails the check raises
+    NewtonDivergenceError.
+    """
+    row_scale, dphi, dq, A, D, J = F
+    k, nb, nc = A.shape
+    M = system.rows["M"]
+    K = np.linalg.inv(J) * row_scale[:, 0]
+    S = np.block([[np.broadcast_to(np.eye(nc), (k, nc, nc)), -K], [D, -D @ K]])
+    P_mem = np.concatenate([system.P_phi[M], system.P_q[M]])
+
+    # the per-step loop reads only locals
+    def step(m0, lo, hi, c, far, S=S, history=history, P_mem=P_mem, M_rows=_run(nc + M), nm=len(M), nc=nc):
+        has_mem, matmul, dq_M, dphi_M = far is not None, np.matmul, dq[:, M], dphi[:, M]
+        # the forcing columns [0; c_m], one per step (time first)
+        forcing = np.concatenate([np.zeros((hi - lo, k, nc)), c], axis=2)
+        z = buf[:, :, lo - m0 : lo - m0 + 1]
+        zDz = np.concatenate([z, D @ z], axis=1)
+        steps = np.empty((hi - lo, k, nc + nb, 1))
+        for m, f_m, out in zip(range(lo, hi), forcing[..., None], steps):
+            if has_mem:
+                hist = far[:, :, m - m0] + history.near(m0, m)
+                f_m[:, M_rows, 0] = dq_M * hist[:, nm:] + dphi_M * hist[:, :nm]
+            zDz = matmul(S, zDz + f_m, out=out)
+            if has_mem:
+                history.samples[:, :, m] = (P_mem @ zDz[:, :nc])[:, :, 0]
+        buf[:, :, lo - m0 + 1 : hi - m0 + 1] = steps[:, :, :nc, 0].transpose(1, 2, 0)
+        steps = zDz = out = None  # the steps are in buf; no view of them is held through the check
+        r = D @ buf[:, :, lo - m0 : hi - m0] + forcing[:, :, nc:].transpose(1, 2, 0)
+        res = np.abs(row_scale * (r - A @ (K @ r))).max(axis=1)
+        failed = ~(res <= NEWTON_TOL)  # a NaN residual has failed
+        if failed.any():
+            j = int(np.argmax(failed.any(axis=0)))
+            i = int(np.argmax(failed[:, j]))
+            t = grid.times()[lo + j]
+            raise NewtonDivergenceError(t, float(res[i, j]), members[i].label, "step residual check failed")
+
+    return step
+
+
+def _newton_steps(system: StepSystem, F: tuple, members, grid: SampleGrid, buf: np.ndarray, history):
+    """Newton steps for a circuit with a nonlinear law, set up once per run;
+    step(m0, lo, hi, c, far) writes the steps [lo, hi) of block m0 to buf.
+
+    A step starts from dz = dz_1 + (dz_1 - dz_2), the last two solved
+    increments, and each member iterates under its own convergence mask.
+    A correction multiplies by the member's kept inverse Jacobian, which it
+    refactors at its current iterate, with its laws' slopes there, only when
+    it has none yet or this step's first correction left it unconverged (the
+    chord iteration of Hairer and Wanner, Solving ODEs II, IV.8).  Newton
+    stops at NEWTON_TOL, about 1e-11 (relative) short of the converged step,
+    so the start and the correction are part of the result.  A step not
+    converged in NEWTON_MAX_ITERS passes, or whose Jacobian is singular,
+    raises NewtonDivergenceError.
+    """
+    row_scale, dphi, dq, _, D, J_lin = F
+    k, nb, nc = J_lin.shape
+    M, NL = system.rows["M"], system.nonlinear
+    sqrt_dt = math.sqrt(grid.dt)
+    # nonlinear rows: x = (phi + x_off) / x_div is the law's argument, with
+    # x_off the last step's flux (none for a C, whose x is its voltage)
+    # plus, for an M, the flux history
+    nl_kind = np.array([system.circuit.elements[b].kind for b in NL], dtype=str)
+    nl_M = np.flatnonzero(nl_kind == "M")
+    x_div = np.where(nl_kind == "C", grid.dt, np.where(nl_kind == "M", sqrt_dt, 1.0))
+    P_x = system.P_phi[NL] / x_div[:, None]
+    P_off = np.where((nl_kind == "C")[:, None], 0.0, P_x)
+    # G = W dz + b stacks the scaled residual Fs of every law taken as linear
+    # and the law arguments x; a pass subtracts the scaled law from Fs's
+    # nonlinear rows.  Per step b = Wb z_(m-1) + c_m part + H (history)
+    W = np.concatenate([J_lin, np.broadcast_to(P_x, (k, len(NL), nc))], axis=1)
+    Wb = np.concatenate([row_scale * D, np.broadcast_to(P_off, (k, len(NL), nc))], axis=1)
+    if history is not None:
+        P_mem = np.concatenate([system.P_phi[M], system.P_q[M]])
+        H = np.zeros((nb + len(NL), 2 * len(M)))
+        H[M, np.arange(len(M))] = row_scale[M, 0] * dphi[0, M]
+        H[M, np.arange(len(M)) + len(M)] = row_scale[M, 0] * dq[0, M]
+        H[nb + nl_M, np.searchsorted(M, NL[nl_M])] = 1.0 / sqrt_dt
+        HT = H.T
+    nl_scale = np.tile(row_scale[NL, 0], (k, 1))  # per member: the pass does not broadcast it
+    # one law call per group and Newton pass (compile sorted NL by group)
+    nl_groups, start = [], 0
+    for (family, _), group in itertools.groupby(NL, lambda b: _law_group(system.laws[b])):
+        params = np.array([system.laws[b].params for b in group], dtype=float).T[:, None].repeat(k, 1)
+        nl_groups.append((slice(start, start + params.shape[2]), LAW_FAMILIES[family], params))
+        start += params.shape[2]
+    (_, law, params), *several = nl_groups
+    value = law.value
+    NL = _run(NL)
+    J_nl = J_lin[:, NL]  # only the nonlinear rows change between Jacobians
+    J_inv, has_inv, all_inv = np.zeros((k, nc, nc)), np.zeros(k, dtype=bool), False  # kept across steps
+    z = dz1 = dz2 = np.zeros((k, nc, 1))  # dz1, dz2: the last two solved increments
+
+    def step(m0, lo, hi, c, far):
+        nonlocal z, dz1, dz2, has_inv, all_inv
+        y = np.empty_like(nl_scale)  # law values, with several groups
+        # b_m - Wb z_(m-1) - H (near history) for each step of the block
+        b_block = np.concatenate([row_scale * c.transpose(1, 2, 0), np.zeros((k, len(P_x), hi - lo))], axis=1)
+        if far is not None:
+            b_block += H @ far[:, :, lo - m0 : hi - m0]
+        b_step = np.moveaxis(b_block, 2, 0)[..., None]
+        for m, b_m in zip(range(lo, hi), b_step):
+            if far is not None:
+                near = history.near(m0, m)
+            z_prev = z
+            b = Wb @ z_prev + b_m
+            if far is not None:
+                b += (near @ HT)[:, :, None]
+            dz = dz1 + (dz1 - dz2)
+            for it in range(NEWTON_MAX_ITERS):
+                G = W @ dz + b
+                Fs = G[:, :nb]
+                x = G[:, nb:, 0]
+                if several:
+                    for cols, group_law, group_params in nl_groups:
+                        y[:, cols] = group_law.value(x[:, cols], group_params)
+                else:  # y straight from the one law call, not copied
+                    y = value(x, params)
+                Fs[:, NL, 0] -= nl_scale * y
+                res = np.maximum.reduce(np.abs(Fs), axis=(1, 2))
+                if np.maximum.reduce(res) <= NEWTON_TOL:  # a NaN residual has not converged
+                    break
+                # converged members stay put; a NaN one is active
+                active = ~(res <= NEWTON_TOL) if k > 1 and np.fmin.reduce(res) <= NEWTON_TOL else None
+                if it or not all_inv:
+                    # a member refactors at this iterate if it has no
+                    # inverse, or if this step's first correction failed
+                    renew = np.full(k, True) if it else ~has_inv
+                    if active is not None:
+                        renew &= active
+                    # the law's slope at this iterate, for those members only
+                    x_renew = x[renew]
+                    dy = np.empty_like(x_renew)
+                    for cols, group_law, group_params in nl_groups:
+                        dy[:, cols] = group_law.slope(x_renew[:, cols], group_params[:, renew])
+                    J = J_lin[renew]
+                    J[:, NL] = J_nl[renew] - (nl_scale[renew] * dy)[:, :, None] * P_x
+                    try:
+                        J_inv[renew] = np.linalg.inv(J)
+                    except np.linalg.LinAlgError as exc:
+                        # a singular Jacobian ends Newton as divergence does,
+                        # naming the first member whose Jacobian it is
+                        i = next(i for i, J_i in zip(np.flatnonzero(renew), J) if _singular(J_i))
+                        raise NewtonDivergenceError(grid.times()[m], float(res[i]), members[i].label) from exc
+                    has_inv |= renew
+                    all_inv = has_inv.all()
+                if active is None:
+                    dz -= J_inv @ Fs
+                else:
+                    dz[active] -= J_inv[active] @ Fs[active]
+            else:
+                i = int(np.argmax(~(res <= NEWTON_TOL)))
+                raise NewtonDivergenceError(grid.times()[m], float(res[i]), members[i].label)
+            z, dz1, dz2 = z_prev + dz, dz, dz1
+            buf[:, :, m - m0 + 1] = z[:, :, 0]
+            if far is not None:
+                history.samples[:, :, m] = (P_mem @ z)[:, :, 0]
+
+    return step
 
 
 def _run(idx: np.ndarray):

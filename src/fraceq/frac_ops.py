@@ -173,7 +173,7 @@ def caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     GL convolution of x - x(a); the initial-value subtraction makes the GL
     result coincide with the Caputo derivative for orders below one.
     """
-    return _finite("caputo_left", x, _caputo_left(x, dt, alpha))
+    return _finite("caputo_left", x, _rl_left("caputo_left", x, dt, alpha, caputo=True))
 
 
 def caputo_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
@@ -181,18 +181,12 @@ def caputo_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
 
     Subtracts x(b) so the weights see a terminal value of zero.
     """
-    return _finite("caputo_right", x, _caputo_left(x[..., ::-1], dt, alpha)[..., ::-1])
-
-
-def _caputo_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidOrderError(f"caputo_left supports orders in (0, 1], got {alpha}")
-    return _rl_left(x - x[..., :1], dt, alpha)
+    return _finite("caputo_right", x, _rl_left("caputo_right", x[..., ::-1], dt, alpha, caputo=True)[..., ::-1])
 
 
 def rl_derivative_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     """Left Riemann-Liouville derivative via plain GL (no subtraction)."""
-    return _finite("rl_derivative_left", x, _rl_left(x, dt, alpha))
+    return _finite("rl_derivative_left", x, _rl_left("rl_derivative_left", x, dt, alpha))
 
 
 def rl_derivative_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
@@ -203,13 +197,14 @@ def rl_derivative_right(x: np.ndarray, dt: float, alpha) -> np.ndarray:
     the final sample is reported as computed from the one-sided stencil, not
     clamped.
     """
-    return _finite("rl_derivative_right", x, _rl_left(x[..., ::-1], dt, alpha)[..., ::-1])
+    return _finite("rl_derivative_right", x, _rl_left("rl_derivative_right", x[..., ::-1], dt, alpha)[..., ::-1])
 
 
-def _rl_left(x: np.ndarray, dt: float, alpha) -> np.ndarray:
+def _rl_left(op: str, x: np.ndarray, dt: float, alpha, caputo: bool = False) -> np.ndarray:
+    """Left RL derivative of x by GL, or of x - x(a) if caputo; an order outside (0, 1] names op."""
     if not 0.0 < alpha <= 1.0:
-        raise InvalidOrderError(f"rl_derivative_left supports orders in (0, 1], got {alpha}")
-    y = _causal_convolve(x, order=alpha)
+        raise InvalidOrderError(f"{op} supports orders in (0, 1], got {alpha}")
+    y = _causal_convolve(x - x[..., :1] if caputo else x, order=alpha)
     y *= dt ** (-alpha)
     return y
 

@@ -326,10 +326,13 @@ def test_long_memristive_nets_match_scalar_reference(net):
     assert_free_nudged_match(parse_netlist(net), long_cfg(dt=1e-3))
 
 
-def test_short_blocks_match_scalar_reference(monkeypatch):
-    # a refresh every 4 steps, with FFT lengths from 16 to 256
-    monkeypatch.setattr(dynamics, "HISTORY_BLOCK", 4)
-    assert_free_nudged_match(parse_netlist(LATE_NONLINEAR), cfg(t_end=0.2))
+@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("net", [LATE_NONLINEAR, LINEAR_M, RC], ids=["newton", "linear_m", "rc"])
+def test_short_blocks_match_scalar_reference(monkeypatch, net, block):
+    # a refresh every 1 or 4 steps, with FFT lengths from 2 to 256; at 1 the
+    # first block, [1, 1), holds no step
+    monkeypatch.setattr(dynamics, "HISTORY_BLOCK", block)
+    assert_free_nudged_match(parse_netlist(net), cfg(t_end=0.2))
 
 
 # --- output-only members -----------------------------------------------------

@@ -432,7 +432,7 @@ class TestTrain:
         code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runI")
         assert code == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"simulation failure: {os.path.join(out_dir, 'train_log.csv')}: row epoch=1, column J is not finite"]
+        assert err == [f"simulation failure: {os.path.join(out_dir, 'train_log.csv')}: row epoch=1 example=0, column J is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
 
     def test_non_finite_conductance_names_the_trained_net(self, linnet_path, tmp_path, capsys, monkeypatch):
@@ -472,7 +472,7 @@ class TestTrain:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         log_path = os.path.join(out_dir, "train_log.csv")
-        assert err[0] == f"partial log not written: {log_path}: row epoch=0, column grad_norm is not finite"
+        assert err[0] == f"partial log not written: {log_path}: row epoch=0 example=1, column grad_norm is not finite"
         assert err[1].startswith("simulation failure: epoch 1, example ")
         assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
 
@@ -937,6 +937,8 @@ class TestInputFiles:
             ("rl-integral", "inf", "integral order must be positive and finite, got inf"),
             ("rl-integral", "nan", "integral order must be positive and finite, got nan"),
             ("caputo-left", "nan", "caputo_left supports orders in (0, 1], got nan"),
+            ("caputo-right", "1.5", "caputo_right supports orders in (0, 1], got 1.5"),
+            ("rl-right", "1.5", "rl_derivative_right supports orders in (0, 1], got 1.5"),
             # Gamma(172) overflows a float
             ("rl-integral", "170", "integral order 170.0 overflows the quadrature weights on 2001 samples of step 0.1"),
             # 2000^151 overflows, so the weights would be inf - inf = nan
