@@ -238,13 +238,6 @@ def parse_waveform(token: str) -> Waveform:
     return Waveform(fam, args)
 
 
-def _parse_spec(token: str) -> ConstitutiveSpec:
-    fam, args = _parse_call(token)
-    if fam not in LAW_FAMILIES:
-        raise ValueError(f"unknown constitutive family {fam!r}")
-    return ConstitutiveSpec(fam, args)
-
-
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit.
 
@@ -330,7 +323,7 @@ def _build_element(kind, name, n_plus, n_minus, kv, trainable, lineno) -> Elemen
             if "f" in kv:
                 val, col = kv.pop("f")
                 try:
-                    e["spec"] = _parse_spec(val)
+                    e["spec"] = ConstitutiveSpec(*_parse_call(val))
                 except ValueError as exc:
                     raise _LineError((lineno, col, f"{name}: {exc}"))
             elif key is not None and key in kv:

@@ -35,7 +35,7 @@ from . import __version__
 from .circuit import parse_netlist, parse_waveform, serialize
 from .dynamics import DriveSet, SimConfig, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
-from .errors import FraceqError, NetlistError, NewtonDivergenceError, NonFiniteResultError, ParameterError
+from .errors import FraceqError, NewtonDivergenceError, NonFiniteResultError, ParameterError
 from .frac_ops import (
     SampleGrid,
     caputo_left,
@@ -173,13 +173,9 @@ def _read_text(path: str) -> tuple:
 
 
 def _read_netlist(path: str):
-    """The parsed circuit and the SHA-256 of the file; a parse error names the path.  `compile` validates it."""
+    """The parsed circuit and the SHA-256 of the file.  `compile` validates it."""
     raw, text = _read_text(path)
-    try:
-        circuit = parse_netlist(text)
-    except NetlistError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return circuit, hashlib.sha256(raw).hexdigest()
+    return parse_netlist(text), hashlib.sha256(raw).hexdigest()
 
 
 def parse_train_config(text: str, circuit) -> TrainConfig:
@@ -558,8 +554,13 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {_FLAGS.get(exc.name, exc.name)}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except FraceqError as exc:
+        # every other package error is the netlist's: it does not parse, or its
+        # circuit fails validation, has no tree, or lacks outputs or synapses
+        print(f"error: {args.netlist}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     # a MemoryError is numpy refusing an array too large to map, such as a grid of 1e15 steps
-    except (FraceqError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -308,13 +308,9 @@ def simulate_batch(system: StepSystem, drive: DriveSet, cfg: SimConfig, members)
         step_block(m0, lo, hi, c, None if history is None else history.far(m0, block))
         tree_flux[:, :, m0:hi] = buf[trees, :nt, 1 : width + 1]
         loop_charge[:, :, m0:hi] = buf[loops, nt:, 1 : width + 1]
-        # the output voltages v_m = (phi_m - phi_(m-1)) / dt of the block.  A
-        # one-column product goes through numpy's dot, which rounds apart from
-        # the matrix product of a whole grid, so a last block of one step
-        # takes the step before it along
-        flux = (P_out @ buf[:, :, min(1, width - 1) : width + 1])[..., -width:]
-        outputs[:, :, m0:hi] = np.diff(flux, prepend=flux_prev if m0 else flux[..., :1]) / dt
-        flux_prev = flux[..., -1:]
+        # the output voltages v_m = (phi_m - phi_(m-1)) / dt of the block,
+        # phi_(m0-1) from column 0 (zero before the first block, like phi_0)
+        outputs[:, :, m0:hi] = np.diff(P_out @ buf[:, :, : width + 1]) / dt
         buf[:, :, 0] = buf[:, :, width]
 
     output_names = tuple(elements[b].name for b in OC)

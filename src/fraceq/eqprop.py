@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Diagnostic
 from .dynamics import (DriveSet, Member, RunOutputs, SimConfig, StepSystem, TreeFluxRun, compile,
                        simulate_batch, trajectory_loss)
-from .errors import FraceqError, ParameterError
+from .errors import FraceqError, ParameterError, ValidationError
 from .lagrangian import half_energies
 
 
@@ -98,7 +98,7 @@ def _synapses(circuit: Circuit) -> tuple:
     output cap, so this checks that the circuit has output caps of one value."""
     idx = circuit.trainables
     if not idx:
-        raise ValueError("circuit has no trainable synapses")
+        raise ValidationError([Diagnostic("no-synapses", "circuit has no trainable synapses")])
     circuit.loss_capacitance  # raises for no output cap or unequal caps
     return idx
 

@@ -116,10 +116,16 @@ def _causal_convolve(x: np.ndarray, w=None, order=None) -> np.ndarray:
     n = x.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
     w_hat = _gl_spectrum(order, n, size) if w is None else np.fft.rfft(w[:n], size)
-    y = np.empty(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # the operators check their results
-        for row in np.ndindex(x.shape[:-1]):
-            y[row] = np.fft.irfft(np.fft.rfft(x[row], size) * w_hat, size)[:n]
+        return _fft_rows(x, w_hat, size, 0, n)
+
+
+def _fft_rows(x: np.ndarray, w_hat: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
+    """Samples [lo, hi) of each row of x circularly convolved, at FFT length
+    size, with the weights whose rfft is w_hat; one row's buffers at a time."""
+    y = np.empty((*x.shape[:-1], hi - lo))
+    for row in np.ndindex(x.shape[:-1]):
+        y[row] = np.fft.irfft(np.fft.rfft(x[row], size) * w_hat, size)[lo:hi]
     return y
 
 
@@ -143,13 +149,10 @@ class GLHistory:
         One circular convolution of length L >= m0 + count, the least power
         of two: every lag m - j lies in [1, L), so no term wraps around.
         """
-        far = np.zeros((*self.samples.shape[:-1], count))
-        if m0:
-            size = 1 << (m0 + count - 1).bit_length()
-            w_hat = _gl_spectrum(0.5, size, size)
-            for row in np.ndindex(far.shape[:-1]):
-                far[row] = np.fft.irfft(np.fft.rfft(self.samples[row][:m0], size) * w_hat, size)[m0 : m0 + count]
-        return far
+        if not m0:
+            return np.zeros((*self.samples.shape[:-1], count))
+        size = 1 << (m0 + count - 1).bit_length()
+        return _fft_rows(self.samples[..., :m0], _gl_spectrum(0.5, size, size), size, m0, m0 + count)
 
     def near(self, m0: int, m: int) -> np.ndarray:
         """sum_{m0<=j<m} w_(m-j) x_j."""

@@ -1,4 +1,4 @@
-"""Complex-valued circuit Lagrangian, action, explicit partials, EL residual.
+"""Complex-valued circuit Lagrangian, its action by part, EL residual.
 
 The Lagrangian is evaluated along trajectories produced by the simulator.
 Inductive/capacitive/output terms are real; memristive and synaptic terms
@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Element
-from .dynamics import Trajectory, TreeFluxRun, trajectory_loss
+from .dynamics import Trajectory, TreeFluxRun
 from .frac_ops import rl_derivative_right
 
 PART_KEYS = ("inductive", "capacitive", "memristive", "synaptic", "output", "source")
@@ -128,43 +128,11 @@ def lagrangian_parts(circuit: Circuit, x: BranchQuantities, beta: float) -> dict
     return parts
 
 
-def lagrangian_series(circuit: Circuit, traj: Trajectory) -> dict:
-    """Per-part Lagrangian time series (complex arrays over the grid), at traj.beta."""
-    return lagrangian_parts(circuit, branch_quantities(circuit, traj), traj.beta)
-
-
 def action_breakdown(circuit: Circuit, traj: Trajectory) -> dict:
-    """Trapezoidal time integral of each Lagrangian part, at traj.beta: part -> complex."""
-    series = lagrangian_series(circuit, traj)
+    """Trapezoidal time integral of each Lagrangian part at traj.beta, part -> complex; the action is their sum."""
+    series = lagrangian_parts(circuit, branch_quantities(circuit, traj), traj.beta)
     dt = traj.grid.dt
     return {k: complex(np.trapezoid(v, dx=dt)) for k, v in series.items()}
-
-
-def action(circuit: Circuit, traj: Trajectory) -> complex:
-    """Trapezoidal time integral of the total Lagrangian along a trajectory: the sum of its parts."""
-    return complex(sum(action_breakdown(circuit, traj).values()))
-
-
-def action_beta_partial(circuit: Circuit, traj: Trajectory) -> float:
-    """Explicit partial of the action in the nudging strength: -C * loss.
-
-    Shares the trajectory_loss code path, so the identity with the loss is
-    exact rather than a quadrature coincidence.
-    """
-    return -circuit.loss_capacitance * trajectory_loss(traj)
-
-
-def action_g_partial(circuit: Circuit, traj: Trajectory, l: int) -> complex:
-    """Explicit partial of the action in synapse conductance l.
-
-    Only the synaptic term depends on g_l explicitly, so the value is the
-    half-derivative energy of the branch flux, j/2-weighted; the trajectory
-    itself is held fixed.
-    """
-    element = circuit.elements[l]
-    if element.kind != "R" or not element.trainable:
-        raise IndexError(f"element {l} ({element.name}) is not a trainable synapse")
-    return 0.5j * float(half_energies(circuit, traj, [l])[0])
 
 
 def _central_diff(x: np.ndarray, dt: float) -> np.ndarray:

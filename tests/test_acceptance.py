@@ -25,7 +25,7 @@ from fraceq.eqprop import (
     train,
 )
 from fraceq.frac_ops import SampleGrid, caputo_left
-from fraceq.lagrangian import action, action_beta_partial, action_g_partial, branch_quantities, el_residual
+from fraceq.lagrangian import action_breakdown, branch_quantities, el_residual, half_energies
 from fraceq.topology import build_topology
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
@@ -158,17 +158,18 @@ def test_criterion_07_explicit_partial_consistency(report):
     beta, eps = 1e-3, 1e-5
     ckt = parse_netlist(LINNET)
     traj = run(LINNET, beta=beta)
-    db = (action(ckt, replace(traj, beta=beta + eps)) - action(ckt, replace(traj, beta=beta - eps))) / (2 * eps)
-    rel_beta = abs(db.real - action_beta_partial(ckt, traj)) / abs(db.real)
+    # the action is the sum of its parts; its explicit partials are -C J in
+    # beta and j/2 times the branch's half-derivative energy in g_l
+    up, dn = (sum(action_breakdown(ckt, replace(traj, beta=b)).values()) for b in (beta + eps, beta - eps))
+    db = (up - dn) / (2 * eps)
+    rel_beta = abs(db.real - -ckt.loss_capacitance * trajectory_loss(traj)) / abs(db.real)
     rel_g = 0.0
     for l in ckt.trainables:
         name = ckt.elements[l].name
         g = ckt.elements[l].g
-        dg = (
-            action(ckt.with_conductances({name: g + eps}), traj)
-            - action(ckt.with_conductances({name: g - eps}), traj)
-        ) / (2 * eps)
-        ref = action_g_partial(ckt, traj, l)
+        up, dn = (sum(action_breakdown(ckt.with_conductances({name: gg}), traj).values()) for gg in (g + eps, g - eps))
+        dg = (up - dn) / (2 * eps)
+        ref = 0.5j * half_energies(ckt, traj, [l])[0]
         rel_g = max(rel_g, abs(dg.imag - ref.imag) / abs(ref.imag))
     ok = rel_beta <= 1e-6 and rel_g <= 1e-6
     report(7, ok, f"beta rel err {rel_beta:.2e}, worst g rel err {rel_g:.2e} (tol 1e-6)", 10.0)

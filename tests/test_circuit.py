@@ -252,11 +252,13 @@ class TestConstitutive:
             yj, dyj = spec(x[:, j])
             assert np.array_equal(y[:, j], yj) and np.array_equal(dy[:, j], dyj)
 
-    def test_antiderivative_consistency(self):
-        spec = ConstitutiveSpec("tanh", (2.0, 1.5))
+    @pytest.mark.parametrize("family, params", [("tanh", (2.0, 1.5)), ("poly", (0.0, 1.0, 0.0, 0.1))])
+    def test_antiderivative_consistency(self, family, params):
+        spec = ConstitutiveSpec(family, params)
         xs = np.linspace(-3, 3, 7)
         for x in xs:
-            grid = np.linspace(0, x, 10_001)
+            # trapezoid error h^2 (f'(x) - f'(0)) / 12: 2e-10 for the cubic at |x| = 3
+            grid = np.linspace(0, x, 100_001)
             quad = np.trapezoid(spec(grid)[0], grid)
             assert spec.antiderivative(x) == pytest.approx(quad, abs=1e-8)
 

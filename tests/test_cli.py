@@ -203,10 +203,13 @@ class TestSimulate:
             (RC_NET.replace("c=1", "f=linear(nan)"), "f=linear(nan)"),
             (LINNET.replace("cap=1.0", "cap=nan"), "cap=nan"),
             (LINNET.replace("const(0.4)", "sine(0.4,-inf,0)"), "w=sine(0.4,-inf,0)"),
+            (RC_NET.replace("g=1", "g=1 foo=2"), "foo=2"),
+            (RC_NET.replace("c=1", "f=linear(0)"), "f=linear(0)"),
+            (TANH_M.replace("tanh(0.5,1.0)", "tanh(1,0)"), "f=tanh(1,0)"),
         ],
-        ids=["g-nan", "g-inf", "c-inf", "w-nan", "f-nan", "cap-nan", "w-minus-inf"],
+        ids=["g-nan", "g-inf", "c-inf", "w-nan", "f-nan", "cap-nan", "w-minus-inf", "foo", "slope-0", "scale-0"],
     )
-    def test_non_finite_number_exit_2_with_location(self, tmp_path, capsys, net, token):
+    def test_bad_parameter_exit_2_with_location(self, tmp_path, capsys, net, token):
         p = tmp_path / "bad.net"
         p.write_text(net)
         assert main(["simulate", str(p), "--out", str(tmp_path / "traj.csv")]) == 2
@@ -496,14 +499,18 @@ class TestTrain:
 # nets the estimator cannot use: no output cap to divide by, or caps of two values
 NO_OUTPUT_CAP = LINNET.replace("OC oc1 out 0 cap=1.0 w=const(0.4)\n", "")
 UNEQUAL_CAPS = LINNET + "R s4 out out2 g=0.5 trainable\nOC oc2 out2 0 cap=5.0 w=const(0.2)\n"
+UNEQUAL_CAPS_MESSAGE = "unequal-output-caps: output capacitors need one common cap, got oc1=1, oc2=5"
+NO_TARGET = LINNET.replace(" w=const(0.4)", "")
+V_LOOP = LINNET + "V v3 in1 0 w=const(2.0)\n"
+ALL_COMMANDS = ("simulate", "gradcheck", "train")
 
 
 class TestEstimatorNetlist:
     CASES = pytest.mark.parametrize(
         "net, message",
         [
-            (NO_OUTPUT_CAP, "error: circuit has no output capacitors\n"),
-            (UNEQUAL_CAPS, "error: unequal-output-caps: output capacitors need one common cap, got oc1=1, oc2=5\n"),
+            (NO_OUTPUT_CAP, "circuit has no output capacitors"),
+            (UNEQUAL_CAPS, UNEQUAL_CAPS_MESSAGE),
         ],
         ids=["no-output-cap", "unequal-caps"],
     )
@@ -523,7 +530,7 @@ class TestEstimatorNetlist:
         cfg.write_text(re.sub(r" oc1=const\([0-9.]+\)", "", TRAIN_CFG) if net is NO_OUTPUT_CAP else TRAIN_CFG)
         out_dir = tmp_path / "run"
         assert main(["train", str(tmp_path / "bad.net"), str(cfg), "--out-dir", str(out_dir)]) == 2
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.net'}: {message}\n"
         assert not out_dir.exists()
 
     @CASES
@@ -531,7 +538,7 @@ class TestEstimatorNetlist:
         self.no_runs(monkeypatch)
         (tmp_path / "bad.net").write_text(net)
         assert main(["gradcheck", str(tmp_path / "bad.net"), "--out", str(tmp_path / "gc.csv")]) == 2
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.net'}: {message}\n"
         assert sorted(os.listdir(tmp_path)) == ["bad.net"]
 
 
@@ -752,7 +759,7 @@ class TestValidatesOnce:
         net.write_text(FLOATING_LINNET)
         calls = count_validations(monkeypatch)
         assert main(self._argv(command, str(net), tmp_path)) == 2
-        assert "error: floating-subcircuit: nodes not connected to ground: a, b" in capsys.readouterr().err
+        assert f"error: {net}: floating-subcircuit: nodes not connected to ground: a, b" in capsys.readouterr().err
         assert len(calls) == 1
         assert not list(tmp_path.rglob("*.manifest"))
 
@@ -870,6 +877,35 @@ class TestInputFiles:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {net}: line 2, col 1: unknown element kind 'X'\n"
         assert sorted(os.listdir(tmp_path)) == ["bad.net"]
+
+    @pytest.mark.parametrize(
+        "net, message, command",
+        [
+            pytest.param(net, message, command, id=f"{case}-{command}")
+            for case, net, message, commands in [
+                ("self-loop", LINNET + "R r9 out out g=1\n", "self-loop: r9 connects out to itself", ALL_COMMANDS),
+                ("v-loop", V_LOOP, "voltage source v3 closes a loop of voltage sources", ALL_COMMANDS),
+                ("no-target", NO_TARGET, "missing-target: output capacitor oc1 has no target waveform", ALL_COMMANDS),
+                ("unequal-caps", UNEQUAL_CAPS, UNEQUAL_CAPS_MESSAGE, ("gradcheck", "train")),
+                ("no-synapse", RC_NET, "no-synapses: circuit has no trainable synapses", ("gradcheck", "train")),
+                ("no-output-cap", NO_OUTPUT_CAP, "circuit has no output capacitors", ("gradcheck", "train")),
+            ]
+            for command in commands
+        ],
+    )
+    def test_circuit_error_names_its_file(self, tmp_path, capsys, net, message, command):
+        # a netlist that parses but describes a circuit the command cannot run
+        path = tmp_path / "bad.net"
+        path.write_text(net)
+        if command == "train":
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text("epochs=1\nlearning_rate=0.05\nbeta=0.001\n")
+            argv = ["train", str(path), str(cfg), "--out-dir", str(tmp_path / "run")]
+        else:
+            argv = [command, str(path), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(["bad.net"] + (["train.cfg"] if command == "train" else []))
 
     def test_non_utf8_netlist(self, tmp_path, capsys):
         net = tmp_path / "bad.net"
@@ -1132,6 +1168,12 @@ class TestFracBench:
         assert main(["frac-bench", sig, "--alpha", "1.0", "--out", out]) == 0
         _, data = read_csv(out)
         assert np.allclose(data[1:, 1], np.diff(v) / 1e-3, atol=1e-10)
+
+    def test_no_signal_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["frac-bench"]) == 2
+        assert capsys.readouterr().err == "error: frac-bench needs a signal CSV (or --self-test)\n"
+        assert os.listdir(tmp_path) == []
 
     def test_non_uniform_grid_exit_2(self, tmp_path, capsys):
         sig = self._write_signal(tmp_path, [0.0, 0.1, 0.3], [1.0, 2.0, 3.0])

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from csv_compare import assert_same_csv, csv_text
 from fraceq import dynamics, eqprop
 from fraceq.circuit import Circuit, Waveform, parse_netlist
-from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch
+from fraceq.dynamics import DriveSet, Member, SimConfig, compile, simulate, simulate_batch, trajectory_loss
 from fraceq.eqprop import (
     GradientEstimate,
     TrainConfig,
@@ -23,7 +23,7 @@ from fraceq.eqprop import (
 )
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, ParameterError, ValidationError
 from fraceq.frac_ops import SampleGrid
-from fraceq.lagrangian import action_g_partial, half_energies
+from fraceq.lagrangian import half_energies
 from test_batch import random_circuits
 from test_frac_ops import half_energy_integral
 
@@ -154,13 +154,6 @@ class TestEnergiesAgainstBranchReference:
         expected = (e_nudged - e_free) / (2 * linnet.loss_capacitance * beta)
         assert np.allclose(est.values, expected, rtol=1e-10, atol=0)
 
-    def test_action_g_partial_shares_the_estimator_energies(self, linnet):
-        free, nudged = free_and_nudged(linnet, 1e-3, sim_cfg())
-        est = estimate_from(linnet, free, nudged)
-        for l, (e_nudged, e_free) in zip(linnet.trainables, est.raw_half_energies):
-            assert action_g_partial(linnet, nudged, l) == 0.5j * e_nudged
-            assert action_g_partial(linnet, free, l) == 0.5j * e_free
-
     @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
     @given(circuit=random_circuits())
     def test_generated_circuits(self, circuit):
@@ -198,12 +191,11 @@ class TestUnequalOutputCaps:
             estimate(parse_netlist(self.NET), DriveSet(), 1e-3, sim_cfg())
 
     def test_beta_partial_rejects(self):
-        from fraceq.lagrangian import action_beta_partial
-
+        # the action's beta partial, -C J, needs the one common cap C too
         ckt = parse_netlist(self.NET)
         traj = simulate(ckt, DriveSet(), 1e-3, sim_cfg(t_end=0.1))
         with pytest.raises(ValidationError, match="unequal-output-caps"):
-            action_beta_partial(ckt, traj)
+            -ckt.loss_capacitance * trajectory_loss(traj)
 
     def test_equal_caps_accepted(self):
         ckt = parse_netlist(self.NET.replace("cap=5.0", "cap=1.0"))
@@ -376,8 +368,6 @@ class TestTrain:
 
 class TestMixedPartials:
     def _second_partials(self, linnet):
-        from fraceq.lagrangian import action_beta_partial
-
         cfg = sim_cfg(dt=2e-3)
         l = linnet.index_of("s1")
         g = linnet.elements[l].g
@@ -386,11 +376,11 @@ class TestMixedPartials:
         def beta_partial(gg):
             ckt = linnet.with_conductances({"s1": gg})
             traj = simulate(ckt, DriveSet(), beta0, cfg)
-            return action_beta_partial(ckt, traj)
+            return -ckt.loss_capacitance * trajectory_loss(traj)
 
         def g_partial(beta):
             traj = simulate(linnet, DriveSet(), beta, cfg)
-            return action_g_partial(linnet, traj, l).imag
+            return (0.5j * half_energies(linnet, traj, [l])[0]).imag
 
         d_g_of_beta_partial = (beta_partial(g + eps) - beta_partial(g - eps)) / (2 * eps)
         d_beta_of_g_partial = (g_partial(beta0 + delta) - g_partial(beta0 - delta)) / (2 * delta)

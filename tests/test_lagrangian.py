@@ -5,20 +5,16 @@ import pytest
 
 from fraceq.circuit import Circuit, Element, Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, _backward_diff, simulate, trajectory_loss
-from fraceq.errors import MissingOutputError
 from fraceq.frac_ops import SampleGrid, caputo_left, rl_derivative_right
 from fraceq.lagrangian import (
     PART_KEYS,
     BranchQuantities,
-    action,
-    action_beta_partial,
     action_breakdown,
-    action_g_partial,
     branch_quantities,
     el_residual,
     element_term,
+    half_energies,
     lagrangian_parts,
-    lagrangian_series,
 )
 from fraceq.topology import build_topology
 
@@ -144,47 +140,33 @@ class TestAction:
     def test_zero_trajectory(self):
         net = "V vin 1 0 w=const(0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
         traj = run(net)
-        assert action(parse_netlist(net), traj) == pytest.approx(0.0, abs=1e-15)
+        assert sum(action_breakdown(parse_netlist(net), traj).values()) == pytest.approx(0.0, abs=1e-15)
 
     def test_additivity_over_time(self):
         net = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
         ckt = parse_netlist(net)
         traj = run(net, t_end=1.0)
-        series = sum(lagrangian_series(ckt, traj).values())
+        series = sum(lagrangian_parts(ckt, branch_quantities(ckt, traj), traj.beta).values())
         dt = traj.grid.dt
         mid = traj.grid.n // 2
         whole = np.trapezoid(series, dx=dt)
         split = np.trapezoid(series[: mid + 1], dx=dt) + np.trapezoid(series[mid:], dx=dt)
         assert whole == pytest.approx(split, abs=1e-12)
-        assert action(ckt, traj) == pytest.approx(whole)
-
-    def test_breakdown_parts_integrate_to_total(self):
-        ckt = parse_netlist(LINNET)
-        traj = run(LINNET, beta=1e-3)
-        parts = action_breakdown(ckt, traj)
-        assert action(ckt, traj) == pytest.approx(sum(parts.values()))
+        assert sum(action_breakdown(ckt, traj).values()) == pytest.approx(whole)
 
 
 class TestActionBetaPartial:
+    """The explicit partial of the action in beta is -C times the trajectory loss."""
+
     def test_perfect_tracking_zero(self):
         net = "V vs out 0 w=const(0)\nR r 1 out g=1\nV vin 1 0 w=const(0)\nOC oc1 out 0 cap=1 w=const(0.0)\n"
-        traj = run(net)
-        assert action_beta_partial(parse_netlist(net), traj) == 0.0
+        ckt = parse_netlist(net)
+        assert -ckt.loss_capacitance * trajectory_loss(run(net)) == 0.0
 
     def test_unit_mismatch(self):
         net = "V vs out 0 w=const(0)\nR r 1 out g=1\nV vin 1 0 w=const(0)\nOC oc1 out 0 cap=1 w=const(1.0)\n"
-        traj = run(net)
-        assert action_beta_partial(parse_netlist(net), traj) == pytest.approx(-1.0, rel=2e-3)
-
-    def test_identity_with_trajectory_loss(self):
-        ckt = parse_netlist(LINNET)
-        traj = run(LINNET, beta=1e-3)
-        assert action_beta_partial(ckt, traj) == -ckt.loss_capacitance * trajectory_loss(traj)
-
-    def test_missing_outputs(self):
-        net = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
-        with pytest.raises(MissingOutputError):
-            action_beta_partial(parse_netlist(net), run(net))
+        ckt = parse_netlist(net)
+        assert -ckt.loss_capacitance * trajectory_loss(run(net)) == pytest.approx(-1.0, rel=2e-3)
 
     def test_output_part_takes_the_trajectory_beta(self):
         # a parsed circuit carries no beta: the output term is the run's own
@@ -192,7 +174,7 @@ class TestActionBetaPartial:
         nudged = run(LINNET, beta=0.3)
         output = action_breakdown(ckt, nudged)["output"]
         assert output.imag == 0.0
-        assert output.real == pytest.approx(nudged.beta * action_beta_partial(ckt, nudged), rel=1e-9)
+        assert output.real == pytest.approx(nudged.beta * -ckt.loss_capacitance * trajectory_loss(nudged), rel=1e-9)
 
 
 def ramp_flux_trajectory(ckt, t_end=1.0, dt=1e-3):
@@ -213,30 +195,29 @@ def ramp_flux_trajectory(ckt, t_end=1.0, dt=1e-3):
 
 
 class TestActionGPartial:
+    """The explicit partial of the action in synapse conductance l is j/2 times
+    the half-derivative energy of its branch flux."""
+
     def test_zero_trajectory(self):
         ckt = parse_netlist(LINNET)
         net_zero = LINNET.replace("const(1.0)", "const(0.0)").replace("const(0.5)", "const(0.0)")
         traj = run(net_zero, beta=0.0)
         for l in ckt.trainables:
-            assert action_g_partial(ckt, traj, l) == 0j
+            assert 0.5j * half_energies(ckt, traj, [l])[0] == 0j
 
     def test_ramp_flux_closed_form(self):
         ckt = parse_netlist("R s1 a 0 g=1.0 trainable\n")
         traj = ramp_flux_trajectory(ckt)
         # integral of (half-derivative of t)^2 over [0,1] is 2/pi
-        assert action_g_partial(ckt, traj, 0) == pytest.approx(1j / np.pi, rel=2e-2)
+        assert 0.5j * half_energies(ckt, traj, [0])[0] == pytest.approx(1j / np.pi, rel=2e-2)
 
     def test_independent_of_other_conductances(self):
         ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=1e-3)
-        before = action_g_partial(ckt, traj, ckt.index_of("s1"))
+        l = ckt.index_of("s1")
+        before = 0.5j * half_energies(ckt, traj, [l])[0]
         bumped = ckt.with_conductances({"s2": 0.9})
-        assert action_g_partial(bumped, traj, ckt.index_of("s1")) == before
-
-    def test_non_trainable_rejected(self):
-        ckt = parse_netlist(LINNET)
-        with pytest.raises(IndexError):
-            action_g_partial(ckt, run(LINNET), ckt.index_of("oc1"))
+        assert 0.5j * half_energies(bumped, traj, [l])[0] == before
 
 
 class TestFrozenTrajectoryPartials:
@@ -248,8 +229,9 @@ class TestFrozenTrajectoryPartials:
         beta, eps = 1e-3, 1e-5
         ckt = parse_netlist(LINNET)
         traj = run(LINNET, beta=beta)
-        sp = (action(ckt, replace(traj, beta=beta + eps)) - action(ckt, replace(traj, beta=beta - eps))) / (2 * eps)
-        ref = action_beta_partial(ckt, traj)
+        up, dn = (sum(action_breakdown(ckt, replace(traj, beta=b)).values()) for b in (beta + eps, beta - eps))
+        sp = (up - dn) / (2 * eps)
+        ref = -ckt.loss_capacitance * trajectory_loss(traj)
         assert abs(sp.imag) < 1e-12
         assert sp.real == pytest.approx(ref, rel=1e-6)
 
@@ -260,10 +242,10 @@ class TestFrozenTrajectoryPartials:
         for l in ckt.trainables:
             name = ckt.elements[l].name
             g = ckt.elements[l].g
-            up = action(ckt.with_conductances({name: g + eps}), traj)
-            dn = action(ckt.with_conductances({name: g - eps}), traj)
+            up = sum(action_breakdown(ckt.with_conductances({name: g + eps}), traj).values())
+            dn = sum(action_breakdown(ckt.with_conductances({name: g - eps}), traj).values())
             sp = (up - dn) / (2 * eps)
-            ref = action_g_partial(ckt, traj, l)
+            ref = 0.5j * half_energies(ckt, traj, [l])[0]
             assert abs(sp.real) < 1e-10
             assert sp.imag == pytest.approx(ref.imag, rel=1e-6)
 

@@ -14,7 +14,7 @@ from fraceq.circuit import parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, simulate
 from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError
 from fraceq.frac_ops import SampleGrid
-from fraceq.lagrangian import PART_KEYS, action_breakdown, lagrangian_series
+from fraceq.lagrangian import PART_KEYS, action_breakdown, branch_quantities, lagrangian_parts
 from test_batch import LC, LINEAR_M, LINNET, RC, TANH_M, random_circuits
 
 # the seed-101 input of the simulate-memristive benchmark workload
@@ -33,7 +33,7 @@ OC oc1 out 0 cap=1.0 w=const(0.2781)
 
 def assert_same_bits(circuit, traj):
     ref_series = lagrangian_reference.lagrangian_series(circuit, traj)
-    series = lagrangian_series(circuit, traj)
+    series = lagrangian_parts(circuit, branch_quantities(circuit, traj), traj.beta)
     assert set(series) == set(PART_KEYS)
     for k in PART_KEYS:
         assert series[k].dtype == ref_series[k].dtype, k
