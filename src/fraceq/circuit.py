@@ -15,12 +15,13 @@ elements in declaration order, parameters alphabetized.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MissingOutputError, NetlistError, ValidationError
+from .errors import NetlistError, ValidationError
 
 GROUND = "0"
 
@@ -180,11 +181,11 @@ class Circuit:
 
         The nudge weights each output by its own cap, so the loss J that
         the estimator follows is unweighted only if all caps are equal.  A
-        circuit without output capacitors raises MissingOutputError.
+        circuit without output capacitors fails with the diagnostic no-outputs.
         """
         caps = {e.name: e.cap_scale for e in self.elements if e.kind == "OC"}
         if not caps:
-            raise MissingOutputError("circuit has no output capacitors")
+            raise ValidationError([Diagnostic("no-outputs", "circuit has no output capacitors")])
         if len(set(caps.values())) > 1:
             listed = ", ".join(f"{name}={cap:g}" for name, cap in caps.items())
             raise ValidationError(
@@ -193,10 +194,7 @@ class Circuit:
         return next(iter(caps.values()))
 
     def element(self, name: str) -> Element:
-        for e in self.elements:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+        return self.elements[self.index_of(name)]
 
     def index_of(self, name: str) -> int:
         for i, e in enumerate(self.elements):
@@ -248,35 +246,34 @@ def parse_netlist(text: str) -> Circuit:
     errors = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        # (token, column) pairs of the line up to its comment
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not tokens:
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        col = raw.index(kind) + 1
+        kind, col = tokens[0]
         if kind not in KINDS:
             errors.append((lineno, col, f"unknown element kind {kind!r}"))
             continue
         if len(tokens) < 4:
             errors.append((lineno, col, "element line needs name, node+, node-"))
             continue
-        name, n_plus, n_minus = tokens[1:4]
+        (name, col), (n_plus, _), (n_minus, _) = tokens[1:4]
         if name in names:
-            errors.append((lineno, raw.index(name, col) + 1, f"duplicate element name {name!r}"))
+            errors.append((lineno, col, f"duplicate element name {name!r}"))
             continue
         kv = {}
         trainable = False
         bad = False
-        for tok in tokens[4:]:
+        for tok, col in tokens[4:]:
+            key, eq, val = tok.partition("=")
             if tok == "trainable":
                 trainable = True
-                continue
-            if "=" not in tok:
-                errors.append((lineno, raw.index(tok) + 1, f"malformed parameter {tok!r}"))
+            elif not eq or key in kv:
+                message = f"{name}: repeated parameter {key}=" if eq else f"malformed parameter {tok!r}"
+                errors.append((lineno, col, message))
                 bad = True
-                continue
-            key, val = tok.split("=", 1)
-            kv[key] = (val, raw.index(tok) + 1)
+            else:
+                kv[key] = (val, col)
         if bad:
             continue
         try:
@@ -296,61 +293,46 @@ class _LineError(Exception):
     pass
 
 
-def _take_float(kv, key, lineno, positive=False, name=""):
-    if key not in kv:
-        raise _LineError((lineno, 1, f"{name}: missing required parameter {key}="))
-    val, col = kv.pop(key)
+# kind -> (netlist key, Element field) of the element's one positive value
+_VALUE_KEYS = {"R": ("g", "g"), "C": ("c", "c"), "L": ("l", "l"), "OC": ("cap", "cap_scale")}
+
+
+def _positive(key: str, val: str) -> float:
+    """The value of g=, c=, l= or cap=: a finite number above 0."""
     try:
         x = float(val)
     except ValueError:
-        raise _LineError((lineno, col, f"{name}: malformed number {val!r}"))
+        raise ValueError(f"malformed number {val!r}") from None
     if not math.isfinite(x):
-        raise _LineError((lineno, col, f"{name}: {key} must be finite, got {val}"))
-    if positive and x <= 0:
-        raise _LineError((lineno, col, f"{name}: {key} must be strictly positive, got {val}"))
+        raise ValueError(f"{key} must be finite, got {val}")
+    if x <= 0:
+        raise ValueError(f"{key} must be strictly positive, got {val}")
     return x
 
 
 def _build_element(kind, name, n_plus, n_minus, kv, trainable, lineno) -> Element:
+    def take(key, parse, missing):
+        """Pop key= and parse its value; a ValueError is a line error at the
+        value's column, and an absent key the error `missing` at column 1."""
+        if key not in kv:
+            raise _LineError((lineno, 1, f"{name}: {missing}"))
+        val, col = kv.pop(key)
+        try:
+            return parse(val)
+        except ValueError as exc:
+            raise _LineError((lineno, col, f"{name}: {exc}")) from None
+
     e = dict(kind=kind, name=name, n_plus=n_plus, n_minus=n_minus, trainable=trainable)
     if trainable and kind != "R":
         raise _LineError((lineno, 1, f"{name}: only resistors can be trainable"))
-    try:
-        if kind == "R":
-            e["g"] = _take_float(kv, "g", lineno, positive=True, name=name)
-        elif kind in ("C", "L", "M"):
-            key = {"C": "c", "L": "l", "M": None}[kind]
-            if "f" in kv:
-                val, col = kv.pop("f")
-                try:
-                    e["spec"] = ConstitutiveSpec(*_parse_call(val))
-                except ValueError as exc:
-                    raise _LineError((lineno, col, f"{name}: {exc}"))
-            elif key is not None and key in kv:
-                e[key] = _take_float(kv, key, lineno, positive=True, name=name)
-            else:
-                want = "f=" if kind == "M" else f"{key}= or f="
-                raise _LineError((lineno, 1, f"{name}: needs {want}"))
-        elif kind in ("V", "I"):
-            val, col = kv.pop("w", (None, 1))
-            if val is None:
-                raise _LineError((lineno, 1, f"{name}: source needs w=family(args)"))
-            try:
-                e["waveform"] = parse_waveform(val)
-            except ValueError as exc:
-                raise _LineError((lineno, col, f"{name}: {exc}"))
-        elif kind == "OC":
-            e["cap_scale"] = _take_float(kv, "cap", lineno, positive=True, name=name)
-            if "w" in kv:
-                val, col = kv.pop("w")
-                try:
-                    e["waveform"] = parse_waveform(val)
-                except ValueError as exc:
-                    raise _LineError((lineno, col, f"{name}: {exc}"))
-    except _LineError:
-        raise
-    except ValueError as exc:
-        raise _LineError((lineno, 1, f"{name}: {exc}"))
+    if kind in ("C", "L", "M") and ("f" in kv or kind == "M"):
+        e["spec"] = take("f", lambda val: ConstitutiveSpec(*_parse_call(val)), "needs f=")
+    elif kind in _VALUE_KEYS:
+        key, attr = _VALUE_KEYS[kind]
+        missing = f"needs {key}= or f=" if kind in ("C", "L") else f"missing required parameter {key}="
+        e[attr] = take(key, lambda val: _positive(key, val), missing)
+    if kind in ("V", "I") or (kind == "OC" and "w" in kv):
+        e["waveform"] = take("w", parse_waveform, "source needs w=family(args)")
     for key, (val, col) in kv.items():
         raise _LineError((lineno, col, f"{name}: unknown parameter {key}={val}"))
     return Element(**e)
@@ -404,11 +386,14 @@ class Diagnostic:
         return f"{self.code}: {self.message}"
 
 
-def validate(circuit: Circuit) -> list:
+def validate(circuit: Circuit, targets=()) -> list:
     """Simulation-readiness checks; an empty report means ready.
 
-    Checks ground presence, connectivity to ground, positivity invariants,
-    and that every output capacitor has a target waveform.
+    Checks ground presence, self-loops, connectivity to ground, that every
+    source has a waveform, and that every output capacitor has a target
+    waveform unless it is named in `targets`, the output capacitors whose
+    target every run supplies.  The parser checks that values are positive
+    and finite.
     """
     diags = []
     nodes = circuit.nodes
@@ -420,7 +405,7 @@ def validate(circuit: Circuit) -> list:
         adj[e.n_minus].add(e.n_plus)
         if e.n_plus == e.n_minus:
             diags.append(Diagnostic("self-loop", f"{e.name} connects {e.n_plus} to itself"))
-        if e.kind == "OC" and e.waveform is None:
+        if e.kind == "OC" and e.waveform is None and e.name not in targets:
             diags.append(Diagnostic("missing-target", f"output capacitor {e.name} has no target waveform"))
         if e.kind in ("V", "I") and e.waveform is None:
             diags.append(Diagnostic("missing-waveform", f"source {e.name} has no waveform"))

@@ -9,8 +9,9 @@ the simulator and the estimator return arrays and records.  A run that has
 written its data files then writes a plain-text key=value manifest the same
 way, recording the command, input hash, flags and those files, so recorded
 runs can be reproduced byte-for-byte; a run that fails before then leaves no
-manifest.  Exit codes: 0 success, 2 input or configuration error, 3
-numerical or simulation failure.  Every command runs under
+manifest, and a run removes the manifest of an earlier one before it
+replaces the first of its files.  Exit codes: 0 success, 2 input or
+configuration error, 3 numerical or simulation failure.  Every command runs under
 np.errstate(all="ignore"), so no numpy warning reaches stderr; `simulate`
 checks every cell of its tables before it writes the first file, and a cell
 that is not finite exits 3 naming the file, row and column.  A fractional
@@ -160,6 +161,15 @@ def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
     _atomic_write(path, [line + "\n" for line in lines])
 
 
+def _write_tables(manifest, tables) -> None:
+    """Write each table with _write_csv, first removing the manifest an earlier
+    run left: it would list files this run replaces."""
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    for table in tables:
+        _write_csv(*table)
+
+
 def _read_text(path: str) -> tuple:
     """(the file's bytes, their UTF-8 text); a byte that is not UTF-8 is an
     input error naming the path, line and byte offset."""
@@ -209,6 +219,11 @@ def parse_train_config(text: str, circuit) -> TrainConfig:
                     inputs[name] = wf
                 else:
                     raise ValueError(f"config line {lineno}: {name} is not a source or output")
+            # an output the netlist gives no target needs one in every example
+            for e in circuit.elements:
+                if e.kind == "OC" and e.waveform is None and e.name not in targets:
+                    message = f"missing-target: output capacitor {e.name} has no target waveform"
+                    raise ValueError(f"config line {lineno}: {message}")
             batch.append(DriveSet(inputs=inputs, targets=targets))
         elif len(tokens) == 1 and "=" in tokens[0]:
             key, value = tokens[0].split("=", 1)
@@ -286,8 +301,7 @@ def cmd_simulate(args) -> int:
         tables += [(f"{stem}_{label}.csv", topo.names, M.T, None) for label, M in (("Q", topo.Q), ("B", topo.B))]
     tables += action
     _check_finite(tables)
-    for table in tables:
-        _write_csv(*table)
+    _write_tables(stem + ".manifest", tables)
     _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, [path for path, *_ in tables])
     print(f"wrote {args.out} ({traj.grid.n} samples)")
     return EXIT_OK
@@ -332,8 +346,7 @@ def cmd_gradcheck(args) -> int:
         (summary_path, ["metric", "value"], [list(summary.values())], list(summary)),
     ]
     _check_finite(tables)
-    for table in tables:
-        _write_csv(*table)
+    _write_tables(stem + ".manifest", tables)
     _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
@@ -362,6 +375,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.config}: {exc}") from None
     log_path = os.path.join(args.out_dir, "train_log.csv")
     net_path = os.path.join(args.out_dir, "trained.net")
+    manifest_path = os.path.join(args.out_dir, "train.manifest")
     params = {
         "config": args.config,
         "epochs": config.epochs,
@@ -374,16 +388,18 @@ def cmd_train(args) -> int:
         final, log = train(circuit, config)
     except FraceqError as exc:
         if hasattr(exc, "partial_log"):
-            # the exception itself names the epoch and example
+            # the exception names the epoch and example; its one line also
+            # says where the partial log went
             table = (log_path, *_log_table(exc.partial_log), None)
             try:
                 _check_finite([table], keys=2)
             except _NonFiniteCell as bad:
-                print(f"partial log not written: {bad} is not finite", file=sys.stderr)
+                note = f"partial log not written: {bad} is not finite"
             else:
                 os.makedirs(args.out_dir, exist_ok=True)
-                _write_csv(*table)
-                print(f"partial log flushed to {log_path}", file=sys.stderr)
+                _write_tables(manifest_path, [table])
+                note = f"partial log flushed to {log_path}"
+            exc.args = (f"{exc}; {note}",)
         raise
     log_table = (log_path, *_log_table(log), None)
     # trained.net is checked as a table of its synapse conductances
@@ -391,9 +407,8 @@ def cmd_train(args) -> int:
     conductances = [final.element(name).g for name in synapses]
     _check_finite([log_table, (net_path, ["synapse", "g"], [conductances], synapses)], keys=2)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(*log_table)
+    _write_tables(manifest_path, [log_table])
     _atomic_write(net_path, [serialize(final)])
-    manifest_path = os.path.join(args.out_dir, "train.manifest")
     _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
     losses = log.losses_by_epoch()
     print("epochs=%d loss %.6g -> %.6g" % (config.epochs, losses[0], losses[-1]))
@@ -556,7 +571,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except FraceqError as exc:
         # every other package error is the netlist's: it does not parse, or its
-        # circuit fails validation, has no tree, or lacks outputs or synapses
+        # circuit cannot run (a ValidationError: it fails validation, has no
+        # tree, or lacks outputs or synapses)
         print(f"error: {args.netlist}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     # a MemoryError is numpy refusing an array too large to map, such as a grid of 1e15 steps

@@ -58,7 +58,8 @@ class DriveSet:
     """Overrides for source inputs and output targets, by element name.
 
     Elements not named here fall back to the waveform embedded in the
-    netlist, which `validate` requires of every source and output capacitor.
+    netlist, which `validate` requires of every source, and of every output
+    capacitor that is not among the targets every run supplies.
     """
 
     inputs: dict = field(default_factory=dict)
@@ -165,9 +166,10 @@ class StepSystem:
     g: np.ndarray  # per-branch conductances of `circuit`, 0 off the resistors
 
 
-def compile(circuit: Circuit) -> StepSystem:
-    """Validate the circuit and build its topology, once for any number of runs."""
-    diags = validate(circuit)
+def compile(circuit: Circuit, targets=()) -> StepSystem:
+    """Validate the circuit, less the output `targets` every run supplies (see
+    `validate`), and build its topology, once for any number of runs."""
+    diags = validate(circuit, targets)
     if diags:
         raise ValidationError(diags)
     topology = build_topology(circuit)

@@ -208,13 +208,15 @@ def train(circuit: Circuit, config: TrainConfig):
 
     Returns (trained circuit, TrainingLog).  The circuit is compiled once;
     updates act on its conductance vector, and the trained circuit is built
-    from it at the end.  A simulation failure mid-run re-raises with the
-    epoch and example in its message and as attributes, and the partial log
-    attached.
+    from it at the end.  An output capacitor needs a target in the netlist
+    only if some example gives it none.  A simulation failure mid-run
+    re-raises with the epoch and example in its message and as attributes,
+    and the partial log attached.
     """
     idx = list(_synapses(circuit))
     names = tuple(circuit.elements[l].name for l in idx)
-    system = compile(circuit)
+    # the targets every example supplies; an empty batch supplies none
+    system = compile(circuit, {n for d in config.batch for n in d.targets if all(n in e.targets for e in config.batch)})
     g = system.g.copy()
     log = TrainingLog(synapse_names=names)
     rng = np.random.default_rng(config.seed)

@@ -42,15 +42,12 @@ class NetlistError(FraceqError, ValueError):
 
 
 class ValidationError(FraceqError, ValueError):
-    """Circuit failed simulation-readiness checks."""
+    """A circuit that cannot run: one `circuit.Diagnostic` per problem, from
+    `validate`, the tree selection or the estimator's checks."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
-
-
-class DegenerateTopologyError(FraceqError, ValueError):
-    """No spanning tree exists that respects source constraints."""
 
 
 class NewtonDivergenceError(FraceqError, RuntimeError):
@@ -80,4 +77,4 @@ class NonFiniteResultError(FraceqError, ArithmeticError):
 
 
 class MissingOutputError(FraceqError, ValueError):
-    """Operation requires at least one output capacitor."""
+    """A run's loss J needs at least one output capacitor."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
-from .errors import DegenerateTopologyError
+from .circuit import Circuit, Diagnostic
+from .errors import ValidationError
 
 # tree selection priority: sources and capacitors first so state variables
 # land on tree fluxes; deterministic tie-break by declaration order
@@ -58,9 +58,9 @@ def _select_tree(circuit: Circuit) -> tuple:
     Branches are taken greedily in priority order; a branch joins the tree
     when it connects two components, and every node of one component then
     takes the other's label.  Returns (tree, links), both sorted.  Raises
-    DegenerateTopologyError for voltage-source loops (a V forced into the
-    cotree) and current-source cut-sets (an I forced into the tree), and for
-    disconnected graphs.
+    ValidationError with the diagnostic disconnected for a disconnected
+    graph, current-source-cutset for an I forced into the tree and
+    voltage-source-loop for a V forced into the cotree.
     """
     elements = circuit.elements
     order = sorted(range(len(elements)), key=lambda b: (_PRIORITY[elements[b].kind], b))
@@ -73,14 +73,16 @@ def _select_tree(circuit: Circuit) -> tuple:
             tree.append(b)
             component = {n: new if label == old else label for n, label in component.items()}
     if len(tree) != len(nodes) - 1:
-        raise DegenerateTopologyError("graph is not connected; no spanning tree exists")
+        raise ValidationError([Diagnostic("disconnected", "graph is not connected; no spanning tree exists")])
     for b in tree:
         if elements[b].kind == "I":
-            raise DegenerateTopologyError(f"current source {elements[b].name} forms a cut-set of current sources")
+            message = f"current source {elements[b].name} forms a cut-set of current sources"
+            raise ValidationError([Diagnostic("current-source-cutset", message)])
     links = sorted(set(range(len(elements))).difference(tree))
     for b in links:
         if elements[b].kind == "V":
-            raise DegenerateTopologyError(f"voltage source {elements[b].name} closes a loop of voltage sources")
+            message = f"voltage source {elements[b].name} closes a loop of voltage sources"
+            raise ValidationError([Diagnostic("voltage-source-loop", message)])
     return tuple(sorted(tree)), tuple(links)
 
 

@@ -54,6 +54,21 @@ class TestParse:
             (line, col, msg) = exc.errors[0]
             assert line == 1 and col == 10 and "malformed" in msg
 
+    @pytest.mark.parametrize(
+        "text, errors",
+        [
+            ("R r1 1 2 g=1 g=1000\n", [(1, 14, "r1: repeated parameter g=")]),
+            ("OC C a 0 cap=1\nOC C a 0 cap=1\n", [(2, 4, "duplicate element name 'C'")]),
+            ("R r1 a 0 g=1 g\tR\n", [(1, 14, "malformed parameter 'g'"), (1, 16, "malformed parameter 'R'")]),
+        ],
+        ids=["repeated-key", "name-inside-kind", "tab"],
+    )
+    def test_errors_are_located_at_their_token(self, text, errors):
+        # each column is the token's own, not the first match of its text on the line
+        with pytest.raises(NetlistError) as info:
+            parse_netlist(text)
+        assert info.value.errors == errors
+
     def test_unknown_waveform_family(self):
         with pytest.raises(NetlistError, match="sawtooth"):
             parse_netlist("V v1 a 0 w=sawtooth(1,2)\n")
@@ -192,6 +207,11 @@ class TestValidate:
     def test_missing_target(self):
         ckt = Circuit((Element("OC", "oc1", "a", "0", cap_scale=1.0),))
         assert any(d.code == "missing-target" for d in validate(ckt))
+
+    def test_target_every_run_supplies(self):
+        ckt = Circuit((Element("OC", "oc1", "a", "0", cap_scale=1.0), Element("OC", "oc2", "a", "0", cap_scale=1.0)))
+        assert [d.message for d in validate(ckt, {"oc1"})] == ["output capacitor oc2 has no target waveform"]
+        assert validate(ckt, {"oc1", "oc2"}) == []
 
     def test_no_ground(self):
         ckt = parse_netlist("R r1 a b g=1\n")

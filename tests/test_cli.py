@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csv_compare import assert_same_csv, csv_text
@@ -206,15 +208,22 @@ class TestSimulate:
             (RC_NET.replace("g=1", "g=1 foo=2"), "foo=2"),
             (RC_NET.replace("c=1", "f=linear(0)"), "f=linear(0)"),
             (TANH_M.replace("tanh(0.5,1.0)", "tanh(1,0)"), "f=tanh(1,0)"),
+            (RC_NET.replace("g=1", "g=1 g=1000"), "g=1000"),
+            (RC_NET.replace("g=1", "xg=x g=x"), "g=x"),
         ],
-        ids=["g-nan", "g-inf", "c-inf", "w-nan", "f-nan", "cap-nan", "w-minus-inf", "foo", "slope-0", "scale-0"],
+        ids=[
+            "g-nan", "g-inf", "c-inf", "w-nan", "f-nan", "cap-nan", "w-minus-inf", "foo", "slope-0", "scale-0",
+            "repeated-key", "key-inside-earlier-token",
+        ],
     )
     def test_bad_parameter_exit_2_with_location(self, tmp_path, capsys, net, token):
         p = tmp_path / "bad.net"
         p.write_text(net)
         assert main(["simulate", str(p), "--out", str(tmp_path / "traj.csv")]) == 2
         line = next(n for n, text in enumerate(net.splitlines(), start=1) if token in text)
-        col = net.splitlines()[line - 1].index(token) + 1
+        # the token's last occurrence: a repeated key is refused at its second,
+        # and in "xg=x g=x" the value of g= stands after the text inside xg=x
+        col = net.splitlines()[line - 1].rindex(token) + 1
         assert f"line {line}, col {col}:" in capsys.readouterr().err
         assert not (tmp_path / "traj.csv").exists()
 
@@ -239,6 +248,20 @@ class TestSimulate:
         assert code == 0
         text = (tmp_path / "traj_action.csv").read_text()
         assert "action_total" in text and "el_residual_max_c1" in text
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, capsys):
+        # the rerun replaces r.csv, then fails to write r_Q.csv: the manifest
+        # of the first run would list a file the second run replaced
+        net = tmp_path / "rc.net"
+        net.write_text(RC_NET)
+        argv = ["simulate", str(net), "--dump-topology", "--out", str(tmp_path / "r.csv")]
+        assert main(argv + ["--t-end", "1"]) == 0
+        assert (tmp_path / "r.manifest").exists()
+        (tmp_path / "r_Q.csv.tmp").mkdir()
+        assert main(argv + ["--t-end", "2"]) == 2
+        assert "r_Q.csv.tmp" in capsys.readouterr().err
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 2002
+        assert not (tmp_path / "r.manifest").exists()
 
     def test_manifest_hash_and_reproducibility(self, rc_net, tmp_path):
         out = str(tmp_path / "traj.csv")
@@ -473,11 +496,47 @@ class TestTrain:
         monkeypatch.setattr(cli, "_log_table", with_inf)
         code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runP")
         assert code == 3
-        err = capsys.readouterr().err.splitlines()
+        (err,) = capsys.readouterr().err.splitlines()
         log_path = os.path.join(out_dir, "train_log.csv")
-        assert err[0] == f"partial log not written: {log_path}: row epoch=0 example=1, column grad_norm is not finite"
-        assert err[1].startswith("simulation failure: epoch 1, example ")
+        assert err.startswith("simulation failure: epoch 1, example ")
+        assert err.endswith(f"; partial log not written: {log_path}: row epoch=0 example=1, column grad_norm is not finite")
         assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
+
+    def test_partial_log_flush_removes_the_manifest(self, linnet_path, tmp_path, capsys, monkeypatch):
+        # the rerun's partial log replaces the train_log.csv that the first run's manifest lists
+        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "run")
+        assert code == 0 and os.path.exists(os.path.join(out_dir, "train.manifest"))
+
+        def failing(*args):
+            raise dynamics.NewtonDivergenceError(0.5, 1.0, "free")
+
+        monkeypatch.setattr(eqprop, "estimate_gradient", failing)
+        assert self._run(linnet_path, tmp_path, TRAIN_CFG, "run")[0] == 3
+        assert "partial log flushed to" in capsys.readouterr().err
+        assert sorted(os.listdir(out_dir)) == ["train_log.csv", "trained.net"]
+
+    def test_targets_from_every_example(self, tmp_path):
+        # the netlist gives oc1 no target; every example of TRAIN_CFG does
+        net = tmp_path / "no_target.net"
+        net.write_text(NO_TARGET)
+        code, out_dir = self._run(str(net), tmp_path, TRAIN_CFG, "runT")
+        assert code == 0
+        _, data = read_csv(os.path.join(out_dir, "train_log.csv"))
+        assert len(data) == 6
+
+    def test_example_without_target_exit_2_names_its_line(self, tmp_path, capsys, monkeypatch):
+        def stepping(*args):
+            raise AssertionError("a run was stepped")
+
+        monkeypatch.setattr(eqprop, "simulate_batch", stepping)
+        net = tmp_path / "no_target.net"
+        net.write_text(NO_TARGET)
+        cfg_text = TRAIN_CFG.replace(" oc1=const(0.3)", "")
+        code, out_dir = self._run(str(net), tmp_path, cfg_text, "runM")
+        assert code == 2
+        message = "config line 8: missing-target: output capacitor oc1 has no target waveform"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'train.cfg'}: {message}\n"
+        assert not os.path.exists(out_dir)
 
     def test_newton_divergence_exit_3_names_phase_and_example(self, tmp_path, capsys, monkeypatch):
         # a linear circuit runs no Newton pass; one pass cannot solve a tanh law
@@ -490,9 +549,10 @@ class TestTrain:
         assert "failure: epoch 0, example" in err
         assert "(free phase)" in err
         assert os.path.exists(os.path.join(out_dir, "train_log.csv"))
-        # stderr names the epoch and the example once each, and where the log went
+        # one stderr line names the epoch and the example once each, and where the log went
+        assert err.count("\n") == 1
         assert len(re.findall(r"epoch \d", err)) == 1 and len(re.findall(r"example \d", err)) == 1
-        assert f"partial log flushed to {os.path.join(out_dir, 'train_log.csv')}" in err
+        assert err.endswith(f"; partial log flushed to {os.path.join(out_dir, 'train_log.csv')}\n")
         assert not os.path.exists(os.path.join(out_dir, "train.manifest"))
 
 
@@ -509,7 +569,7 @@ class TestEstimatorNetlist:
     CASES = pytest.mark.parametrize(
         "net, message",
         [
-            (NO_OUTPUT_CAP, "circuit has no output capacitors"),
+            (NO_OUTPUT_CAP, "no-outputs: circuit has no output capacitors"),
             (UNEQUAL_CAPS, UNEQUAL_CAPS_MESSAGE),
         ],
         ids=["no-output-cap", "unequal-caps"],
@@ -726,9 +786,9 @@ def count_validations(monkeypatch):
     calls = []
     original = circuit.validate
 
-    def counting(c):
+    def counting(*args):
         calls.append(1)
-        return original(c)
+        return original(*args)
 
     for module in (circuit, cli, dynamics, eqprop):
         for name, value in list(vars(module).items()):
@@ -884,11 +944,11 @@ class TestInputFiles:
             pytest.param(net, message, command, id=f"{case}-{command}")
             for case, net, message, commands in [
                 ("self-loop", LINNET + "R r9 out out g=1\n", "self-loop: r9 connects out to itself", ALL_COMMANDS),
-                ("v-loop", V_LOOP, "voltage source v3 closes a loop of voltage sources", ALL_COMMANDS),
+                ("v-loop", V_LOOP, "voltage-source-loop: voltage source v3 closes a loop of voltage sources", ALL_COMMANDS),
                 ("no-target", NO_TARGET, "missing-target: output capacitor oc1 has no target waveform", ALL_COMMANDS),
                 ("unequal-caps", UNEQUAL_CAPS, UNEQUAL_CAPS_MESSAGE, ("gradcheck", "train")),
                 ("no-synapse", RC_NET, "no-synapses: circuit has no trainable synapses", ("gradcheck", "train")),
-                ("no-output-cap", NO_OUTPUT_CAP, "circuit has no output capacitors", ("gradcheck", "train")),
+                ("no-output-cap", NO_OUTPUT_CAP, "no-outputs: circuit has no output capacitors", ("gradcheck", "train")),
             ]
             for command in commands
         ],
@@ -1112,6 +1172,108 @@ class TestInputFuzz:
         assert main(["frac-bench", str(sig), "--out", str(out)]) == 2
         _assert_located(capsys.readouterr().err, str(sig), raw, "need at least 2 numeric t,value rows")
         assert not out.exists()
+
+
+# --- fuzzing main on generated netlists -----------------------------------------
+
+_MODERATE = st.sampled_from(["0.25", "0.5", "1.0", "2.0"])
+_EXTREME = st.sampled_from(["1e-300", "1e-30", "1e30", "1e300"])
+_FUZZ_CONFIG = "epochs=2\nlearning_rate=0.05\nbeta=0.001\ndt=0.01\nt_end=0.2\n"
+# each defect refuses the circuit, whatever its values
+_DEFECTS = {
+    "v-loop": "V v9 in 0 w=const(1)\n",
+    "i-cutset": "I i9 x 0 w=const(1)\n",
+    "floating": "R r9 a b g=1\n",
+    "repeated-key": "R r9 out 0 g=1 g=2\n",
+}
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(command, netlist, config, refused): a driven two-synapse divider with
+    an optional C, L, M and output cap, values moderate or, in half the
+    netlists, extreme too, and in one of three a defect.  `refused` says
+    whether the command must exit 2 on it."""
+    command = draw(st.sampled_from(ALL_COMMANDS))
+    v = st.shared(st.sampled_from([_MODERATE, _MODERATE | _EXTREME]), key="values").flatmap(lambda values: values)
+    drive = draw(st.sampled_from([f"const({draw(v)})", f"step({draw(v)},0.05)", f"sine({draw(v)},{draw(v)},0)"]))
+    lines = [f"V v1 in 0 w={drive}", f"R s1 in out g={draw(v)} trainable", f"R s2 out 0 g={draw(v)} trainable"]
+    optional = [
+        f"C c1 out 0 c={draw(v)}",
+        f"L l1 out 0 l={draw(v)}",
+        draw(st.sampled_from([f"M m1 out 0 f=tanh({draw(v)},{draw(v)})", f"M m1 out 0 f=linear({draw(v)})"])),
+    ]
+    lines += [line for line in optional if draw(st.booleans())]
+    # train may leave the target to its config's example line
+    output, example = draw(st.integers(0, 7)) > 0, False
+    target = draw(st.booleans()) if command == "train" else draw(st.integers(0, 7)) > 0
+    if output:
+        lines.append("OC oc1 out 0 cap=1.0" + (f" w=const({draw(v)})" if target else ""))
+        example = command == "train" and draw(st.booleans())
+    defect = draw(st.sampled_from([None] * 2 * len(_DEFECTS) + list(_DEFECTS)))
+    net = "\n".join(lines) + "\n" + _DEFECTS.get(defect, "")
+    config = _FUZZ_CONFIG + (f"example oc1=const({draw(v)})\n" if example else "")
+    untargeted = output and not target and not example
+    refused = defect is not None or untargeted or (command != "simulate" and not output)
+    return command, net, config, refused
+
+
+def _run_main(directory, command, net, config):
+    """main's exit code on one generated case, run in its own directory."""
+    (directory / "fuzz.net").write_text(net)
+    if command == "train":
+        (directory / "fuzz.cfg").write_text(config)
+        argv = ["train", str(directory / "fuzz.net"), str(directory / "fuzz.cfg"), "--out-dir", str(directory / "run")]
+    else:
+        argv = [command, str(directory / "fuzz.net"), "--dt", "0.01", "--t-end", "0.2", "--out", str(directory / "out.csv")]
+    return main(argv + (["--dump-action"] if command == "simulate" else []))
+
+
+def _assert_clean_exit(directory, code, err):
+    """Exit 0 with an empty stderr and every cell finite, or exit 2 or 3 with
+    one stderr line and no warning; no tmp file either way."""
+    assert not list(directory.rglob("*.tmp")), code
+    if code != 0:
+        assert code in (2, 3) and err.count("\n") == 1 and err.endswith("\n"), (code, err)
+        assert "Warning" not in err and "Traceback" not in err, err
+        return
+    assert err == ""
+    for path in directory.rglob("*.csv"):
+        for row in path.read_text().splitlines()[1:]:
+            for cell in row.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:  # a row label
+                    continue
+                assert math.isfinite(value), (path, row)
+    for path in directory.rglob("trained.net"):
+        parse_netlist(path.read_text())  # every conductance finite and positive
+
+
+class TestMainFuzz:
+    """`main` on generated netlists: exit 0, 2 or 3, and the output contract of each."""
+
+    def test_generated_netlists(self, tmp_path, capsys):
+        outcomes = set()
+
+        # linnet runs every command to exit 0
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(case=fuzz_cases())
+        @example(case=("simulate", LINNET, _FUZZ_CONFIG, False))
+        @example(case=("gradcheck", LINNET, _FUZZ_CONFIG, False))
+        @example(case=("train", LINNET, _FUZZ_CONFIG, False))
+        def run(case):
+            command, net, config, refused = case
+            directory = Path(tempfile.mkdtemp(dir=tmp_path))
+            code = _run_main(directory, command, net, config)
+            _assert_clean_exit(directory, code, capsys.readouterr().err)
+            assert code == 2 or not refused, (code, net)
+            outcomes.add((command, code))
+
+        run()
+        # every command reached its exit-0 checks, and generated runs failed in each way
+        assert {(command, 0) for command in ALL_COMMANDS} <= outcomes
+        assert {code for _, code in outcomes} == {0, 2, 3}
 
 
 class TestParseTrainConfig:

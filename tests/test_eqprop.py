@@ -21,10 +21,10 @@ from fraceq.eqprop import (
     fd_members,
     train,
 )
-from fraceq.errors import DegenerateTopologyError, NewtonDivergenceError, ParameterError, ValidationError
+from fraceq.errors import NewtonDivergenceError, ParameterError, ValidationError
 from fraceq.frac_ops import SampleGrid
 from fraceq.lagrangian import half_energies
-from test_batch import random_circuits
+from test_batch import random_circuits, skip_topology_refusal
 from test_frac_ops import half_energy_integral
 
 LINNET = """\
@@ -162,8 +162,10 @@ class TestEnergiesAgainstBranchReference:
         beta = 0.3
         try:
             free, nudged = free_and_nudged(circuit, beta, sim_cfg(dt=1e-2, t_end=0.5))
-        except (DegenerateTopologyError, NewtonDivergenceError):
+        except NewtonDivergenceError:
             assume(False)
+        except ValidationError as exc:
+            skip_topology_refusal(exc)
         # a branch whose flux cancels to roundoff has an energy of roundoff
         # squared, so the floor is relative to the run's largest energy
         branches = range(len(circuit.elements))

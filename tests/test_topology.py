@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceq.circuit import Circuit, Element, Waveform, parse_netlist
-from fraceq.errors import DegenerateTopologyError
+from fraceq.errors import ValidationError
 from fraceq.topology import build_topology
 
 SERIES_RC = "V vin 1 0 w=step(1,0)\nR r1 1 2 g=1\nC c1 2 0 c=1\n"
@@ -17,15 +17,24 @@ class TestSelectTree:
         assert topo.tree == (0, 2)
         assert topo.links == (1,)
 
-    def test_voltage_source_loop_degenerate(self):
-        ckt = parse_netlist("V v1 a 0 w=const(1)\nV v2 a 0 w=const(2)\n")
-        with pytest.raises(DegenerateTopologyError, match="loop of voltage sources"):
-            build_topology(ckt)
-
-    def test_current_source_cutset_degenerate(self):
-        ckt = parse_netlist("I i1 a 0 w=const(1)\n")
-        with pytest.raises(DegenerateTopologyError, match="cut-set of current sources"):
-            build_topology(ckt)
+    @pytest.mark.parametrize(
+        "net, code, message",
+        [
+            (
+                "V v1 a 0 w=const(1)\nV v2 a 0 w=const(2)\n",
+                "voltage-source-loop",
+                "voltage source v2 closes a loop of voltage sources",
+            ),
+            ("I i1 a 0 w=const(1)\n", "current-source-cutset", "current source i1 forms a cut-set of current sources"),
+            ("R r1 a 0 g=1\nR r2 b c g=1\n", "disconnected", "graph is not connected; no spanning tree exists"),
+        ],
+        ids=["v-loop", "i-cutset", "disconnected"],
+    )
+    def test_no_valid_tree_is_a_diagnostic(self, net, code, message):
+        with pytest.raises(ValidationError) as info:
+            build_topology(parse_netlist(net))
+        assert [(d.code, d.message) for d in info.value.diagnostics] == [(code, message)]
+        assert str(info.value) == f"{code}: {message}"
 
     def test_single_resistor_tree(self):
         topo = build_topology(parse_netlist("R r1 a 0 g=1\n"))
