@@ -236,6 +236,31 @@ def parse_waveform(token: str) -> Waveform:
     return Waveform(fam, args)
 
 
+def token_lines(text: str):
+    """Each line of text that has a token before its `#`, as (line number,
+    [(token, column), ...]).  Netlists and train configs are read this way."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if tokens:
+            yield lineno, tokens
+
+
+def split_pairs(tokens, pairs: dict, lineno: int, noun: str, owner: str = "") -> list:
+    """Add each key=value token to `pairs` as key -> (value, line, column), and
+    return a (line, column, message), worded with `noun` and `owner`, for each
+    token without `=` or with a key that `pairs` already holds."""
+    errors = []
+    for tok, col in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            errors.append((lineno, col, f"malformed {noun} {tok!r}"))
+        elif key in pairs:
+            errors.append((lineno, col, f"{owner}repeated {noun} {key}="))
+        else:
+            pairs[key] = (val, lineno, col)
+    return errors
+
+
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit.
 
@@ -245,11 +270,7 @@ def parse_netlist(text: str) -> Circuit:
     elements = []
     errors = []
     names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # (token, column) pairs of the line up to its comment
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
-        if not tokens:
-            continue
+    for lineno, tokens in token_lines(text):
         kind, col = tokens[0]
         if kind not in KINDS:
             errors.append((lineno, col, f"unknown element kind {kind!r}"))
@@ -261,21 +282,13 @@ def parse_netlist(text: str) -> Circuit:
         if name in names:
             errors.append((lineno, col, f"duplicate element name {name!r}"))
             continue
+        params = [tok for tok in tokens[4:] if tok[0] != "trainable"]
         kv = {}
-        trainable = False
-        bad = False
-        for tok, col in tokens[4:]:
-            key, eq, val = tok.partition("=")
-            if tok == "trainable":
-                trainable = True
-            elif not eq or key in kv:
-                message = f"{name}: repeated parameter {key}=" if eq else f"malformed parameter {tok!r}"
-                errors.append((lineno, col, message))
-                bad = True
-            else:
-                kv[key] = (val, col)
+        bad = split_pairs(params, kv, lineno, "parameter", f"{name}: ")
         if bad:
+            errors += bad
             continue
+        trainable = len(params) < len(tokens) - 4
         try:
             elements.append(_build_element(kind, name, n_plus, n_minus, kv, trainable, lineno))
         except _LineError as exc:
@@ -293,7 +306,7 @@ class _LineError(Exception):
     pass
 
 
-# kind -> (netlist key, Element field) of the element's one positive value
+# kind -> (netlist key, Element field) of the one positive value the parser reads and `serialize` writes
 _VALUE_KEYS = {"R": ("g", "g"), "C": ("c", "c"), "L": ("l", "l"), "OC": ("cap", "cap_scale")}
 
 
@@ -316,7 +329,7 @@ def _build_element(kind, name, n_plus, n_minus, kv, trainable, lineno) -> Elemen
         value's column, and an absent key the error `missing` at column 1."""
         if key not in kv:
             raise _LineError((lineno, 1, f"{name}: {missing}"))
-        val, col = kv.pop(key)
+        val, _, col = kv.pop(key)
         try:
             return parse(val)
         except ValueError as exc:
@@ -333,7 +346,7 @@ def _build_element(kind, name, n_plus, n_minus, kv, trainable, lineno) -> Elemen
         e[attr] = take(key, lambda val: _positive(key, val), missing)
     if kind in ("V", "I") or (kind == "OC" and "w" in kv):
         e["waveform"] = take("w", parse_waveform, "source needs w=family(args)")
-    for key, (val, col) in kv.items():
+    for key, (val, _, col) in kv.items():
         raise _LineError((lineno, col, f"{name}: unknown parameter {key}={val}"))
     return Element(**e)
 
@@ -353,15 +366,7 @@ def serialize(circuit: Circuit) -> str:
     """Write the circuit back in the netlist grammar, deterministically."""
     lines = []
     for e in circuit.elements:
-        params = {}
-        if e.g is not None:
-            params["g"] = _fmt(e.g)
-        if e.c is not None:
-            params["c"] = _fmt(e.c)
-        if e.l is not None:
-            params["l"] = _fmt(e.l)
-        if e.cap_scale is not None:
-            params["cap"] = _fmt(e.cap_scale)
+        params = {key: _fmt(getattr(e, attr)) for key, attr in _VALUE_KEYS.values() if getattr(e, attr) is not None}
         if e.spec is not None:
             params["f"] = _fmt_call(e.spec.family, e.spec.params)
         if e.waveform is not None:

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import parse_netlist, parse_waveform, serialize
+from .circuit import parse_netlist, parse_waveform, serialize, split_pairs, token_lines
 from .dynamics import DriveSet, SimConfig, simulate
 from .eqprop import TrainConfig, agreement_metrics, estimates_and_oracle, train
 from .errors import FraceqError, NewtonDivergenceError, NonFiniteResultError, ParameterError
@@ -189,48 +189,45 @@ def _read_netlist(path: str):
 
 
 def parse_train_config(text: str, circuit) -> TrainConfig:
-    """Flat key=value config plus `example` lines of waveform assignments."""
-    scalars = {}
-    located = {}  # key -> "config line N: key=value", for diagnostics
+    """Flat key=value settings plus `example` lines of element=waveform tokens,
+    read with the netlist's reader: a token without `=`, or a setting or an
+    example's element given twice, is refused at its line and column."""
+
+    def refuse(lineno, col, message):
+        raise ValueError(f"config line {lineno}, col {col}: {message}")
+
+    settings = {}  # key -> (value, line, column)
+    kinds = {e.name: e.kind for e in circuit.elements}
     batch = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "example":
+    for lineno, tokens in token_lines(text):
+        if tokens[0][0] == "example":
+            pairs = {}
+            for error in split_pairs(tokens[1:], pairs, lineno, "element"):
+                refuse(*error)
             inputs, targets = {}, {}
-            for tok in tokens[1:]:
-                if "=" not in tok:
-                    raise ValueError(f"config line {lineno}: malformed example token {tok!r}")
-                name, wf_text = tok.split("=", 1)
-                try:
-                    element = circuit.element(name)
-                except KeyError:
-                    raise ValueError(f"config line {lineno}: unknown element {name!r}") from None
+            for name, (wf_text, _, col) in pairs.items():
+                if name not in kinds:
+                    refuse(lineno, col, f"unknown element {name!r}")
                 try:
                     wf = parse_waveform(wf_text)
                 except ValueError as exc:
-                    col = raw.index(tok) + 1
-                    raise ValueError(f"config line {lineno}, col {col}: {name}: {exc}") from None
-                if element.kind == "OC":
-                    targets[name] = wf
-                elif element.kind in ("V", "I"):
-                    inputs[name] = wf
-                else:
-                    raise ValueError(f"config line {lineno}: {name} is not a source or output")
+                    refuse(lineno, col, f"{name}: {exc}")
+                if kinds[name] not in ("OC", "V", "I"):
+                    refuse(lineno, col, f"{name} is not a source or output")
+                (targets if kinds[name] == "OC" else inputs)[name] = wf
             # an output the netlist gives no target needs one in every example
             for e in circuit.elements:
                 if e.kind == "OC" and e.waveform is None and e.name not in targets:
                     message = f"missing-target: output capacitor {e.name} has no target waveform"
                     raise ValueError(f"config line {lineno}: {message}")
             batch.append(DriveSet(inputs=inputs, targets=targets))
-        elif len(tokens) == 1 and "=" in tokens[0]:
-            key, value = tokens[0].split("=", 1)
-            scalars[key] = value
-            located[key] = f"config line {lineno}: {key}={value}"
+        elif len(tokens) == 1:
+            for error in split_pairs(tokens, settings, lineno, "setting"):
+                refuse(*error)
         else:
             raise ValueError(f"config line {lineno}: expected key=value or example line")
+    scalars = {key: value for key, (value, _, _) in settings.items()}
+    located = {key: f"config line {line}: {key}={value}" for key, (value, line, _) in settings.items()}
 
     def take(key, cast, default=None):
         if key in scalars:

@@ -210,8 +210,8 @@ def train(circuit: Circuit, config: TrainConfig):
     updates act on its conductance vector, and the trained circuit is built
     from it at the end.  An output capacitor needs a target in the netlist
     only if some example gives it none.  A simulation failure mid-run
-    re-raises with the epoch and example in its message and as attributes,
-    and the partial log attached.
+    re-raises with the epoch and example in its message and the partial log
+    attached as `partial_log`.
     """
     idx = list(_synapses(circuit))
     names = tuple(circuit.elements[l].name for l in idx)
@@ -228,8 +228,6 @@ def train(circuit: Circuit, config: TrainConfig):
                 grads = estimate_gradient(system, g, drive, config.beta, config.sim)
             except FraceqError as exc:
                 exc.args = (f"epoch {epoch}, example {example}: {exc}",)
-                exc.epoch = epoch
-                exc.example = int(example)
                 exc.partial_log = log
                 raise
             log.add(epoch, int(example), grads.loss_free, float(np.linalg.norm(grads.values)), g[idx].tolist())

@@ -437,7 +437,7 @@ class TestTrain:
         cfg_text = TRAIN_CFG.replace("example v1=const(0.8)", "example vx=const(0.8)")
         code, _ = self._run(linnet_path, tmp_path, cfg_text, "runU")
         assert code == 2
-        assert "config line 8: unknown element 'vx'" in capsys.readouterr().err
+        assert "config line 8, col 9: unknown element 'vx'" in capsys.readouterr().err
 
     def test_non_finite_example_exit_2_with_location(self, linnet_path, tmp_path, capsys):
         cfg_text = TRAIN_CFG.replace("example v1=const(0.8)", "example v1=const(inf)")
@@ -1073,12 +1073,21 @@ def _not_a_finite_number(text):
 
 @st.composite
 def _bad_config_lines(draw):
-    """One line that the config reader must reject whatever surrounds it."""
-    kind = draw(st.sampled_from(["unknown key", "no key=value", "example token"]))
+    """One line (two for a repeated setting) that the config reader must
+    reject whatever surrounds it."""
+    kind = draw(
+        st.sampled_from(["unknown key", "no key=value", "example token", "repeated setting", "repeated element"])
+    )
     if kind == "unknown key":
         return f"{draw(_WORDS.filter(lambda k: k not in _KEYS and k != 'example'))}={draw(_NUMBERS)}"
     if kind == "no key=value":
         return f"{draw(_WORDS.filter(lambda w: w != 'example'))} {draw(_NUMBERS)}"
+    if kind == "repeated setting":
+        key = draw(st.sampled_from(_KEYS))
+        return f"{key}={draw(_NUMBERS)}\n{key}={draw(_NUMBERS)}"
+    if kind == "repeated element":
+        name = draw(st.sampled_from(["v1", "v2", "oc1"]))
+        return f"example v1=const(1.0) v2=const(0.5) oc1=const(0.4) {name}=const(2.0)"
     token = draw(
         st.sampled_from(["v1const(1)", "vx=const(1)", "s1=const(1)", "v1=const(", "v1=sine(1)", "v1=ramp(1)"])
         | _NUMBERS.filter(_not_a_finite_number).map(lambda x: f"oc1=const({x})")
@@ -1150,6 +1159,9 @@ class TestInputFuzz:
         max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(raw=bad_train_configs())
+    # a good config but for one repeated setting or example element
+    @example(raw=(TRAIN_CFG + "epochs=2\n").encode())
+    @example(raw=TRAIN_CFG.replace("oc1=const(0.3)", "oc1=const(0.3) v1=const(5.0)").encode())
     def test_train_config(self, linnet_path, tmp_path, capsys, monkeypatch, raw):
         def training(*args):
             raise AssertionError("a run was trained")
@@ -1293,7 +1305,7 @@ class TestParseTrainConfig:
             parse_train_config("learning_rate=0.1\nbeta=1e-3\n", parse_netlist(LINNET))
 
     def test_unknown_element_rejected(self):
-        with pytest.raises(ValueError, match="config line 4: unknown element 'nope'"):
+        with pytest.raises(ValueError, match="config line 4, col 9: unknown element 'nope'"):
             parse_train_config(
                 "epochs=1\nlearning_rate=0.1\nbeta=1e-3\nexample nope=const(1)\n",
                 parse_netlist(LINNET),
@@ -1305,6 +1317,24 @@ class TestParseTrainConfig:
                 "epochs=1\nlearning_rate=0.1\nbeta=1e-3\nexample s1=const(1)\n",
                 parse_netlist(LINNET),
             )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # a setting given again on a later line
+            ("epochs=2", "config line 4, col 1: repeated setting epochs="),
+            ("example v1=const(1.0) v1=const(5.0) oc1=const(0.4)", "config line 4, col 23: repeated element v1="),
+            # v1=const(1 is also the tail of the token before it
+            ("example vv1=const(1) v1=const(1", "config line 4, col 22: v1: expected family(args), got 'const(1'"),
+            ("example v1=const(1.0) v2const(1)", "config line 4, col 23: malformed element 'v2const(1)'"),
+        ],
+        ids=["repeated-setting", "repeated-element", "waveform", "malformed-token"],
+    )
+    def test_token_refused_at_its_column(self, line, message):
+        ckt = parse_netlist(LINNET + "V vv1 in3 0 w=const(1.0)\n")
+        with pytest.raises(ValueError) as info:
+            parse_train_config(f"epochs=1\nlearning_rate=0.1\nbeta=1e-3\n{line}\n", ckt)
+        assert str(info.value) == message
 
 
 class TestFracBench:

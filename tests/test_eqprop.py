@@ -364,7 +364,6 @@ class TestTrain:
         message = f"^epoch 0, example {first}: Newton iteration diverged at t=0.002 \\(free phase\\)"
         with pytest.raises(NewtonDivergenceError, match=message) as info:
             train(tanh_m, config)
-        assert (info.value.epoch, info.value.example) == (0, first)
         assert csv_text(info.value.partial_log) == "epoch,example,J,grad_norm,g_s1,g_s2,g_s3\n"
 
 
