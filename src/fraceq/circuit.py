@@ -185,7 +185,7 @@ class Circuit:
         """
         caps = {e.name: e.cap_scale for e in self.elements if e.kind == "OC"}
         if not caps:
-            raise ValidationError([Diagnostic("no-outputs", "circuit has no output capacitors")])
+            raise ValidationError([NO_OUTPUTS])
         if len(set(caps.values())) > 1:
             listed = ", ".join(f"{name}={cap:g}" for name, cap in caps.items())
             raise ValidationError(
@@ -389,6 +389,10 @@ class Diagnostic:
 
     def __str__(self):
         return f"{self.code}: {self.message}"
+
+
+# a loss J, and so every estimate, needs an output capacitor
+NO_OUTPUTS = Diagnostic("no-outputs", "circuit has no output capacitors")
 
 
 def validate(circuit: Circuit, targets=()) -> list:

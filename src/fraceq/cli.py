@@ -1,20 +1,20 @@
 """Command-line front end: simulate, gradcheck, train, frac-bench.
 
-Every file a command writes goes through one writer, `_atomic_write`: it
-streams the file's text to `<path>.tmp` a chunk at a time, so no run holds
-the whole text of an output, and renames it to `<path>` once all of it is
-written.  If producing the text fails, the tmp file is removed and `<path>`
-keeps what it had.  Every CSV is a table that `_write_csv` formats here;
-the simulator and the estimator return arrays and records.  A run that has
-written its data files then writes a plain-text key=value manifest the same
-way, recording the command, input hash, flags and those files, so recorded
-runs can be reproduced byte-for-byte; a run that fails before then leaves no
-manifest, and a run removes the manifest of an earlier one before it
-replaces the first of its files.  Exit codes: 0 success, 2 input or
-configuration error, 3 numerical or simulation failure.  Every command runs under
-np.errstate(all="ignore"), so no numpy warning reaches stderr; `simulate`
-checks every cell of its tables before it writes the first file, and a cell
-that is not finite exits 3 naming the file, row and column.  A fractional
+Every command writes its files through one function, `_publish`: it checks
+every cell of the run's tables, and a cell that is not finite exits 3 naming
+the file, row and column; a run that names one path twice, its manifest
+included, exits 2; only then does it remove the manifest an earlier run left
+and write each file with `_atomic_write`, which streams the UTF-8 text to
+`<path>.tmp` a chunk at a time, so no run holds the whole text of an output,
+and renames it to `<path>` once all of it is written.  If writing or renaming
+fails, the tmp file is removed and `<path>` keeps what it had.  Every CSV is
+a table formatted here; the simulator and the estimator return arrays and
+records.  A finished run last writes a plain-text key=value manifest,
+recording the command, input hash, flags and the files just written, so
+recorded runs can be reproduced byte-for-byte; a run that fails before then
+leaves no manifest.  Exit codes: 0 success, 2 input or configuration error,
+3 numerical or simulation failure.  Every command runs under
+np.errstate(all="ignore"), so no numpy warning reaches stderr.  A fractional
 operator that turns finite input non-finite exits 3 naming the operator
 and sample (2 in frac-bench, naming the signal CSV and time).
 A gradcheck whose estimate misses criterion 8's gate (every sign matching
@@ -57,21 +57,21 @@ GRADCHECK_MIN_COSINE = 0.9
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write an iterable of strings to path.tmp one at a time, then rename it to path.
+    """Write an iterable of strings to path.tmp as UTF-8 one at a time, then rename it to path.
 
-    Only the chunk being written is held.  If the iterable raises, path.tmp
-    is removed, path keeps what it had (or stays absent), and the error
-    propagates.
+    Only the chunk being written is held.  If the iterable raises or the
+    rename fails, path.tmp is removed, path keeps what it had (or stays
+    absent), and the error propagates.
     """
     tmp = path + ".tmp"
-    fh = open(tmp, "w")
+    fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
             fh.writelines(chunks)
+        os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
-    os.replace(tmp, path)
 
 
 CSV_CHUNK_ROWS = 2048
@@ -93,11 +93,6 @@ def _csv_chunks(header, columns, labels=None):
         yield "".join([fmt % tuple(row) for row in rows])
 
 
-def _write_csv(path, header, columns, labels=None) -> None:
-    """Write a table (see _csv_chunks) with _atomic_write."""
-    _atomic_write(path, _csv_chunks(header, columns, labels))
-
-
 class _NonFiniteCell(ArithmeticError):
     """An output cell that is not finite; the message locates it as
     "<path>: row <row>, column <column>".  `main` exits 3 on it."""
@@ -106,8 +101,8 @@ class _NonFiniteCell(ArithmeticError):
 def _check_finite(tables, keys=1) -> None:
     """Raise _NonFiniteCell at the first cell of the tables (path, header,
     columns, labels) that is not finite; a row is named by its label, or
-    else by its first `keys` cells.  Callers check every table before writing one."""
-    for path, header, columns, labels in tables:
+    else by its first `keys` cells."""
+    for path, header, columns, labels, *_ in tables:
         names = header[1:] if labels is not None else header
         for name, column in zip(names, columns):
             finite = np.isfinite(column)
@@ -118,12 +113,12 @@ def _check_finite(tables, keys=1) -> None:
                 raise _NonFiniteCell(f"{path}: row {row}, column {name}")
 
 
-def _trajectory_table(traj) -> tuple:
-    """(header, columns) of a trajectory: t, then (phi, v, psi) per flux
-    coordinate, (q, i, r) per charge coordinate and (v, T) per output.
+def _trajectory_table(traj, path) -> tuple:
+    """(path, header, columns, None) of a trajectory: t, then (phi, v, psi)
+    per flux coordinate, (q, i, r) per charge coordinate and (v, T) per output.
 
     A half-rate that finite coordinates turn non-finite raises
-    _NonFiniteCell naming its column and time (the caller adds the path).
+    _NonFiniteCell naming the path, its column and time.
     """
     header, columns = ["t"], [traj.grid.times()]
     topo = traj.topology
@@ -139,35 +134,49 @@ def _trajectory_table(traj) -> tuple:
                 signals.append(getattr(traj, field))
             except NonFiniteResultError as exc:
                 t = traj.grid.times()[exc.sample]
-                raise _NonFiniteCell(f"row t={t:.17g}, column {prefix}_{names[exc.row]}_{part}") from None
+                raise _NonFiniteCell(f"{path}: row t={t:.17g}, column {prefix}_{names[exc.row]}_{part}") from None
         for name, values in zip(names, zip(*signals)):
             header += [f"{prefix}_{name}_{part}" for part in parts]
             columns += values
-    return header, columns
+    return path, header, columns, None
 
 
-def _log_table(log) -> tuple:
-    """(header, columns) of a training log: one row per record, none if the first example failed."""
+def _log_table(log, path) -> tuple:
+    """(path, header, columns, None) of a training log: one row per record, none if the first example failed."""
     header = ["epoch", "example", "J", "grad_norm"] + [f"g_{name}" for name in log.synapse_names]
     rows = np.array([(ep, ex, loss, norm, *gs) for ep, ex, loss, norm, gs in log.records], dtype=float)
-    return header, rows.reshape(-1, len(header)).T
+    return path, header, rows.reshape(-1, len(header)).T, None
 
 
-def _write_manifest(path, command, netlist, digest, params, outputs) -> None:
-    """Reproducibility record: one key=value per line, atomic write."""
-    lines = [f"command={command}", f"version={__version__}", f"netlist={netlist}", f"netlist_sha256={digest}"]
-    lines += [f"{k}={v}" for k, v in sorted(params.items())]
-    lines.append("outputs=" + ",".join(outputs))
-    _atomic_write(path, [line + "\n" for line in lines])
+def _publish(tables, manifest=None, run=None, keys=1, directory=None) -> None:
+    """Write a run's files: every table (path, header, columns, labels) as
+    CSV, except that a table with a fifth item, a text, is checked as the
+    table and written as the text.
 
-
-def _write_tables(manifest, tables) -> None:
-    """Write each table with _write_csv, first removing the manifest an earlier
-    run left: it would list files this run replaces."""
-    if os.path.exists(manifest):
+    In order: _check_finite checks every table; a run that names one path
+    twice, the manifest included, is refused before any file is touched;
+    `directory` is made, and the manifest an earlier run left is removed (it
+    would list files this run replaces); each file is written with
+    _atomic_write; and for a finished run, `run` = (command, netlist,
+    netlist_sha256, params), the manifest records it with outputs= the paths
+    just written, one key=value per line.
+    """
+    _check_finite(tables, keys)
+    paths = [path for path, *_ in tables]
+    for path in paths:
+        if (paths + [manifest]).count(path) > 1:
+            raise ValueError(f"{path}: named twice among this run's files, its manifest included")
+    if directory is not None:
+        os.makedirs(directory, exist_ok=True)
+    if manifest is not None and os.path.exists(manifest):
         os.remove(manifest)
-    for table in tables:
-        _write_csv(*table)
+    for path, header, columns, labels, *text in tables:
+        _atomic_write(path, text or _csv_chunks(header, columns, labels))
+    if run is not None:
+        command, netlist, digest, params = run
+        record = [("command", command), ("version", __version__), ("netlist", netlist), ("netlist_sha256", digest)]
+        record += [*sorted(params.items()), ("outputs", ",".join(paths))]
+        _atomic_write(manifest, [f"{key}={value}\n" for key, value in record])
 
 
 def _read_text(path: str) -> tuple:
@@ -287,19 +296,14 @@ def cmd_simulate(args) -> int:
     stem = os.path.splitext(args.out)[0]
     params = {"beta": args.beta, "dt": args.dt, "t_end": args.t_end}
     traj = simulate(circuit, DriveSet(), args.beta, SimConfig(SampleGrid.from_span(0.0, args.t_end, args.dt)))
-    # every table is built and checked before the first file is written
-    action = [_action_table(circuit, traj, f"{stem}_action.csv")] if args.dump_action else []
-    try:
-        tables = [(args.out, *_trajectory_table(traj), None)]
-    except _NonFiniteCell as exc:
-        raise _NonFiniteCell(f"{args.out}: {exc}") from None
+    # the trajectory's table comes first: a half-rate that overflows is named by its column
+    tables = [_trajectory_table(traj, args.out)]
     if args.dump_topology:
         topo = traj.topology
         tables += [(f"{stem}_{label}.csv", topo.names, M.T, None) for label, M in (("Q", topo.Q), ("B", topo.B))]
-    tables += action
-    _check_finite(tables)
-    _write_tables(stem + ".manifest", tables)
-    _write_manifest(stem + ".manifest", "simulate", args.netlist, digest, params, [path for path, *_ in tables])
+    if args.dump_action:
+        tables.append(_action_table(circuit, traj, f"{stem}_action.csv"))
+    _publish(tables, stem + ".manifest", ("simulate", args.netlist, digest, params))
     print(f"wrote {args.out} ({traj.grid.n} samples)")
     return EXIT_OK
 
@@ -342,9 +346,7 @@ def cmd_gradcheck(args) -> int:
         (args.out, *_gradcheck_table(est, oracle)),
         (summary_path, ["metric", "value"], [list(summary.values())], list(summary)),
     ]
-    _check_finite(tables)
-    _write_tables(stem + ".manifest", tables)
-    _write_manifest(stem + ".manifest", "gradcheck", args.netlist, digest, params, [args.out, summary_path])
+    _publish(tables, stem + ".manifest", ("gradcheck", args.netlist, digest, params))
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
         % (metrics["cosine_similarity"], metrics["sign_match"], metrics["max_rel_error"])
@@ -387,26 +389,19 @@ def cmd_train(args) -> int:
         if hasattr(exc, "partial_log"):
             # the exception names the epoch and example; its one line also
             # says where the partial log went
-            table = (log_path, *_log_table(exc.partial_log), None)
             try:
-                _check_finite([table], keys=2)
+                _publish([_log_table(exc.partial_log, log_path)], manifest_path, keys=2, directory=args.out_dir)
             except _NonFiniteCell as bad:
                 note = f"partial log not written: {bad} is not finite"
             else:
-                os.makedirs(args.out_dir, exist_ok=True)
-                _write_tables(manifest_path, [table])
                 note = f"partial log flushed to {log_path}"
             exc.args = (f"{exc}; {note}",)
         raise
-    log_table = (log_path, *_log_table(log), None)
     # trained.net is checked as a table of its synapse conductances
     synapses = list(log.synapse_names)
     conductances = [final.element(name).g for name in synapses]
-    _check_finite([log_table, (net_path, ["synapse", "g"], [conductances], synapses)], keys=2)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_tables(manifest_path, [log_table])
-    _atomic_write(net_path, [serialize(final)])
-    _write_manifest(manifest_path, "train", args.netlist, digest, params, [log_path, net_path])
+    tables = [_log_table(log, log_path), (net_path, ["synapse", "g"], [conductances], synapses, serialize(final))]
+    _publish(tables, manifest_path, ("train", args.netlist, digest, params), keys=2, directory=args.out_dir)
     losses = log.losses_by_epoch()
     print("epochs=%d loss %.6g -> %.6g" % (config.epochs, losses[0], losses[-1]))
     return EXIT_OK
@@ -497,7 +492,7 @@ def cmd_fracbench(args) -> int:
     except NonFiniteResultError as exc:
         t = grid.times()[exc.sample]
         raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}") from None
-    _write_csv(args.out, ["t", "value"], [grid.times(), result])
+    _publish([(args.out, ["t", "value"], [grid.times(), result], None)])
     print(f"wrote {args.out}")
     return EXIT_OK
 

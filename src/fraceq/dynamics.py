@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .circuit import KINDS, LAW_FAMILIES, Circuit, Element, Waveform, validate
-from .errors import MissingOutputError, NewtonDivergenceError, ParameterError, ValidationError
+from .circuit import KINDS, LAW_FAMILIES, NO_OUTPUTS, Circuit, Element, Waveform, validate
+from .errors import NewtonDivergenceError, ParameterError, ValidationError
 from .frac_ops import GLHistory, SampleGrid, caputo_left
 from .topology import Topology, build_topology
 
@@ -580,6 +580,6 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
 def trajectory_loss(run: RunOutputs) -> float:
     """Integrated squared output-target mismatch J over the window, of a Trajectory or RunOutputs."""
     if not len(run.outputs):
-        raise MissingOutputError("trajectory has no output capacitors")
+        raise ValidationError([NO_OUTPUTS])
     sq = np.sum((run.outputs - run.targets) ** 2, axis=0)
     return float(np.trapezoid(sq, dx=run.grid.dt))

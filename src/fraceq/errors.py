@@ -74,7 +74,3 @@ class NonFiniteResultError(FraceqError, ArithmeticError):
         self.sample = sample
         self.row = row
         super().__init__(f"{operator} gives a non-finite result from finite input, first at sample {sample}")
-
-
-class MissingOutputError(FraceqError, ValueError):
-    """A run's loss J needs at least one output capacitor."""

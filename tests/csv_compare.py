@@ -24,4 +24,5 @@ def assert_same_csv(actual: str, expected: str) -> None:
 def csv_text(exported) -> str:
     """The CSV of a Trajectory or TrainingLog as one string: the chunks the CLI writes, joined."""
     table = cli._trajectory_table if isinstance(exported, Trajectory) else cli._log_table
-    return "".join(cli._csv_chunks(*table(exported)))
+    _, header, columns, labels = table(exported, "")
+    return "".join(cli._csv_chunks(header, columns, labels))

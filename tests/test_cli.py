@@ -146,12 +146,14 @@ class TestSimulate:
         assert err == [f"simulation failure: {tmp_path / 's_action.csv'}: row action_inductive, column real is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["sine.net"]
 
-    def test_overflowing_half_rate_names_its_column_and_time(self, tmp_path, capsys):
-        # the flux reaches 1e306: finite, but its half-derivative's FFT overflows
+    @pytest.mark.parametrize("flags", [[], ["--dump-action"]], ids=["trajectory", "dump-action"])
+    def test_overflowing_half_rate_names_its_column_and_time(self, tmp_path, capsys, flags):
+        # the flux reaches 1e306: finite, but its half-derivative's FFT
+        # overflows, in the trajectory's psi column and in the action alike
         p = tmp_path / "big.net"
         p.write_text("I isrc 0 1 w=step(1,0)\nR r1 1 0 g=1e-306\n")
         out = tmp_path / "big.csv"
-        assert main(["simulate", str(p), "--out", str(out)]) == 3
+        assert main(["simulate", str(p), "--out", str(out), *flags]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == [f"simulation failure: {out}: row t=0, column coord_r1_psi is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["big.net"]
@@ -160,12 +162,12 @@ class TestSimulate:
         # a trajectory cell is refused as an action row is, before any file is written
         table = cli._trajectory_table
 
-        def with_inf(traj):
-            header, columns = table(traj)
+        def with_inf(traj, path):
+            path, header, columns, labels = table(traj, path)
             k = header.index("coord_c1_v")
             columns[k] = columns[k].copy()
             columns[k][3] = np.inf
-            return header, columns
+            return path, header, columns, labels
 
         monkeypatch.setattr(cli, "_trajectory_table", with_inf)
         out = tmp_path / "traj.csv"
@@ -274,6 +276,18 @@ class TestSimulate:
         assert main(argv) == 0
         assert open(out, "rb").read() == first
 
+    def test_out_named_as_its_manifest_exit_2(self, rc_net, tmp_path, capsys):
+        # the trajectory would be x.manifest, and then its own manifest
+        out = tmp_path / "x.manifest"
+        for before in (None, b"kept\n"):
+            if before is not None:
+                out.write_bytes(before)
+            assert main(["simulate", rc_net, "--t-end", "0.1", "--dump-action", "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {out}: named twice among this run's files, its manifest included"]
+            assert sorted(os.listdir(tmp_path)) == ["rc.net"] + ["x.manifest"] * (before is not None)
+        assert out.read_bytes() == b"kept\n"
+
 
 class TestGradcheck:
     def test_reference_network_report(self, linnet_path, tmp_path):
@@ -363,6 +377,18 @@ class TestGradcheck:
         assert err == [f"simulation failure: {out}: row s2, column ratio is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["linnet.net"]
 
+    def test_out_named_as_its_manifest_exit_2(self, linnet_path, tmp_path, capsys):
+        # the estimate table would be g.manifest, and then its own manifest
+        out = tmp_path / "g.manifest"
+        for before in (None, b"kept\n"):
+            if before is not None:
+                out.write_bytes(before)
+            assert main(["gradcheck", linnet_path, "--dt", "4e-3", "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {out}: named twice among this run's files, its manifest included"]
+            assert sorted(os.listdir(tmp_path)) == ["g.manifest"] * (before is not None) + ["linnet.net"]
+        assert out.read_bytes() == b"kept\n"
+
     def test_unequal_output_caps_exit_2(self, tmp_path, capsys):
         net = tmp_path / "two.net"
         net.write_text(LINNET + "R s4 out out2 g=0.5 trainable\nOC oc2 out2 0 cap=5.0 w=const(0.2)\n")
@@ -448,11 +474,11 @@ class TestTrain:
     def test_non_finite_log_cell_names_file_row_and_column(self, linnet_path, tmp_path, capsys, monkeypatch):
         table = cli._log_table
 
-        def with_nan(log):
-            header, columns = table(log)
+        def with_nan(log, path):
+            path, header, columns, labels = table(log, path)
             columns = columns.copy()
             columns[header.index("J"), 2] = np.nan  # epoch 1, the first of its two records
-            return header, columns
+            return path, header, columns, labels
 
         monkeypatch.setattr(cli, "_log_table", with_nan)
         code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runI")
@@ -486,11 +512,11 @@ class TestTrain:
 
         table = cli._log_table
 
-        def with_inf(log):
-            header, columns = table(log)
+        def with_inf(log, path):
+            path, header, columns, labels = table(log, path)
             columns = columns.copy()
             columns[header.index("grad_norm"), 1] = np.inf
-            return header, columns
+            return path, header, columns, labels
 
         monkeypatch.setattr(eqprop, "estimate_gradient", third_fails)
         monkeypatch.setattr(cli, "_log_table", with_inf)
@@ -501,6 +527,25 @@ class TestTrain:
         assert err.startswith("simulation failure: epoch 1, example ")
         assert err.endswith(f"; partial log not written: {log_path}: row epoch=0 example=1, column grad_norm is not finite")
         assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
+
+    def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # a synapse named with a non-ASCII letter, run as a user whose locale
+        # is C runs it: every output is UTF-8, as every input must be
+        net = tmp_path / "mu.net"
+        net.write_text(LINNET.replace("s1", "s\u00b5"), encoding="utf-8")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN_CFG)
+        src = os.path.dirname(os.path.dirname(fraceq.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        for argv in (
+            ["gradcheck", str(net), "--dt", "4e-3", "--out", str(tmp_path / "gc.csv")],
+            ["train", str(net), str(cfg), "--out-dir", str(tmp_path / "run")],
+        ):
+            done = subprocess.run([sys.executable, "-m", "fraceq.cli", *argv], capture_output=True, env=env)
+            assert (done.returncode, done.stderr) == (0, b"")
+        assert "\ns\u00b5," in (tmp_path / "gc.csv").read_text(encoding="utf-8")
+        trained = parse_netlist((tmp_path / "run" / "trained.net").read_text(encoding="utf-8"))
+        assert [e.name for e in trained.elements if e.trainable] == ["s\u00b5", "s2", "s3"]
 
     def test_partial_log_flush_removes_the_manifest(self, linnet_path, tmp_path, capsys, monkeypatch):
         # the rerun's partial log replaces the train_log.csv that the first run's manifest lists
@@ -628,6 +673,15 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
+    def test_failed_rename_leaves_no_tmp(self, tmp_path):
+        # a directory at the path: the text is written, then the rename fails
+        path = tmp_path / "out.csv"
+        (path / "inner").mkdir(parents=True)
+        with pytest.raises(OSError):
+            cli._atomic_write(str(path), iter(["a,b\n", "1,2\n"]))
+        assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+        assert os.listdir(path) == ["inner"]
+
 
 class TestCsvFormat:
     """Every CSV the CLI writes, against the formatter it had before one writer made them all."""
@@ -667,7 +721,7 @@ class TestCsvFormat:
 
     def test_csv_matches_per_cell_formatter(self):
         traj = run(LINNET, beta=1e-3, t_end=5.0)
-        header, columns = cli._trajectory_table(traj)
+        _, header, columns, _ = cli._trajectory_table(traj, "traj.csv")
         expected = ",".join(header) + "\n" + self.per_cell_body(columns)
         assert_same_csv(csv_text(traj), expected)
 

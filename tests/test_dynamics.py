@@ -4,7 +4,7 @@ import pytest
 from csv_compare import assert_same_csv, csv_text
 from fraceq.circuit import Waveform, parse_netlist
 from fraceq.dynamics import DriveSet, SimConfig, Trajectory, simulate, trajectory_loss
-from fraceq.errors import MissingOutputError, ValidationError
+from fraceq.errors import ValidationError
 from fraceq.frac_ops import SampleGrid
 from fraceq.lagrangian import branch_quantities
 
@@ -171,7 +171,7 @@ class TestTrajectoryLoss:
 
     def test_missing_outputs(self):
         traj = run(RC_NET)
-        with pytest.raises(MissingOutputError):
+        with pytest.raises(ValidationError, match="^no-outputs: circuit has no output capacitors$"):
             trajectory_loss(traj)
 
 
