@@ -3,14 +3,15 @@
 Every command writes its files through one function, `_publish`: it checks
 every cell of the run's tables, and a cell that is not finite exits 3 naming
 the file, row and column; a run that names one path twice, its manifest
-included, exits 2; only then does it remove the manifest an earlier run left
-and write each file with `_atomic_write`, which streams the UTF-8 text to
-`<path>.tmp` a chunk at a time, so no run holds the whole text of an output,
-and renames it to `<path>` once all of it is written.  If writing or renaming
-fails, the tmp file is removed and `<path>` keeps what it had.  Every CSV is
+included, or that would write over one of its input files, exits 2; only
+then does it remove the manifest an earlier run left and write each file
+with `_atomic_write`, which streams the UTF-8 text to `<path>.tmp` a chunk at
+a time, so no run holds the whole text of an output, and renames it to
+`<path>` once all of it is written.  If writing or renaming fails, the tmp
+file is removed and `<path>` keeps what it had.  Every CSV is
 a table formatted here; the simulator and the estimator return arrays and
 records.  A finished run last writes a plain-text key=value manifest,
-recording the command, input hash, flags and the files just written, so
+recording the command, input hashes, flags and the files just written, so
 recorded runs can be reproduced byte-for-byte; a run that fails before then
 leaves no manifest.  Exit codes: 0 success, 2 input or configuration error,
 3 numerical or simulation failure.  Every command runs under
@@ -148,13 +149,14 @@ def _log_table(log, path) -> tuple:
     return path, header, rows.reshape(-1, len(header)).T, None
 
 
-def _publish(tables, manifest=None, run=None, keys=1, directory=None) -> None:
+def _publish(tables, inputs, manifest=None, run=None, keys=1, directory=None) -> None:
     """Write a run's files: every table (path, header, columns, labels) as
     CSV, except that a table with a fifth item, a text, is checked as the
     table and written as the text.
 
     In order: _check_finite checks every table; a run that names one path
-    twice, the manifest included, is refused before any file is touched;
+    twice, or an output (the manifest included) that is the same file as one
+    of the `inputs` it read, is refused before any file is touched;
     `directory` is made, and the manifest an earlier run left is removed (it
     would list files this run replaces); each file is written with
     _atomic_write; and for a finished run, `run` = (command, netlist,
@@ -166,6 +168,12 @@ def _publish(tables, manifest=None, run=None, keys=1, directory=None) -> None:
     for path in paths:
         if (paths + [manifest]).count(path) > 1:
             raise ValueError(f"{path}: named twice among this run's files, its manifest included")
+    # _atomic_write opens <path>.tmp for writing too; a file that does not
+    # exist yet cannot be an input that was read
+    for path in paths + ([manifest] if manifest else []):
+        for target in (path, path + ".tmp"):
+            if os.path.exists(target) and any(os.path.samefile(target, src) for src in inputs):
+                raise ValueError(f"{target}: is an input of this run, so it cannot be an output")
     if directory is not None:
         os.makedirs(directory, exist_ok=True)
     if manifest is not None and os.path.exists(manifest):
@@ -303,7 +311,7 @@ def cmd_simulate(args) -> int:
         tables += [(f"{stem}_{label}.csv", topo.names, M.T, None) for label, M in (("Q", topo.Q), ("B", topo.B))]
     if args.dump_action:
         tables.append(_action_table(circuit, traj, f"{stem}_action.csv"))
-    _publish(tables, stem + ".manifest", ("simulate", args.netlist, digest, params))
+    _publish(tables, [args.netlist], stem + ".manifest", ("simulate", args.netlist, digest, params))
     print(f"wrote {args.out} ({traj.grid.n} samples)")
     return EXIT_OK
 
@@ -346,7 +354,7 @@ def cmd_gradcheck(args) -> int:
         (args.out, *_gradcheck_table(est, oracle)),
         (summary_path, ["metric", "value"], [list(summary.values())], list(summary)),
     ]
-    _publish(tables, stem + ".manifest", ("gradcheck", args.netlist, digest, params))
+    _publish(tables, [args.netlist], stem + ".manifest", ("gradcheck", args.netlist, digest, params))
     print(
         "cosine=%.6f sign_match=%s max_rel_error=%.3g"
         % (metrics["cosine_similarity"], metrics["sign_match"], metrics["max_rel_error"])
@@ -367,7 +375,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     circuit, digest = _read_netlist(args.netlist)
-    _, text = _read_text(args.config)
+    raw, text = _read_text(args.config)
     try:
         config = parse_train_config(text, circuit)
     except ValueError as exc:
@@ -377,12 +385,14 @@ def cmd_train(args) -> int:
     manifest_path = os.path.join(args.out_dir, "train.manifest")
     params = {
         "config": args.config,
+        "config_sha256": hashlib.sha256(raw).hexdigest(),
         "epochs": config.epochs,
         "learning_rate": config.learning_rate,
         "beta": config.beta,
         "seed": config.seed,
         "examples": len(config.batch),
     }
+    inputs = [args.netlist, args.config]
     try:
         final, log = train(circuit, config)
     except FraceqError as exc:
@@ -390,7 +400,7 @@ def cmd_train(args) -> int:
             # the exception names the epoch and example; its one line also
             # says where the partial log went
             try:
-                _publish([_log_table(exc.partial_log, log_path)], manifest_path, keys=2, directory=args.out_dir)
+                _publish([_log_table(exc.partial_log, log_path)], inputs, manifest_path, keys=2, directory=args.out_dir)
             except _NonFiniteCell as bad:
                 note = f"partial log not written: {bad} is not finite"
             else:
@@ -401,7 +411,7 @@ def cmd_train(args) -> int:
     synapses = list(log.synapse_names)
     conductances = [final.element(name).g for name in synapses]
     tables = [_log_table(log, log_path), (net_path, ["synapse", "g"], [conductances], synapses, serialize(final))]
-    _publish(tables, manifest_path, ("train", args.netlist, digest, params), keys=2, directory=args.out_dir)
+    _publish(tables, inputs, manifest_path, ("train", args.netlist, digest, params), keys=2, directory=args.out_dir)
     losses = log.losses_by_epoch()
     print("epochs=%d loss %.6g -> %.6g" % (config.epochs, losses[0], losses[-1]))
     return EXIT_OK
@@ -492,7 +502,7 @@ def cmd_fracbench(args) -> int:
     except NonFiniteResultError as exc:
         t = grid.times()[exc.sample]
         raise ValueError(f"{args.signal}: --op {args.op} gives a non-finite result, first at t={t:.17g}") from None
-    _publish([(args.out, ["t", "value"], [grid.times(), result], None)])
+    _publish([(args.out, ["t", "value"], [grid.times(), result], None)], [args.signal])
     print(f"wrote {args.out}")
     return EXIT_OK
 

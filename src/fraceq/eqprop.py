@@ -14,6 +14,7 @@ nudged and perturbed runs step as one batch (`estimates_and_oracle`).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,9 +220,11 @@ def train(circuit: Circuit, config: TrainConfig):
     system = compile(circuit, {n for d in config.batch for n in d.targets if all(n in e.targets for e in config.batch)})
     g = system.g.copy()
     log = TrainingLog(synapse_names=names)
-    rng = np.random.default_rng(config.seed)
+    # the order draws only Random.random(), whose stream Python keeps stable
+    # across versions for a seed; numpy's generators make no such promise
+    rng = random.Random(config.seed)
     for epoch in range(config.epochs):
-        order = rng.permutation(len(config.batch))
+        order = sorted(range(len(config.batch)), key=lambda _: rng.random())
         for example in order:
             drive = config.batch[example]
             try:
@@ -230,6 +233,6 @@ def train(circuit: Circuit, config: TrainConfig):
                 exc.args = (f"epoch {epoch}, example {example}: {exc}",)
                 exc.partial_log = log
                 raise
-            log.add(epoch, int(example), grads.loss_free, float(np.linalg.norm(grads.values)), g[idx].tolist())
+            log.add(epoch, example, grads.loss_free, float(np.linalg.norm(grads.values)), g[idx].tolist())
             g[idx] = np.maximum(config.g_min, g[idx] - config.learning_rate * np.array(grads.values))
     return circuit.with_conductances(dict(zip(names, g[idx].tolist()))), log

@@ -9,7 +9,9 @@ the previous step solves it exactly.  The row-scaled residual at the
 increment solved for, r + J dz with r the residual at the previous step, is
 then checked against NEWTON_TOL: formed from the difference of the stored
 coordinates, it would carry their rounding into a C row divided by dt^2.
-It is not used by the package.
+Conductances may be complex, so a complex step through `simulate` gives the
+exact discrete gradient of the loss (`exact_gradient`).  It is not used by
+the package.
 """
 
 import math
@@ -23,8 +25,12 @@ from fraceq.frac_ops import gl_weights
 from fraceq.topology import build_topology
 
 
-def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> Trajectory:
-    """Zero initial coordinates, one exact solve per step."""
+def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig, g=None) -> Trajectory:
+    """Zero initial coordinates, one exact solve per step.
+
+    `g`, if given, holds each branch's conductance as `StepSystem.g` does and
+    replaces the resistors' own; it may be complex, and so is the run then.
+    """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     diags = validate(circuit)
@@ -56,6 +62,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
             if law.family != "linear":
                 raise ValueError(f"{e.name}: the exact reference needs linear laws")
             slope[b] = law.params[0]
+    if g is not None:
+        slope = np.where(of_kind["R"], g, slope)
     cap = np.array([e.cap_scale if e.kind == "OC" else 0.0 for e in elements])
 
     drives = np.zeros((nb, n))
@@ -82,8 +90,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
     J = (row_scale * d_phi)[:, None] * P_phi + (row_scale * d_q)[:, None] * P_q
 
     w = gl_weights(0.5, n - 1)
-    phi_hist = np.zeros((nb, n))
-    q_hist = np.zeros((nb, n))
+    phi_hist = np.zeros((nb, n), dtype=slope.dtype)
+    q_hist = np.zeros((nb, n), dtype=slope.dtype)
 
     def scaled_residual(z, m, h_phi, h_q):
         phi, q = P_phi @ z, P_q @ z
@@ -103,8 +111,8 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
         )
         return row_scale * F
 
-    z = np.zeros(nc)
-    Z = np.zeros((nc, n))
+    z = np.zeros(nc, dtype=slope.dtype)
+    Z = np.zeros((nc, n), dtype=slope.dtype)
     for m in range(1, n):
         # GL history sum_{k=1..m} w_k x_(m-k), per branch
         h_phi = phi_hist[:, :m] @ w[m:0:-1]
@@ -120,7 +128,7 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
         q_hist[:, m] = P_q @ z
 
     oc = np.flatnonzero(of_kind["OC"])
-    outputs = np.zeros((len(oc), n))
+    outputs = np.zeros((len(oc), n), dtype=slope.dtype)
     outputs[:, 1:] = np.diff(phi_hist[oc]) / dt
     return Trajectory(
         grid=grid,
@@ -132,3 +140,23 @@ def simulate(circuit: Circuit, drive: DriveSet, beta: float, cfg: SimConfig) -> 
         outputs=outputs,
         targets=drives[oc],
     )
+
+
+# a complex step takes no difference, so no rounding cancels: h only has to
+# make h^2 negligible against 1 (Squire & Trapp, SIAM Rev. 40:110, 1998)
+COMPLEX_STEP = 1e-30
+
+
+def exact_gradient(circuit: Circuit, drive: DriveSet, cfg: SimConfig) -> tuple:
+    """dJ/dg of the free run's loss per trainable synapse, in synapse order,
+    as Im J(g + ih) / h: exact for the discrete run up to rounding."""
+    g = np.array([e.g if e.kind == "R" else 0.0 for e in circuit.elements], dtype=complex)
+    grads = []
+    for l in circuit.trainables:
+        stepped = g.copy()
+        stepped[l] += 1j * COMPLEX_STEP
+        run = simulate(circuit, drive, 0.0, cfg, stepped)
+        # the loss of `trajectory_loss`, kept complex
+        loss = np.trapezoid(np.sum((run.outputs - run.targets) ** 2, axis=0), dx=cfg.grid.dt)
+        grads.append(float(loss.imag) / COMPLEX_STEP)
+    return tuple(grads)

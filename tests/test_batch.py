@@ -333,6 +333,43 @@ def test_long_linear_circuits_match_linear_reference(circuit):
     assert_free_nudged_match(circuit, config, linear_reference.simulate)
 
 
+# --- superposition: the kernel against itself --------------------------------
+
+# fixed before the test first ran, from 3.8e-14 measured at dt 1e-3
+SUPERPOSITION_BAR = 1e-12
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(circuit=random_circuits(memristors=1, linear=True))
+def test_linear_circuits_superpose(circuit):
+    # at beta 0 the response of a linear circuit is linear in its drives: the
+    # response to all of them is the sum of the responses to each alone.  It
+    # needs no reference, so it also covers the formulation the references
+    # share with the package.  The memristor puts a half-order history in
+    # every run.  The gap is held to the run's largest coordinate, so a field
+    # near 0 in every run is not held to its rounding
+    sources = [e.name for e in circuit.elements if e.kind in ("V", "I")]
+    assume(len(sources) >= 2)
+    config = cfg(dt=1e-3)
+    try:
+        whole = simulate(circuit, DriveSet(), 0.0, config)
+    except ValidationError as exc:
+        skip_topology_refusal(exc)
+    zero = Waveform("const", (0.0,))
+    alone = [simulate(circuit, DriveSet({other: zero for other in sources if other != s}), 0.0, config) for s in sources]
+
+    def coordinates(run):
+        return np.concatenate([run.tree_flux, run.loop_charge])
+
+    gap = coordinates(whole) - sum(coordinates(run) for run in alone)
+    assert np.max(np.abs(gap)) <= SUPERPOSITION_BAR * np.max(np.abs(coordinates(whole)))
+
+
 @pytest.mark.parametrize("net", [TANH_M, LINEAR_M], ids=["tanh", "linear"])
 def test_long_memristive_nets_match_scalar_reference(net):
     assert_free_nudged_match(parse_netlist(net), long_cfg(dt=1e-3))

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csv_compare import assert_same_csv, csv_text
+from test_eqprop import example_orders
 import fraceq
 from fraceq import circuit, cli, dynamics, eqprop
 from fraceq.cli import main, parse_train_config
@@ -276,6 +278,30 @@ class TestSimulate:
         assert main(argv) == 0
         assert open(out, "rb").read() == first
 
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink", "hardlink"])
+    def test_out_that_is_the_netlist_exit_2(self, rc_net, tmp_path, capsys, monkeypatch, spelling):
+        # the trajectory would replace the netlist its manifest hashes
+        monkeypatch.chdir(tmp_path)
+        out = {"same": "rc.net", "dot": "./rc.net", "symlink": "link.net", "hardlink": "hard.net"}[spelling]
+        if spelling == "symlink":
+            os.symlink("rc.net", out)
+        elif spelling == "hardlink":
+            os.link("rc.net", out)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["simulate", "rc.net", "--t-end", "0.1", "--dump-action", "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {out}: is an input of this run, so it cannot be an output"]
+        assert sorted(os.listdir(tmp_path)) == before
+        assert (tmp_path / "rc.net").read_text() == RC_NET
+
+    def test_netlist_named_as_a_tmp_file_exit_2(self, tmp_path, capsys):
+        # writing r.csv opens r.csv.tmp first, which would truncate the netlist
+        net = tmp_path / "r.csv.tmp"
+        net.write_text(RC_NET)
+        assert main(["simulate", str(net), "--t-end", "0.1", "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {net}: is an input of this run, so it cannot be an output"]
+        assert sorted(os.listdir(tmp_path)) == ["r.csv.tmp"]
+        assert net.read_text() == RC_NET
+
     def test_out_named_as_its_manifest_exit_2(self, rc_net, tmp_path, capsys):
         # the trajectory would be x.manifest, and then its own manifest
         out = tmp_path / "x.manifest"
@@ -454,6 +480,25 @@ class TestTrain:
         log_b = open(os.path.join(b, "train_log.csv"), "rb").read()
         assert log_a == log_b
 
+    def test_manifest_hashes_its_config(self, linnet_path, tmp_path):
+        code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "run")
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "train.cfg").read_bytes()).hexdigest()
+        manifest = open(os.path.join(out_dir, "train.manifest")).read().splitlines()
+        assert f"config_sha256={digest}" in manifest
+
+    def test_netlist_in_out_dir_as_trained_net_exit_2(self, tmp_path, capsys):
+        # the trained netlist would replace the netlist it was trained from
+        out_dir = tmp_path / "D"
+        out_dir.mkdir()
+        net = out_dir / "trained.net"
+        net.write_text(LINNET)
+        code, _ = self._run(str(net), tmp_path, TRAIN_CFG.replace("epochs=3", "epochs=1"), "D")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {net}: is an input of this run, so it cannot be an output"]
+        assert os.listdir(out_dir) == ["trained.net"]
+        assert net.read_text() == LINNET
+
     def test_bad_config_exit_2(self, linnet_path, tmp_path, capsys):
         code, _ = self._run(linnet_path, tmp_path, "epochs=3\nbogus_key=1\nlearning_rate=0.1\nbeta=1e-3\n", "runX")
         assert code == 2
@@ -484,7 +529,9 @@ class TestTrain:
         code, out_dir = self._run(linnet_path, tmp_path, TRAIN_CFG, "runI")
         assert code == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"simulation failure: {os.path.join(out_dir, 'train_log.csv')}: row epoch=1 example=0, column J is not finite"]
+        example = example_orders(1, 2, 2)[1][0]  # TRAIN_CFG sets seed=1
+        row = f"row epoch=1 example={example}, column J"
+        assert err == [f"simulation failure: {os.path.join(out_dir, 'train_log.csv')}: {row} is not finite"]
         assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
 
     def test_non_finite_conductance_names_the_trained_net(self, linnet_path, tmp_path, capsys, monkeypatch):
@@ -524,8 +571,10 @@ class TestTrain:
         assert code == 3
         (err,) = capsys.readouterr().err.splitlines()
         log_path = os.path.join(out_dir, "train_log.csv")
-        assert err.startswith("simulation failure: epoch 1, example ")
-        assert err.endswith(f"; partial log not written: {log_path}: row epoch=0 example=1, column grad_norm is not finite")
+        orders = example_orders(1, 2, 2)  # TRAIN_CFG sets seed=1
+        assert err.startswith(f"simulation failure: epoch 1, example {orders[1][0]}: ")
+        row = f"row epoch=0 example={orders[0][1]}, column grad_norm"
+        assert err.endswith(f"; partial log not written: {log_path}: {row} is not finite")
         assert sorted(os.listdir(tmp_path)) == ["linnet.net", "train.cfg"]
 
     def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
@@ -1284,6 +1333,41 @@ def fuzz_cases(draw):
     return command, net, config, refused
 
 
+def test_no_command_imports_numpy_random(tmp_path):
+    # importing numpy.random costs about 2 MiB of a run's peak memory, and
+    # train shuffles with the standard library.  A fresh interpreter runs each
+    # command, since this pytest process has imported numpy.random itself
+    net = tmp_path / "linnet.net"
+    net.write_text(LINNET)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("epochs=3", "epochs=1"))
+    sig = tmp_path / "sig.csv"
+    sig.write_text("t,value\n0,0\n0.5,1\n1,0\n")
+    commands = [
+        ["simulate", str(net), "--t-end", "0.1", "--out", str(tmp_path / "s.csv")],
+        ["gradcheck", str(net), "--dt", "4e-3", "--out", str(tmp_path / "g.csv")],
+        ["train", str(net), str(cfg), "--out-dir", str(tmp_path / "run")],
+        ["frac-bench", str(sig), "--out", str(tmp_path / "f.csv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from fraceq.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    print(json.dumps([argv[0], code, 'numpy.random' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(fraceq.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    reports = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("[")]
+    assert reports == [[argv[0], 0, False] for argv in commands]
+
+
 def _run_main(directory, command, net, config):
     """main's exit code on one generated case, run in its own directory."""
     (directory / "fuzz.net").write_text(net)
@@ -1467,6 +1551,15 @@ class TestFracBench:
         grid, values = cli._read_signal_csv(str(p))
         expected = self.per_sample_text(grid.times(), cli._OPS[op](values, grid.dt, 0.5))
         assert out.read_text() == expected
+
+    def test_out_that_is_the_signal_exit_2(self, tmp_path, capsys):
+        text = "t,value\n0,0\n0.5,1\n1,0\n"
+        sig = tmp_path / "sig.csv"
+        sig.write_text(text)
+        assert main(["frac-bench", str(sig), "--out", str(sig)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {sig}: is an input of this run, so it cannot be an output"]
+        assert sorted(os.listdir(tmp_path)) == ["sig.csv"]
+        assert sig.read_text() == text
 
     def test_self_test_passes(self, capsys):
         assert main(["frac-bench", "--self-test"]) == 0

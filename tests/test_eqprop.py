@@ -1,4 +1,5 @@
 import functools
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+import linear_reference
 from csv_compare import assert_same_csv, csv_text
 from fraceq import dynamics, eqprop
 from fraceq.circuit import Circuit, Waveform, parse_netlist
@@ -51,6 +53,12 @@ def estimate(circuit, drive, beta, cfg):
     """`estimate_gradient` of `circuit` as written: compiled here, run with its own conductances."""
     system = compile(circuit)
     return estimate_gradient(system, system.g, drive, beta, cfg)
+
+
+def example_orders(seed, examples, epochs):
+    """The example order of each epoch, drawn as `train` draws it."""
+    rng = random.Random(seed)
+    return [sorted(range(examples), key=lambda _: rng.random()) for _ in range(epochs)]
 
 
 def fd_oracle(circuit, drive, eps, cfg):
@@ -210,6 +218,13 @@ class TestFdGradient:
         rel = np.max(np.abs(np.array(oracle) - fine) / np.abs(fine))
         assert rel < 1e-3
 
+    def test_error_against_the_exact_gradient(self, linnet, oracle):
+        # the complex-step gradient is exact for the discrete run; the bar was
+        # fixed before this test first ran, from the 1e-9 to 1.2e-8 measured
+        # per synapse on linnet at t_end 1
+        exact = np.array(linear_reference.exact_gradient(linnet, DriveSet(), sim_cfg()))
+        assert np.max(np.abs(np.array(oracle) - exact) / np.abs(exact)) <= 3e-8
+
     def test_step_too_large(self, linnet):
         with pytest.raises(ParameterError, match="^eps 0.25 would drive conductance 0.25 non-positive$") as info:
             fd_oracle(linnet, DriveSet(), 0.25, sim_cfg())
@@ -351,6 +366,19 @@ class TestTrain:
         out = self._train_on_fixed_gradient(linnet, monkeypatch, [0.0, 0.0, 100.0])
         assert out.element("s3").g == 1e-6
 
+    def test_example_orders_are_pinned(self, linnet, monkeypatch):
+        # Python keeps the stream of Random(seed).random() stable across
+        # versions; CI runs this on each Python it tests, so drift shows here
+        assert example_orders(1, 4, 3) == [[0, 3, 2, 1], [1, 0, 2, 3], [1, 0, 3, 2]]
+        names = tuple(linnet.elements[l].name for l in linnet.trainables)
+
+        def fixed(system, g, drive, beta, cfg):
+            return GradientEstimate(names, (0.0,) * len(names), ((0.0, 0.0),) * len(names), 0.0)
+
+        monkeypatch.setattr(eqprop, "estimate_gradient", fixed)
+        _, log = train(linnet, self._config(batch=(DriveSet(),) * 4))
+        assert [example for _, example, *_ in log.records] == [0, 3, 2, 1, 1, 0, 2, 3, 1, 0, 3, 2]
+
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
             self._config(learning_rate=-0.1)
@@ -360,7 +388,7 @@ class TestTrain:
         tanh_m = parse_netlist(LINNET + "M m1 out 0 f=tanh(0.5,1.0)\n")
         monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 1)
         config = self._config(sim=sim_cfg(dt=2e-3), batch=(DriveSet(),) * 2)
-        first = int(np.random.default_rng(config.seed).permutation(2)[0])
+        first = example_orders(config.seed, 2, 1)[0][0]
         message = f"^epoch 0, example {first}: Newton iteration diverged at t=0.002 \\(free phase\\)"
         with pytest.raises(NewtonDivergenceError, match=message) as info:
             train(tanh_m, config)
